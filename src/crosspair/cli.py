@@ -22,7 +22,7 @@ from .matching import match_scene
 from .metrics import correspondence_score, map_at, pooled_correspondence
 from .pipeline import NumericError, PlaConfig, TrainConfig, run_pipeline
 from .records import (RecordError, file_digest, read_manifest, read_records,
-                      write_csv, write_manifest, write_records)
+                      record_line, write_csv, write_manifest, write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
                        generate_scenes, rgb_proposals, scene_from_record,
@@ -54,7 +54,28 @@ def _resolve_out(path) -> Path:
 
 
 def _load_scenes(path):
-    return [scene_from_record(r) for r in read_records(path)]
+    """Scenes of a record file; scene ids must be unique."""
+    scenes = []
+    first_index = {}
+    for index, rec in enumerate(read_records(path)):
+        scene = scene_from_record(rec)
+        first = first_index.setdefault(scene.scene_id, index)
+        if first != index:
+            raise RecordError(
+                path, record_line(path, index),
+                f"field 'scene_id': duplicate value {scene.scene_id} "
+                f"(first on line {record_line(path, first)})")
+        scenes.append(scene)
+    return scenes
+
+
+def _run_config(args) -> dict:
+    """The manifest config of a run that reads --input: the parsed arguments
+    with the input made absolute, so verify works from any directory."""
+    config = vars(args).copy()
+    config.pop("subcommand", None)
+    config["input"] = os.path.abspath(args.input)
+    return _plain(config)
 
 
 def build_parser() -> _Parser:
@@ -173,9 +194,7 @@ def cmd_filter(args):
                           "tau": thr.tau, "n": thr.n},
             })
     write_records(out, records)
-    config = vars(args).copy()
-    config.pop("subcommand", None)
-    write_manifest(out, "filter", _plain(config), 0, [out])
+    write_manifest(out, "filter", _run_config(args), 0, [out])
     print(f"filtered {len(scenes)} scenes to {out}")
     return EXIT_OK
 
@@ -211,9 +230,7 @@ def cmd_match(args):
     with open(stats_path, "w") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    config = vars(args).copy()
-    config.pop("subcommand", None)
-    write_manifest(out, "match", _plain(config), 0, [out, stats_path])
+    write_manifest(out, "match", _run_config(args), 0, [out, stats_path])
     print(json.dumps(stats))
     return EXIT_OK
 
@@ -250,9 +267,7 @@ def cmd_pipeline(args):
     bag_path = Path(str(out) + ".bags.jsonl")
     write_records(bag_path, [rec for sid in sorted(report.bags)
                              for rec in bag_records(report.bags[sid])])
-    config = vars(args).copy()
-    config.pop("subcommand", None)
-    write_manifest(out, "pipeline", _plain(config), 0,
+    write_manifest(out, "pipeline", _run_config(args), 0,
                    [out, csv_path, bag_path])
     print(json.dumps(report.summary()))
     return EXIT_OK

@@ -63,12 +63,17 @@ def average_precision(preds, gts, iou_thresh: float = 0.5) -> PRCurve:
         tp += is_tp
         points.append((tp / n_gt, tp / k))
 
-    # monotone precision envelope, integrated over recall
+    # monotone precision envelope (running max from the right), integrated
+    # over recall
+    envelope = []
+    best = 0.0
+    for _, p in reversed(points):
+        best = max(best, p)
+        envelope.append(best)
+    envelope.reverse()
     ap = 0.0
     prev_recall = 0.0
-    for idx in range(len(points)):
-        env_here = max(p for r, p in points[idx:])
-        r = points[idx][0]
+    for (r, _), env_here in zip(points, envelope):
         ap += (r - prev_recall) * env_here
         prev_recall = r
     return PRCurve(tuple(points), ap)
@@ -80,11 +85,8 @@ def mean_ap(per_class) -> float:
     return sum(c.ap for c in per_class) / len(per_class)
 
 
-def map_at(preds, gts, iou_thresh: float = 0.5, class_agnostic: bool = False) -> float:
+def map_at(preds, gts, iou_thresh: float = 0.5) -> float:
     """Per-class AP averaged over the classes present in the ground truth."""
-    if class_agnostic:
-        strip = [(b, 0) for b, _ in gts]
-        return average_precision(_with_class(preds, 0), strip, iou_thresh).ap
     classes = sorted({c for _, c in gts})
     if not classes:
         return 1.0 if not preds else 0.0
@@ -94,13 +96,6 @@ def map_at(preds, gts, iou_thresh: float = 0.5, class_agnostic: bool = False) ->
         cls_gts = [(b, c) for b, c in gts if c == cls]
         curves.append(average_precision(cls_preds, cls_gts, iou_thresh))
     return mean_ap(curves)
-
-
-def _with_class(preds, cls):
-    out = []
-    for p in preds:
-        out.append(type(p)(p.box, (1.0,), p.source_id))
-    return out
 
 
 def correspondence_score(result: MatchResult, scene) -> CorrespondenceScore:

@@ -15,7 +15,7 @@ import numpy as np
 from . import schedule as sched
 from .correction import COPIED, MATCHED, LabelBag, init_bag, update_bag
 from .filtering import filter_batch
-from .matching import match_scene
+from .matching import PairTable, match_scene, pair_table
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (Scene, SimDetectorParams, detect, least_squares_offset,
                        pair_loss, rgb_proposals, student_step)
@@ -170,16 +170,27 @@ def _filtered_proposals(student, batch, pla: PlaConfig, salt):
             for sid, cands in per_scene.items()}
 
 
-def _assign_epoch(scenes, student, bags, pla: PlaConfig, epoch, batch_size):
-    """Run filter + match + bag maintenance for one epoch; returns counters."""
+def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
+                  pla: PlaConfig, epoch, batch_size):
+    """Run filter + match + bag maintenance for one epoch; returns counters.
+
+    Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
+    so each scene's pair table is built on its first assigning epoch and
+    reused from tables afterwards.
+    """
     matched = copied = updated = 0
     for batch in _batches(scenes, batch_size):
         proposals = _filtered_proposals(student, batch, pla, salt=epoch)
         for scene in batch:
             pool = proposals[scene.scene_id]
             if pla.use_sdlm:
+                gated = not pla.iou_match_only
+                table = tables.get(scene.scene_id)
+                if table is None:
+                    table = tables[scene.scene_id] = pair_table(
+                        scene.ir_boxes, scene.rgb_obs, pla.beta, gated)
                 result = match_scene(scene.ir_boxes, pool, pla.beta,
-                                     use_search_region=not pla.iou_match_only)
+                                     use_search_region=gated, table=table)
             else:
                 result = match_scene(scene.ir_boxes, [], pla.beta)
             full_pool = scene.rgb_obs
@@ -220,12 +231,17 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     if not scenes:
         raise ValueError("empty scene stream")
     scenes = sorted(scenes, key=lambda s: s.scene_id)
+    dup = next((a.scene_id for a, b in zip(scenes, scenes[1:])
+                if a.scene_id == b.scene_id), None)
+    if dup is not None:
+        raise ValueError(f"duplicate scene_id {dup}")
     pla = pla or PlaConfig()
     train = train or TrainConfig()
 
     student = SimDetectorParams((0.0, 0.0), train.confidence_noise)
     ema = EmaState(student.as_vector(), train.ema_decay, 0)
     bags: dict[int, LabelBag] = {}
+    tables: dict[int, PairTable] = {}
     records = []
     stage2_started = False
 
@@ -274,7 +290,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                 if train.ema_reset:
                     ema = EmaState(student.as_vector(), train.ema_decay, ema.step)
             matched, copied, updated = _assign_epoch(
-                scenes, student, bags, pla, epoch, train.batch_size)
+                scenes, student, bags, tables, pla, epoch, train.batch_size)
             student, ema = _train_on_bags(student, ema, bags, train)
             pairs = [p for bag in bags.values() for p in bag.pairs.values()]
             losses[sched.L_PAIRED] = pair_loss(student, pairs)

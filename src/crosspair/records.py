@@ -38,6 +38,18 @@ def read_records(path):
     return out
 
 
+def record_line(path, index) -> int:
+    """Line number of the index-th (0-based) record that read_records returns."""
+    seen = 0
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                if seen == index:
+                    return line_no
+                seen += 1
+    raise IndexError(f"{path} holds no record {index}")
+
+
 def write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

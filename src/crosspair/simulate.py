@@ -177,12 +177,24 @@ class SimDetectorParams:
 
 
 def _perturb_probs(rng, probs, scale):
+    """Mix probs with flat Dirichlet noise by a uniform weight in [0, scale).
+
+    Same draws and bits as rng.dirichlet(np.ones(k)) followed by
+    rng.uniform(0.0, scale), without their per-call overhead: numpy's
+    Dirichlet with alpha = 1 draws one standard exponential per component,
+    sums them in order and scales by the reciprocal of the sum, and
+    uniform(0, scale) is scale times the next double.
+    """
     if scale <= 0:
         return probs
-    noise = rng.dirichlet(np.ones(len(probs)))
-    mix = min(1.0, rng.uniform(0.0, scale))
+    e = rng.standard_exponential(len(probs))
+    acc = 0.0
+    for x in e.tolist():
+        acc += x
+    noise = e * (1.0 / acc)
+    mix = min(1.0, scale * rng.random())
     out = (1.0 - mix) * np.asarray(probs) + mix * noise
-    return tuple(float(p) for p in out / out.sum())
+    return tuple((out / out.sum()).tolist())
 
 
 def _detect_rng(scene: Scene, salt: int):

@@ -84,6 +84,34 @@ class TestMatch:
         assert rc == EXIT_DATA
 
 
+def _duplicate_scene_file(scene_file, tmp_path):
+    """Scene file after a blank first line, whose fourth record repeats the
+    scene_id of the second."""
+    lines = scene_file.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["scene_id"] = json.loads(lines[1])["scene_id"]
+    lines[3] = json.dumps(rec)
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("\n" + "\n".join(lines) + "\n")
+    return dup
+
+
+@pytest.mark.parametrize("argv", [
+    ["match"],
+    ["pipeline", "--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"],
+])
+def test_duplicate_scene_id_names_file_line_field(scene_file, tmp_path,
+                                                  capsys, argv):
+    dup = _duplicate_scene_file(scene_file, tmp_path)
+    out = tmp_path / "o.jsonl"
+    rc = invoke(argv + ["--input", str(dup), "-o", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{dup}:5:" in err
+    assert "scene_id" in err and "first on line 3" in err
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_short_run(self, scene_file, tmp_path):
         out = tmp_path / "report.jsonl"
@@ -149,6 +177,25 @@ class TestVerify:
         out = tmp_path / "pairs.jsonl"
         invoke(["match", "--input", str(scene_file), "-o", str(out)])
         assert invoke(["verify", str(out) + ".manifest.json"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["filter"],
+        ["match"],
+        ["pipeline", "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2"],
+    ])
+    def test_verify_from_another_cwd(self, scene_file, tmp_path, monkeypatch,
+                                     argv):
+        run_dir = tmp_path / "a"
+        run_dir.mkdir()
+        other = tmp_path / "b"
+        other.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert invoke(argv + ["--input", os.path.join("..", scene_file.name),
+                              "-o", "out.jsonl"]) == EXIT_OK
+        manifest = json.loads((run_dir / "out.jsonl.manifest.json").read_text())
+        assert manifest["config"]["input"] == str(scene_file)
+        monkeypatch.chdir(other)
+        assert invoke(["verify", str(run_dir / "out.jsonl.manifest.json")]) == EXIT_OK
 
     def test_verify_detects_tamper(self, scene_file):
         with open(scene_file, "a") as fh:

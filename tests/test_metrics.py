@@ -49,6 +49,30 @@ class TestAveragePrecision:
         recalls = [r for r, _ in curve.points]
         assert recalls == sorted(recalls)
 
+    def test_envelope_matches_quadratic_formula(self):
+        # the running-max envelope against the former per-point max over
+        # the tail, on random TP/FP orders; AP must agree bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_gt = int(rng.integers(1, 12))
+            gts = grid_boxes(n_gt)
+            preds = []
+            for i in range(int(rng.integers(1, 30))):
+                if rng.random() < 0.5:
+                    box = gts[int(rng.integers(n_gt))][0]
+                else:
+                    box = OrientedBox(500 + 30 * i, 500, 10, 10, 0)
+                preds.append(pred(box, float(rng.integers(1, 8)) / 8,
+                                  source_id=i))
+            curve = average_precision(preds, gts)
+            ap, prev_recall = 0.0, 0.0
+            for idx in range(len(curve.points)):
+                env_here = max(p for r, p in curve.points[idx:])
+                r = curve.points[idx][0]
+                ap += (r - prev_recall) * env_here
+                prev_recall = r
+            assert curve.ap.hex() == ap.hex()
+
     def test_iou_threshold_applied(self):
         gt_box = OrientedBox(0, 0, 10, 10, 0)
         near = pred(OrientedBox(1, 0, 10, 10, 0), 0.9)   # IoU 9/11 > 0.5

@@ -123,6 +123,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             run_pipeline([], SHORT, PlaConfig(), TrainConfig())
 
+    def test_duplicate_scene_ids_rejected(self):
+        scenes = generate_scenes(SceneConfig(count=3, boxes_per_scene=3,
+                                             seed=4))
+        with pytest.raises(ValueError, match="duplicate scene_id 1"):
+            run_pipeline(scenes + [scenes[1]], SHORT)
+
 
 class TestDlcBehaviour:
     def test_dlc_accumulates_across_epochs(self):
