@@ -19,14 +19,15 @@ from pathlib import Path
 from .correction import bag_records
 from .filtering import filter_batch
 from .matching import match_scene
-from .metrics import correspondence_score, map_at, pooled_correspondence
+from .metrics import (correspondence_score, map_at, ordered_sum,
+                      pooled_correspondence)
 from .pipeline import NumericError, PlaConfig, TrainConfig, run_pipeline
 from .records import (RecordError, file_digest, read_manifest, read_records,
                       record_line, write_csv, write_manifest, write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
-                       generate_scenes, rgb_proposals, scene_from_record,
-                       scene_to_record)
+                       find_record_error, generate_scenes, rgb_proposals,
+                       scene_from_record, scene_to_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,12 +54,31 @@ def _resolve_out(path) -> Path:
     return path
 
 
+def _bad_record(path, index, rec, exc=None) -> RecordError:
+    """The error for the index-th record of path, naming the field at fault."""
+    located = find_record_error(rec)
+    message = (f"field {located[0]!r}: {located[1]}" if located
+               else f"not a scene record: {exc!r}")
+    return RecordError(path, record_line(path, index), message)
+
+
 def _load_scenes(path):
-    """Scenes of a record file; scene ids must be unique."""
+    """Scenes of a record file.
+
+    Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
+    within each scene. A bad record fails with a RecordError naming the
+    file, the line and the field.
+    """
     scenes = []
     first_index = {}
     for index, rec in enumerate(read_records(path)):
-        scene = scene_from_record(rec)
+        try:
+            scene = scene_from_record(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _bad_record(path, index, rec, exc) from exc
+        if (len({i for i, _, _ in scene.ir_gt}) != len(scene.ir_gt)
+                or len({o.source_id for o in scene.rgb_obs}) != len(scene.rgb_obs)):
+            raise _bad_record(path, index, rec)
         first = first_index.setdefault(scene.scene_id, index)
         if first != index:
             raise RecordError(
@@ -259,7 +279,7 @@ def cmd_pipeline(args):
               "mean_center_error_rgb"]
     rows = []
     for r in report.epochs:
-        total = sum(r.loss_terms.values())
+        total = ordered_sum(r.loss_terms.values())
         rows.append([r.epoch, r.phase, r.lam, total, r.matched_count,
                      r.copied_count, r.updated_count, r.mean_center_error_ir,
                      r.mean_center_error_rgb])
@@ -306,8 +326,8 @@ def cmd_sweep_shift(args):
                 rgb_maps.append(map_at(detect(params, s, "rgb"), gts))
             agg = pooled_correspondence(scores)
             rows.append([dx, dy,
-                         sum(ir_maps) / len(ir_maps),
-                         sum(rgb_maps) / len(rgb_maps),
+                         ordered_sum(ir_maps) / len(ir_maps),
+                         ordered_sum(rgb_maps) / len(rgb_maps),
                          agg.recall if agg.recall is not None else 0.0,
                          agg.precision if agg.precision is not None else 0.0])
     write_csv(out, ["dx", "dy", "ir_map", "rgb_map",

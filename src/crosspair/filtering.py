@@ -35,13 +35,15 @@ class ScoredBox:
     class_id: int = field(init=False)
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.class_probs)
+        probs = tuple(map(float, self.class_probs))
         object.__setattr__(self, "class_probs", probs)
-        if sum(probs) > 1.0 + PROB_SUM_TOL:
-            raise ValueError(f"class probabilities sum to {sum(probs)} > 1")
-        object.__setattr__(self, "score", score_of(probs))
+        total = sum(probs)
+        if total > 1.0 + PROB_SUM_TOL:
+            raise ValueError(f"class probabilities sum to {total} > 1")
+        score = score_of(probs)
+        object.__setattr__(self, "score", score)
         # lowest index wins ties
-        object.__setattr__(self, "class_id", probs.index(max(probs)))
+        object.__setattr__(self, "class_id", probs.index(score))
 
     @property
     def center(self) -> tuple[float, float]:

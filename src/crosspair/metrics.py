@@ -79,10 +79,23 @@ def average_precision(preds, gts, iou_thresh: float = 0.5) -> PRCurve:
     return PRCurve(tuple(points), ap)
 
 
+def ordered_sum(values) -> float:
+    """Left-to-right float sum.
+
+    Output files use this instead of the builtin sum(), which adds floats
+    with compensation from Python 3.12 and would make their bytes depend on
+    the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def mean_ap(per_class) -> float:
     if not per_class:
         raise ValueError("no classes")
-    return sum(c.ap for c in per_class) / len(per_class)
+    return ordered_sum(c.ap for c in per_class) / len(per_class)
 
 
 def map_at(preds, gts, iou_thresh: float = 0.5) -> float:

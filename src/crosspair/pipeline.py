@@ -108,7 +108,13 @@ def _cross_entropy(pred_probs, true_class) -> float:
 
 
 def _sup_loss(student, scenes, salt) -> float:
-    """Classification CE plus box error of the reference-modality head."""
+    """Classification CE plus box error of the reference-modality head.
+
+    detect seeds its generator with (scene_id, salt), as rgb_proposals does.
+    run_pipeline passes salt = epoch to both, so in the mutual and stage-2
+    epochs a scene's IR confidence noise here reuses the draws of its RGB
+    proposal noise in the same epoch.
+    """
     acc, n = 0.0, 0
     for scene in scenes:
         dets = {d.source_id: d for d in detect(student, scene, "ir", salt)}
@@ -176,7 +182,10 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
     so each scene's pair table is built on its first assigning epoch and
-    reused from tables afterwards.
+    reused from tables afterwards. The scores are drawn from a generator
+    seeded with (scene_id, epoch), the same seed _sup_loss gives detect, so
+    in stage-2 epochs the RGB proposal noise and the IR detection noise of a
+    scene share their draws.
     """
     matched = copied = updated = 0
     for batch in _batches(scenes, batch_size):

@@ -180,21 +180,33 @@ def _perturb_probs(rng, probs, scale):
     """Mix probs with flat Dirichlet noise by a uniform weight in [0, scale).
 
     Same draws and bits as rng.dirichlet(np.ones(k)) followed by
-    rng.uniform(0.0, scale), without their per-call overhead: numpy's
-    Dirichlet with alpha = 1 draws one standard exponential per component,
-    sums them in order and scales by the reciprocal of the sum, and
-    uniform(0, scale) is scale times the next double.
+    rng.uniform(0.0, scale) and the array arithmetic that mixed and
+    renormalized them, without numpy's per-call overhead on k-element
+    arrays: numpy's Dirichlet with alpha = 1 draws one standard exponential
+    per component, sums them in order and scales by the reciprocal of the
+    sum, and uniform(0, scale) is scale times the next double. The rest is
+    elementwise Python float arithmetic in numpy's order. The normalizing
+    total follows ndarray.sum, which adds in order below 8 elements and
+    pairwise from 8 up. The builtin sum() is not used: from Python 3.12 it
+    adds floats with compensation, which gives other bits.
     """
     if scale <= 0:
         return probs
-    e = rng.standard_exponential(len(probs))
+    e = rng.standard_exponential(len(probs)).tolist()
     acc = 0.0
-    for x in e.tolist():
+    for x in e:
         acc += x
-    noise = e * (1.0 / acc)
+    inv = 1.0 / acc
     mix = min(1.0, scale * rng.random())
-    out = (1.0 - mix) * np.asarray(probs) + mix * noise
-    return tuple((out / out.sum()).tolist())
+    keep = 1.0 - mix
+    out = [keep * p + mix * (x * inv) for p, x in zip(probs, e)]
+    if len(out) < 8:
+        total = 0.0
+        for v in out:
+            total += v
+    else:
+        total = float(np.array(out).sum())
+    return tuple([v / total for v in out])
 
 
 def _detect_rng(scene: Scene, salt: int):
@@ -213,9 +225,10 @@ def detect(params: SimDetectorParams, scene: Scene, modality: str,
     out = []
     if modality == "ir":
         n_classes = len(scene.rgb_obs[0].class_probs) if scene.rgb_obs else 5
+        one_hot = [tuple([float(j == c) for j in range(n_classes)])
+                   for c in range(n_classes)]
         for ir_id, box, cls in scene.ir_gt:
-            probs = np.eye(n_classes)[cls]
-            probs = _perturb_probs(rng, tuple(probs), params.confidence_noise)
+            probs = _perturb_probs(rng, one_hot[cls], params.confidence_noise)
             out.append(ScoredBox(box, probs, ir_id))
     elif modality == "rgb":
         dx, dy = params.offset_estimate
@@ -259,8 +272,10 @@ def pair_gradient(params: SimDetectorParams, pairs) -> tuple[float, float]:
     if not pairs:
         return (0.0, 0.0)
     dx, dy = params.offset_estimate
-    gx = sum(p.ir_box.cx + dx - p.rgb_box.cx for p in pairs)
-    gy = sum(p.ir_box.cy + dy - p.rgb_box.cy for p in pairs)
+    gx = gy = 0.0
+    for p in pairs:  # in order; see least_squares_offset
+        gx += p.ir_box.cx + dx - p.rgb_box.cx
+        gy += p.ir_box.cy + dy - p.rgb_box.cy
     n = len(pairs)
     return (2.0 * gx / n, 2.0 * gy / n)
 
@@ -279,12 +294,19 @@ def student_step(params: SimDetectorParams, pseudo_labels,
 
 
 def least_squares_offset(pairs) -> tuple[float, float]:
-    """Analytic minimizer of pair_loss: mean(rgb center - reference center)."""
+    """Analytic minimizer of pair_loss: mean(rgb center - reference center).
+
+    The sums run left to right in a loop: the builtin sum() adds floats with
+    compensation from Python 3.12, so the offsets written to reports would
+    depend on the interpreter.
+    """
     if not pairs:
         return (0.0, 0.0)
-    mx = sum(p.rgb_box.cx - p.ir_box.cx for p in pairs) / len(pairs)
-    my = sum(p.rgb_box.cy - p.ir_box.cy for p in pairs) / len(pairs)
-    return (mx, my)
+    sx = sy = 0.0
+    for p in pairs:
+        sx += p.rgb_box.cx - p.ir_box.cx
+        sy += p.rgb_box.cy - p.ir_box.cy
+    return (sx / len(pairs), sy / len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +344,63 @@ def scene_from_record(rec: dict) -> Scene:
     )
     return Scene(rec["scene_id"], tuple(rec["canvas"]),
                  tuple(rec["true_offset"]), ir_gt, obs)
+
+
+_BOX_KEYS = ("cx", "cy", "w", "h", "theta")
+_UNIT_BOX = dict.fromkeys(_BOX_KEYS, 1.0)
+# per list, the keys of an item in the order scene_from_record reads them
+_ITEM_KEYS = {"ir_gt": ("id",) + _BOX_KEYS + ("class",),
+              "rgb_obs": _BOX_KEYS + ("class_probs", "id", "corr_id")}
+
+
+def _rejection(build, *args, **kwargs):
+    """The error build(*args, **kwargs) raises, or None."""
+    try:
+        build(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        return exc
+    return None
+
+
+def find_record_error(rec):
+    """(field path, reason) of the first field of a scene record that
+    scene_from_record rejects or that repeats an id of its list, or None.
+
+    For error messages only: it rebuilds the record's parts one at a time.
+    A box field is blamed when a box that takes only it from the record,
+    and valid values otherwise, is rejected too.
+    """
+    if not isinstance(rec, dict):
+        return None
+    for key, keys in _ITEM_KEYS.items():
+        items = rec.get(key)
+        if not isinstance(items, list):
+            return key, "missing" if key not in rec else "not a list"
+        first = {}
+        for i, item in enumerate(items):
+            where = f"{key}[{i}]"
+            if not isinstance(item, dict):
+                return where, "not an object"
+            missing = next((k for k in keys if k not in item), None)
+            if missing is not None:
+                return f"{where}.{missing}", "missing"
+            exc = _rejection(OrientedBox, *(item[k] for k in _BOX_KEYS))
+            if exc is not None:
+                bad = next(k for k in _BOX_KEYS if _rejection(
+                    OrientedBox, **{**_UNIT_BOX, k: item[k]}))
+                return f"{where}.{bad}", str(exc)
+            if key == "rgb_obs":
+                exc = _rejection(ScoredBox, OrientedBox(**_UNIT_BOX),
+                                 item["class_probs"], 0)
+                if exc is not None:
+                    return f"{where}.class_probs", str(exc)
+            j = first.setdefault(item["id"], i)
+            if j != i:
+                return (f"{where}.id",
+                        f"duplicate value {item['id']!r} (first at {key}[{j}])")
+    for key in ("scene_id", "canvas", "true_offset"):
+        if key not in rec:
+            return key, "missing"
+        if key != "scene_id" and not isinstance(rec[key], list):
+            return key, "not a list"
+    return None

@@ -112,6 +112,54 @@ def test_duplicate_scene_id_names_file_line_field(scene_file, tmp_path,
     assert not out.exists()
 
 
+def _break_rgb_cx(rec):
+    del rec["rgb_obs"][0]["cx"]
+
+
+def _break_ir_cy(rec):
+    rec["ir_gt"][0]["cy"] = math.nan
+
+
+def _repeat_ir_id(rec):
+    rec["ir_gt"][1]["id"] = rec["ir_gt"][0]["id"]
+
+
+def _repeat_rgb_id(rec):
+    rec["rgb_obs"][1]["id"] = rec["rgb_obs"][0]["id"]
+
+
+def _overfull_probs(rec):
+    k = len(rec["rgb_obs"][0]["class_probs"])
+    rec["rgb_obs"][0]["class_probs"] = [1.5 / k] * k
+
+
+@pytest.mark.parametrize("argv", [
+    ["match"],
+    ["pipeline", "--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"],
+])
+@pytest.mark.parametrize("corrupt,field", [
+    (_break_rgb_cx, "rgb_obs[0].cx"),
+    (_break_ir_cy, "ir_gt[0].cy"),
+    (_repeat_ir_id, "ir_gt[1].id"),
+    (_repeat_rgb_id, "rgb_obs[1].id"),
+    (_overfull_probs, "rgb_obs[0].class_probs"),
+])
+def test_bad_record_names_file_line_field(scene_file, tmp_path, capsys,
+                                          argv, corrupt, field):
+    lines = scene_file.read_text().splitlines()
+    rec = json.loads(lines[2])
+    corrupt(rec)
+    lines[2] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.jsonl"
+    rc = invoke(argv + ["--input", str(bad), "-o", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad}:3: field '{field}':" in err
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_short_run(self, scene_file, tmp_path):
         out = tmp_path / "report.jsonl"

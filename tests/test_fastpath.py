@@ -1,8 +1,8 @@
-"""Property tests of the assigner's fast path against the code it replaced.
+"""Property tests of the fast paths against the code they replaced.
 
-The pair table with its vectorized gate, and the lean Dirichlet draw, must
-give the same results bit for bit as the scalar loops kept here as
-references.
+The pair table with its vectorized gate, the lean Dirichlet draw and the
+IR detector's one-hot table must give the same results bit for bit as the
+scalar loops and numpy forms kept here as references.
 """
 import math
 
@@ -12,12 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosspair.cli import EXIT_OK, run
+from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
 from crosspair.geometry import OrientedBox, corners_of, iou, point_in_obb
 from crosspair.matching import (MatchResult, _gate_mask, candidates_for,
                                 match_scene, pair_table, search_region)
+from crosspair.metrics import ordered_sum
 from crosspair.records import file_digest
-from crosspair.simulate import _perturb_probs
+from crosspair.simulate import (Scene, SceneConfig, SimDetectorParams,
+                                _detect_rng, _perturb_probs, detect,
+                                generate_scenes, least_squares_offset,
+                                pair_gradient)
 
 
 def reference_match(ir_boxes, rgb_pool, beta=1.0, use_search_region=True):
@@ -160,7 +165,7 @@ def _bits(values):
 
 class TestDraw:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8), st.sampled_from([0.05, 0.1, 0.7, 3.0]),
+    @given(st.integers(1, 12), st.sampled_from([0.05, 0.1, 0.7, 3.0]),
            st.integers(0, 2**32 - 1), st.data())
     def test_equals_dirichlet_uniform_reference(self, k, scale, seed, data):
         probs = tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k,
@@ -179,6 +184,64 @@ class TestDraw:
         probs = (0.5, 0.5)
         assert _perturb_probs(rng, probs, 0.0) is probs
         assert rng.random() == np.random.default_rng(0).random()
+
+
+def reference_detect_ir(params, scene, salt=0):
+    """detect(..., "ir") as it was before the one-hot table, verbatim, with
+    the draw it made then."""
+    rng = _detect_rng(scene, salt)
+    out = []
+    n_classes = len(scene.rgb_obs[0].class_probs) if scene.rgb_obs else 5
+    for ir_id, box, cls in scene.ir_gt:
+        probs = np.eye(n_classes)[cls]
+        probs = reference_perturb(rng, tuple(probs), params.confidence_noise)
+        out.append(ScoredBox(box, probs, ir_id))
+    return out
+
+
+class TestDetectIr:
+    # 9 classes take the pairwise branch of the normalizing total
+    @pytest.mark.parametrize("classes", [5, 9])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_equals_eye_reference(self, noise, classes):
+        cfg = SceneConfig(count=8, boxes_per_scene=6, dropout_rate=0.2,
+                          spurious_rate=0.2, class_count=classes, seed=3)
+        params = SimDetectorParams((1.5, -2.0), noise)
+        for scene in generate_scenes(cfg):
+            for salt in (0, 7):
+                got = detect(params, scene, "ir", salt)
+                want = reference_detect_ir(params, scene, salt)
+                assert [(d.source_id, d.box, _bits(d.class_probs))
+                        for d in got] == [(d.source_id, d.box,
+                                           _bits(d.class_probs))
+                                          for d in want]
+
+    def test_class_out_of_range_raises(self):
+        scene = generate_scenes(SceneConfig(count=1, boxes_per_scene=2,
+                                            class_count=3))[0]
+        ir_id, box, _ = scene.ir_gt[0]
+        bad = Scene(scene.scene_id, scene.canvas, scene.true_offset,
+                    ((ir_id, box, 3),), scene.rgb_obs)
+        with pytest.raises(IndexError):
+            detect(SimDetectorParams(), bad, "ir")
+
+
+class TestOrderedSums:
+    """Sums that reach output files add left to right on every interpreter;
+    with compensated summation these terms would total 1.0, not 0.0."""
+    TERMS = [1e16, 1.0, -1e16]
+
+    def test_ordered_sum(self):
+        assert ordered_sum(self.TERMS) == 0.0
+        assert ordered_sum(iter(self.TERMS)) == 0.0
+        assert ordered_sum([]) == 0.0
+
+    def test_offsets(self):
+        ir = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+        pairs = [LabelPair(ir, OrientedBox(t, t, 4.0, 4.0, 0.0), 0, "matched", 0)
+                 for t in self.TERMS]
+        assert least_squares_offset(pairs) == (0.0, 0.0)
+        assert pair_gradient(SimDetectorParams(), pairs) == (0.0, 0.0)
 
 
 # Digests of `simulate` + `pipeline` outputs recorded with the matcher and
