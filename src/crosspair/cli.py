@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .correction import bag_records
 from .filtering import filter_batch
+from .geometry import FieldError
 from .matching import match_scene
 from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
@@ -26,8 +27,8 @@ from .records import (RecordError, file_digest, read_manifest, read_records,
                       record_line, write_csv, write_manifest, write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
-                       find_record_error, generate_scenes, rgb_proposals,
-                       scene_from_record, scene_to_record)
+                       generate_scenes, rgb_proposals, scene_from_record,
+                       scene_to_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,12 +55,24 @@ def _resolve_out(path) -> Path:
     return path
 
 
-def _bad_record(path, index, rec, exc=None) -> RecordError:
-    """The error for the index-th record of path, naming the field at fault."""
-    located = find_record_error(rec)
-    message = (f"field {located[0]!r}: {located[1]}" if located
-               else f"not a scene record: {exc!r}")
-    return RecordError(path, record_line(path, index), message)
+def _record_fault(exc) -> str:
+    """What is wrong with a scene record that failed with exc."""
+    if isinstance(exc, FieldError):
+        return f"field {exc.field!r}: {exc}"
+    if isinstance(exc, KeyError):
+        return f"field {exc.args[0]!r}: missing"
+    return f"not a scene record: {exc}"
+
+
+def _repeated_id(key, ids):
+    """FieldError for the first of ids that repeats an earlier one, or None."""
+    first = {}
+    for i, ident in enumerate(ids):
+        j = first.setdefault(ident, i)
+        if j != i:
+            return FieldError(f"{key}[{i}].id",
+                              f"duplicate value {ident!r} (first at {key}[{j}])")
+    return None
 
 
 def _load_scenes(path):
@@ -74,11 +87,15 @@ def _load_scenes(path):
     for index, rec in enumerate(read_records(path)):
         try:
             scene = scene_from_record(rec)
+            ir_ids = [i for i, _, _ in scene.ir_gt]
+            obs_ids = [o.source_id for o in scene.rgb_obs]
+            if (len(set(ir_ids)) != len(ir_ids)
+                    or len(set(obs_ids)) != len(obs_ids)):
+                raise (_repeated_id("ir_gt", ir_ids)
+                       or _repeated_id("rgb_obs", obs_ids))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _bad_record(path, index, rec, exc) from exc
-        if (len({i for i, _, _ in scene.ir_gt}) != len(scene.ir_gt)
-                or len({o.source_id for o in scene.rgb_obs}) != len(scene.rgb_obs)):
-            raise _bad_record(path, index, rec)
+            raise RecordError(path, record_line(path, index),
+                              _record_fault(exc)) from exc
         first = first_index.setdefault(scene.scene_id, index)
         if first != index:
             raise RecordError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OrientedBox
+from .geometry import FieldError, OrientedBox
 
 PROB_SUM_TOL = 1e-6
 
@@ -19,10 +19,10 @@ PROB_SUM_TOL = 1e-6
 def score_of(probs) -> float:
     """Maximum class probability of a candidate."""
     if len(probs) == 0:
-        raise ValueError("empty probability vector")
+        raise FieldError("class_probs", "empty probability vector")
     for p in probs:
         if not (0.0 <= p <= 1.0):
-            raise ValueError(f"probability out of [0,1]: {p!r}")
+            raise FieldError("class_probs", f"probability out of [0,1]: {p!r}")
     return max(probs)
 
 
@@ -39,7 +39,8 @@ class ScoredBox:
         object.__setattr__(self, "class_probs", probs)
         total = sum(probs)
         if total > 1.0 + PROB_SUM_TOL:
-            raise ValueError(f"class probabilities sum to {total} > 1")
+            raise FieldError("class_probs",
+                             f"class probabilities sum to {total} > 1")
         score = score_of(probs)
         object.__setattr__(self, "score", score)
         # lowest index wins ties

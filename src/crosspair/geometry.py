@@ -19,6 +19,14 @@ AREA_EPS = 1e-12
 EDGE_EPS = 1e-9
 
 
+class FieldError(ValueError):
+    """A constructor argument that is rejected; field names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def normalize_angle(theta: float) -> float:
     """Map an angle to [-pi/2, pi/2); rectangles are pi-periodic."""
     return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
@@ -36,9 +44,10 @@ class OrientedBox:
         for name in ("cx", "cy", "w", "h", "theta"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"non-finite {name}: {v!r}")
+                raise FieldError(name, f"non-finite {name}: {v!r}")
         if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box extents must be positive, got w={self.w}, h={self.h}")
+            raise FieldError("w" if self.w <= 0 else "h",
+                             f"box extents must be positive, got w={self.w}, h={self.h}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
     @property

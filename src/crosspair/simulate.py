@@ -15,7 +15,8 @@ import numpy as np
 
 from .correction import LabelPair
 from .filtering import ScoredBox
-from .geometry import OrientedBox
+from .geometry import FieldError, OrientedBox
+from .metrics import ordered_sum
 
 SPURIOUS = -1
 
@@ -272,10 +273,8 @@ def pair_gradient(params: SimDetectorParams, pairs) -> tuple[float, float]:
     if not pairs:
         return (0.0, 0.0)
     dx, dy = params.offset_estimate
-    gx = gy = 0.0
-    for p in pairs:  # in order; see least_squares_offset
-        gx += p.ir_box.cx + dx - p.rgb_box.cx
-        gy += p.ir_box.cy + dy - p.rgb_box.cy
+    gx = ordered_sum(p.ir_box.cx + dx - p.rgb_box.cx for p in pairs)
+    gy = ordered_sum(p.ir_box.cy + dy - p.rgb_box.cy for p in pairs)
     n = len(pairs)
     return (2.0 * gx / n, 2.0 * gy / n)
 
@@ -294,19 +293,12 @@ def student_step(params: SimDetectorParams, pseudo_labels,
 
 
 def least_squares_offset(pairs) -> tuple[float, float]:
-    """Analytic minimizer of pair_loss: mean(rgb center - reference center).
-
-    The sums run left to right in a loop: the builtin sum() adds floats with
-    compensation from Python 3.12, so the offsets written to reports would
-    depend on the interpreter.
-    """
+    """Analytic minimizer of pair_loss: mean(rgb center - reference center)."""
     if not pairs:
         return (0.0, 0.0)
-    sx = sy = 0.0
-    for p in pairs:
-        sx += p.rgb_box.cx - p.ir_box.cx
-        sy += p.rgb_box.cy - p.ir_box.cy
-    return (sx / len(pairs), sy / len(pairs))
+    mx = ordered_sum(p.rgb_box.cx - p.ir_box.cx for p in pairs) / len(pairs)
+    my = ordered_sum(p.rgb_box.cy - p.ir_box.cy for p in pairs) / len(pairs)
+    return (mx, my)
 
 
 # ---------------------------------------------------------------------------
@@ -332,75 +324,48 @@ def scene_to_record(scene: Scene) -> dict:
     }
 
 
+def _field_error(where, exc) -> FieldError:
+    """exc, raised while reading the record item at path where, as a
+    FieldError whose field is the path of the part at fault."""
+    if isinstance(exc, KeyError):
+        field, reason = exc.args[0], "missing"
+    else:
+        field, reason = getattr(exc, "field", None), str(exc)
+    return FieldError(where if field is None else f"{where}.{field}", reason)
+
+
+def _integer(value, field):
+    """value, which a scene record must give as an integer at field."""
+    if not isinstance(value, int):
+        raise FieldError(field, f"not an integer: {value!r}")
+    return value
+
+
 def scene_from_record(rec: dict) -> Scene:
-    ir_gt = tuple(
-        (g["id"], OrientedBox(g["cx"], g["cy"], g["w"], g["h"], g["theta"]), g["class"])
-        for g in rec["ir_gt"]
-    )
-    obs = tuple(
-        ObservedBox(OrientedBox(o["cx"], o["cy"], o["w"], o["h"], o["theta"]),
-                    tuple(o["class_probs"]), o["id"], corr_id=o["corr_id"])
-        for o in rec["rgb_obs"]
-    )
-    return Scene(rec["scene_id"], tuple(rec["canvas"]),
-                 tuple(rec["true_offset"]), ir_gt, obs)
+    """Scene of a record.
 
-
-_BOX_KEYS = ("cx", "cy", "w", "h", "theta")
-_UNIT_BOX = dict.fromkeys(_BOX_KEYS, 1.0)
-# per list, the keys of an item in the order scene_from_record reads them
-_ITEM_KEYS = {"ir_gt": ("id",) + _BOX_KEYS + ("class",),
-              "rgb_obs": _BOX_KEYS + ("class_probs", "id", "corr_id")}
-
-
-def _rejection(build, *args, **kwargs):
-    """The error build(*args, **kwargs) raises, or None."""
-    try:
-        build(*args, **kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        return exc
-    return None
-
-
-def find_record_error(rec):
-    """(field path, reason) of the first field of a scene record that
-    scene_from_record rejects or that repeats an id of its list, or None.
-
-    For error messages only: it rebuilds the record's parts one at a time.
-    A box field is blamed when a box that takes only it from the record,
-    and valid values otherwise, is rejected too.
+    A missing or rejected field of an ir_gt or rgb_obs item raises a
+    FieldError whose field is its path in the record, e.g. "rgb_obs[3].cx".
+    Scene and item ids must be integers.
     """
-    if not isinstance(rec, dict):
-        return None
-    for key, keys in _ITEM_KEYS.items():
-        items = rec.get(key)
-        if not isinstance(items, list):
-            return key, "missing" if key not in rec else "not a list"
-        first = {}
-        for i, item in enumerate(items):
-            where = f"{key}[{i}]"
-            if not isinstance(item, dict):
-                return where, "not an object"
-            missing = next((k for k in keys if k not in item), None)
-            if missing is not None:
-                return f"{where}.{missing}", "missing"
-            exc = _rejection(OrientedBox, *(item[k] for k in _BOX_KEYS))
-            if exc is not None:
-                bad = next(k for k in _BOX_KEYS if _rejection(
-                    OrientedBox, **{**_UNIT_BOX, k: item[k]}))
-                return f"{where}.{bad}", str(exc)
-            if key == "rgb_obs":
-                exc = _rejection(ScoredBox, OrientedBox(**_UNIT_BOX),
-                                 item["class_probs"], 0)
-                if exc is not None:
-                    return f"{where}.class_probs", str(exc)
-            j = first.setdefault(item["id"], i)
-            if j != i:
-                return (f"{where}.id",
-                        f"duplicate value {item['id']!r} (first at {key}[{j}])")
-    for key in ("scene_id", "canvas", "true_offset"):
-        if key not in rec:
-            return key, "missing"
-        if key != "scene_id" and not isinstance(rec[key], list):
-            return key, "not a list"
-    return None
+    scene_id = _integer(rec["scene_id"], "scene_id")
+    ir_gt = []
+    for i, g in enumerate(rec["ir_gt"]):
+        try:
+            ir_gt.append((_integer(g["id"], "id"),
+                          OrientedBox(g["cx"], g["cy"], g["w"], g["h"],
+                                      g["theta"]),
+                          g["class"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _field_error(f"ir_gt[{i}]", exc) from exc
+    obs = []
+    for i, o in enumerate(rec["rgb_obs"]):
+        try:
+            obs.append(ObservedBox(
+                OrientedBox(o["cx"], o["cy"], o["w"], o["h"], o["theta"]),
+                tuple(o["class_probs"]), _integer(o["id"], "id"),
+                corr_id=o["corr_id"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _field_error(f"rgb_obs[{i}]", exc) from exc
+    return Scene(scene_id, tuple(rec["canvas"]), tuple(rec["true_offset"]),
+                 tuple(ir_gt), tuple(obs))

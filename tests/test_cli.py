@@ -128,6 +128,19 @@ def _repeat_rgb_id(rec):
     rec["rgb_obs"][1]["id"] = rec["rgb_obs"][0]["id"]
 
 
+def _list_ir_id_then_missing_cx(rec):
+    rec["ir_gt"][0]["id"] = [1]
+    del rec["ir_gt"][1]["cx"]
+
+
+def _list_rgb_id(rec):
+    rec["rgb_obs"][0]["id"] = [1]
+
+
+def _list_scene_id(rec):
+    rec["scene_id"] = [1]
+
+
 def _overfull_probs(rec):
     k = len(rec["rgb_obs"][0]["class_probs"])
     rec["rgb_obs"][0]["class_probs"] = [1.5 / k] * k
@@ -143,6 +156,9 @@ def _overfull_probs(rec):
     (_repeat_ir_id, "ir_gt[1].id"),
     (_repeat_rgb_id, "rgb_obs[1].id"),
     (_overfull_probs, "rgb_obs[0].class_probs"),
+    (_list_ir_id_then_missing_cx, "ir_gt[0].id"),
+    (_list_rgb_id, "rgb_obs[0].id"),
+    (_list_scene_id, "scene_id"),
 ])
 def test_bad_record_names_file_line_field(scene_file, tmp_path, capsys,
                                           argv, corrupt, field):
