@@ -22,7 +22,8 @@ from .geometry import FieldError
 from .matching import match_scene
 from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
-from .pipeline import NumericError, PlaConfig, TrainConfig, run_pipeline
+from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
+                       filter_pools, run_pipeline)
 from .records import (RecordError, file_digest, read_manifest, read_records,
                       record_line, write_csv, write_manifest, write_records)
 from .schedule import StageConfig
@@ -112,7 +113,24 @@ def _run_config(args) -> dict:
     config = vars(args).copy()
     config.pop("subcommand", None)
     config["input"] = os.path.abspath(args.input)
-    return _plain(config)
+    return config
+
+
+def _checked(convert, ok, condition):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {condition}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_at_least_0 = _checked(int, lambda v: v >= 0, "at least 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
+_decay = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def build_parser() -> _Parser:
@@ -128,7 +146,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--angle-jitter", type=float, default=0.0)
     sim.add_argument("--dropout", type=float, default=0.0)
     sim.add_argument("--spurious", type=float, default=0.0)
-    sim.add_argument("--classes", type=int, default=5)
+    sim.add_argument("--classes", type=_at_least_1, default=5)
     sim.add_argument("--confidence-noise", type=float, default=0.1)
     sim.add_argument("--offset", type=float, nargs=2, default=None,
                      help="force this true offset for every scene")
@@ -137,35 +155,34 @@ def build_parser() -> _Parser:
 
     flt = sub.add_parser("filter", help="score-filter RGB observations per batch")
     flt.add_argument("--input", required=True)
-    flt.add_argument("--batch-size", type=int, default=16)
+    flt.add_argument("--batch-size", type=_at_least_1, default=16)
     flt.add_argument("--per-class", action="store_true")
     flt.add_argument("-o", "--output", required=True)
 
     mat = sub.add_parser("match", help="filter then match each scene")
     mat.add_argument("--input", required=True)
-    mat.add_argument("--beta", type=float, default=1.0)
-    mat.add_argument("--batch-size", type=int, default=16)
+    mat.add_argument("--beta", type=_positive, default=1.0)
+    mat.add_argument("--batch-size", type=_at_least_1, default=16)
     mat.add_argument("--no-plf", action="store_true")
     mat.add_argument("--iou-match-only", action="store_true")
     mat.add_argument("-o", "--output", required=True)
 
     pipe = sub.add_parser("pipeline", help="run the full staged training loop")
     pipe.add_argument("--input", required=True)
-    pipe.add_argument("--k1", type=int, default=20)
-    pipe.add_argument("--k2", type=int, default=10)
-    pipe.add_argument("--k3", type=int, default=15)
-    pipe.add_argument("--k4", type=int, default=20)
-    pipe.add_argument("--beta", type=float, default=1.0)
-    pipe.add_argument("--ema-decay", type=float, default=0.9999)
-    pipe.add_argument("--lr", type=float, default=0.25)
-    pipe.add_argument("--steps-per-epoch", type=int, default=20)
-    pipe.add_argument("--batch-size", type=int, default=16)
+    pipe.add_argument("--k1", type=_at_least_1, default=20)
+    pipe.add_argument("--k2", type=_at_least_1, default=10)
+    pipe.add_argument("--k3", type=_at_least_1, default=15)
+    pipe.add_argument("--k4", type=_at_least_1, default=20)
+    pipe.add_argument("--beta", type=_positive, default=1.0)
+    pipe.add_argument("--ema-decay", type=_decay, default=0.9999)
+    pipe.add_argument("--lr", type=_positive, default=0.25)
+    pipe.add_argument("--steps-per-epoch", type=_at_least_0, default=20)
+    pipe.add_argument("--batch-size", type=_at_least_1, default=16)
     pipe.add_argument("--no-plf", action="store_true")
     pipe.add_argument("--no-sdlm", action="store_true")
     pipe.add_argument("--no-dlc", action="store_true")
     pipe.add_argument("--dlc-improve-only", action="store_true")
     pipe.add_argument("--iou-match-only", action="store_true")
-    pipe.add_argument("--ema-reset", action="store_true")
     pipe.add_argument("--skip-stage1", action="store_true")
     pipe.add_argument("--skip-stage3", action="store_true")
     pipe.add_argument("-o", "--output", required=True)
@@ -174,9 +191,9 @@ def build_parser() -> _Parser:
     swp.add_argument("--min", type=float, default=-15.0)
     swp.add_argument("--max", type=float, default=15.0)
     swp.add_argument("--step", type=float, default=3.0)
-    swp.add_argument("--scenes", type=int, default=30)
+    swp.add_argument("--scenes", type=_at_least_1, default=30)
     swp.add_argument("--boxes", type=int, default=8)
-    swp.add_argument("--beta", type=float, default=1.0)
+    swp.add_argument("--beta", type=_positive, default=1.0)
     swp.add_argument("--jitter", type=float, default=0.0)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("-o", "--output", required=True)
@@ -204,29 +221,22 @@ def cmd_simulate(args):
     write_records(out, [scene_to_record(s) for s in scenes])
     config = vars(args).copy()
     config.pop("subcommand", None)
-    write_manifest(out, "simulate", _plain(config), args.seed, [out])
+    write_manifest(out, "simulate", config, args.seed, [out])
     print(f"wrote {len(scenes)} scenes to {out}")
     return EXIT_OK
-
-
-def _batches(items, size):
-    for i in range(0, len(items), size):
-        yield items[i:i + size]
 
 
 def cmd_filter(args):
     out = _resolve_out(args.output)
     scenes = _load_scenes(args.input)
     records = []
-    for batch in _batches(scenes, args.batch_size):
-        flat = [(s.scene_id, o) for s in batch for o in s.rgb_obs]
-        kept, thr = filter_batch([o for _, o in flat], per_class=args.per_class)
-        kept_ids = {(sid, o.source_id) for (sid, o) in flat if o in kept}
-        for s in batch:
+    for batch in batches(scenes, args.batch_size):
+        kept, thr = filter_pools([s.rgb_obs for s in batch],
+                                 per_class=args.per_class)
+        for s, pool in zip(batch, kept):
             records.append({
                 "scene_id": s.scene_id,
-                "kept_ids": sorted(o.source_id for o in s.rgb_obs
-                                   if (s.scene_id, o.source_id) in kept_ids),
+                "kept_ids": sorted(o.source_id for o in pool),
                 "batch": {"mu": thr.mu, "sigma": thr.sigma,
                           "tau": thr.tau, "n": thr.n},
             })
@@ -240,16 +250,12 @@ def cmd_match(args):
     out = _resolve_out(args.output)
     scenes = _load_scenes(args.input)
     records, scores = [], []
-    for batch in _batches(scenes, args.batch_size):
-        pools = {s.scene_id: list(s.rgb_obs) for s in batch}
+    for batch in batches(scenes, args.batch_size):
+        pools = [s.rgb_obs for s in batch]
         if not args.no_plf:
-            flat = [o for s in batch for o in pools[s.scene_id]]
-            kept, _ = filter_batch(flat)
-            kept_set = {id(o) for o in kept}
-            pools = {sid: [o for o in pool if id(o) in kept_set]
-                     for sid, pool in pools.items()}
-        for s in batch:
-            result = match_scene(s.ir_boxes, pools[s.scene_id], args.beta,
+            pools, _ = filter_pools(pools)
+        for s, pool in zip(batch, pools):
+            result = match_scene(s.ir_boxes, pool, args.beta,
                                  use_search_region=not args.iou_match_only)
             scores.append(correspondence_score(result, s))
             records.append({
@@ -282,7 +288,7 @@ def cmd_pipeline(args):
                     iou_match_only=args.iou_match_only)
     train = TrainConfig(learning_rate=args.lr,
                         steps_per_epoch=args.steps_per_epoch,
-                        ema_decay=args.ema_decay, ema_reset=args.ema_reset,
+                        ema_decay=args.ema_decay,
                         batch_size=args.batch_size,
                         skip_stage1=args.skip_stage1,
                         skip_stage3=args.skip_stage3)
@@ -334,8 +340,7 @@ def cmd_sweep_shift(args):
             scores = []
             ir_maps, rgb_maps = [], []
             for s in scenes:
-                pool = list(s.rgb_obs)
-                kept, _ = filter_batch(pool)
+                kept, _ = filter_batch(s.rgb_obs)
                 result = match_scene(s.ir_boxes, kept, args.beta)
                 scores.append(correspondence_score(result, s))
                 gts = [(b, c) for _, b, c in s.ir_gt]
@@ -351,7 +356,7 @@ def cmd_sweep_shift(args):
                     "match_recall", "match_precision"], rows)
     config = vars(args).copy()
     config.pop("subcommand", None)
-    write_manifest(out, "sweep-shift", _plain(config), args.seed, [out])
+    write_manifest(out, "sweep-shift", config, args.seed, [out])
     print(f"wrote {len(rows)} sweep rows to {out}")
     return EXIT_OK
 
@@ -397,15 +402,6 @@ def cmd_verify(args):
         return EXIT_DATA
     print("verify: all digests match")
     return EXIT_OK
-
-
-def _plain(config: dict) -> dict:
-    out = {}
-    for k, v in config.items():
-        if isinstance(v, tuple):
-            v = list(v)
-        out[k] = v
-    return out
 
 
 COMMANDS = {

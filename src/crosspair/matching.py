@@ -34,10 +34,6 @@ class MatchResult:
     unmatched_rgb: tuple[int, ...]
 
     @property
-    def paired_rgb_ids(self) -> set[int]:
-        return {rgb_id for _, rgb_id, _ in self.pairs}
-
-    @property
     def pair_for(self) -> dict[int, tuple[int, float]]:
         return {ir_id: (rgb_id, v) for ir_id, rgb_id, v in self.pairs}
 

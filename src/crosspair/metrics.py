@@ -120,12 +120,6 @@ def correspondence_score(result: MatchResult, scene) -> CorrespondenceScore:
     true_count = len(corr)
     precision = correct / pair_count if pair_count else None
     recall = correct / true_count if true_count else None
-    if true_count == 0 and pair_count == 0:
-        recall = None
-    elif true_count == 0:
-        recall = None
-    elif pair_count == 0:
-        recall = 0.0
     return CorrespondenceScore(precision, recall, correct, pair_count, true_count)
 
 

@@ -8,7 +8,7 @@ following by exponential moving average.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class PlaConfig:
     use_dlc: bool = True
     dlc_improve_only: bool = False
     iou_match_only: bool = False
-    per_class_threshold: bool = False
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,7 @@ class TrainConfig:
     learning_rate: float = 0.25
     steps_per_epoch: int = 20
     ema_decay: float = 0.9999
-    ema_reset: bool = False
     batch_size: int = 16
-    confidence_noise: float = 0.1
     skip_stage1: bool = False
     skip_stage3: bool = False
 
@@ -97,9 +94,23 @@ class NumericError(RuntimeError):
     """Non-finite loss encountered during training."""
 
 
-def _batches(scenes, size):
-    for i in range(0, len(scenes), size):
-        yield scenes[i:i + size]
+def batches(items, size):
+    """Consecutive slices of items, size at a time; the last may be shorter."""
+    if size < 1:
+        raise ValueError(f"batch size must be at least 1, got {size}")
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def filter_pools(pools, per_class: bool = False):
+    """Score-filter the candidate pools of one batch as a single batch.
+
+    Returns (kept, threshold): kept[i] holds the candidates of pools[i]
+    that survive one filter_batch call over all the pools, in their order.
+    """
+    flat = [c for pool in pools for c in pool]
+    survivors, threshold = filter_batch(flat, per_class=per_class)
+    kept_ids = {id(c) for c in survivors}
+    return [[c for c in pool if id(c) in kept_ids] for pool in pools], threshold
 
 
 def _cross_entropy(pred_probs, true_class) -> float:
@@ -165,15 +176,10 @@ def _copy_baseline_error(scenes) -> float:
 
 
 def _filtered_proposals(student, batch, pla: PlaConfig, salt):
-    """Per-scene teacher proposals after batch-level score filtering."""
-    per_scene = {s.scene_id: rgb_proposals(student, s, salt) for s in batch}
-    if not pla.use_plf:
-        return per_scene
-    flat = [c for s in batch for c in per_scene[s.scene_id]]
-    kept, _ = filter_batch(flat, per_class=pla.per_class_threshold)
-    kept_keys = {id(c) for c in kept}
-    return {sid: [c for c in cands if id(c) in kept_keys]
-            for sid, cands in per_scene.items()}
+    """Teacher proposals of each scene of batch, in batch order, after
+    batch-level score filtering."""
+    pools = [rgb_proposals(student, s, salt) for s in batch]
+    return filter_pools(pools)[0] if pla.use_plf else pools
 
 
 def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
@@ -188,10 +194,9 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
     scene share their draws.
     """
     matched = copied = updated = 0
-    for batch in _batches(scenes, batch_size):
+    for batch in batches(scenes, batch_size):
         proposals = _filtered_proposals(student, batch, pla, salt=epoch)
-        for scene in batch:
-            pool = proposals[scene.scene_id]
+        for scene, pool in zip(batch, proposals):
             if pla.use_sdlm:
                 gated = not pla.iou_match_only
                 table = tables.get(scene.scene_id)
@@ -224,19 +229,25 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
     return matched, copied, updated
 
 
-def _train_on_bags(student, ema, bags, cfg: TrainConfig, weight: float = 1.0):
+def _train_on_bags(student, ema, bags, cfg: TrainConfig):
     pairs = [p for bag in bags.values() for p in bag.pairs.values()]
-    lr = cfg.learning_rate * weight
-    if lr <= 0:
-        return student, ema
     for _ in range(cfg.steps_per_epoch):
-        student = student_step(student, pairs, lr)
+        student = student_step(student, pairs, cfg.learning_rate)
         ema = sched.ema_update(ema, student.as_vector())
     return student, ema
 
 
 def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                  train: TrainConfig | None = None) -> PipelineReport:
+    """Train the simulated student over the staged schedule.
+
+    Stage 1 (burn-in and mutual epochs) never moves the student: its offset
+    belief, and so the EMA teacher's, stays (0, 0) until stage 2 trains it
+    on the label bags. The mutual epochs' L_unsup is therefore 0, and
+    skip_stage1 changes no later epoch. Stage 1 still makes the proposal,
+    filter and EMA calls of the full schedule, whose counts
+    perfbench/selftest.py pins.
+    """
     if not scenes:
         raise ValueError("empty scene stream")
     scenes = sorted(scenes, key=lambda s: s.scene_id)
@@ -247,12 +258,11 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     pla = pla or PlaConfig()
     train = train or TrainConfig()
 
-    student = SimDetectorParams((0.0, 0.0), train.confidence_noise)
+    student = SimDetectorParams()
     ema = EmaState(student.as_vector(), train.ema_decay, 0)
     bags: dict[int, LabelBag] = {}
     tables: dict[int, PairTable] = {}
     records = []
-    stage2_started = False
 
     for epoch in range(stage_cfg.total):
         state = stage_state(epoch, stage_cfg)
@@ -266,38 +276,15 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         losses = {}
         matched = copied = updated = 0
 
-        if phase is Phase.BURN_IN:
+        if phase in (Phase.BURN_IN, Phase.MUTUAL):
             losses[sched.L_SUP] = _sup_loss(student, scenes, epoch)
+            if phase is Phase.MUTUAL:
+                for batch in batches(scenes, train.batch_size):
+                    _filtered_proposals(student, batch, pla, salt=epoch)
             for _ in range(train.steps_per_epoch):
-                ema = sched.ema_update(ema, student.as_vector())
-
-        elif phase is Phase.MUTUAL:
-            losses[sched.L_SUP] = _sup_loss(student, scenes, epoch)
-            unsup_acc, unsup_n = 0.0, 0
-            for batch in _batches(scenes, train.batch_size):
-                proposals = _filtered_proposals(student, batch, pla, salt=epoch)
-                dx, dy = student.offset_estimate
-                for scene in batch:
-                    for c in proposals[scene.scene_id]:
-                        # student's aligned view of the same observation
-                        unsup_acc += dx * dx + dy * dy
-                        unsup_n += 1
-            losses[sched.L_UNSUP] = unsup_acc / unsup_n if unsup_n else 0.0
-            # consistency pulls the alignment belief toward the raw frame
-            for _ in range(train.steps_per_epoch):
-                dx, dy = student.offset_estimate
-                step = 2.0 * train.learning_rate * state.lam
-                student = replace(student, offset_estimate=(dx - step * dx,
-                                                            dy - step * dy))
                 ema = sched.ema_update(ema, student.as_vector())
 
         else:  # STAGE2 / STAGE3
-            if phase is Phase.STAGE2 and not stage2_started:
-                # decoupled head starts from the reference-stream belief
-                student = replace(student, offset_estimate=(0.0, 0.0))
-                stage2_started = True
-                if train.ema_reset:
-                    ema = EmaState(student.as_vector(), train.ema_decay, ema.step)
             matched, copied, updated = _assign_epoch(
                 scenes, student, bags, tables, pla, epoch, train.batch_size)
             student, ema = _train_on_bags(student, ema, bags, train)
@@ -343,7 +330,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         student.offset_estimate,
         tuple(float(v) for v in ema.teacher_params),
         optimum,
-        _bag_rgb_error(bags, scenes) if bags else _rgb_detect_error(student, scenes),
+        _bag_rgb_error(bags, scenes),
         _copy_baseline_error(scenes),
         corr_correct / corr_total_matched if corr_total_matched else None,
         acc_correct / corr_total if corr_total else 0.0,

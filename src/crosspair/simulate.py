@@ -40,6 +40,15 @@ class Scene:
         return [(i, b) for i, b, _ in self.ir_gt]
 
     @property
+    def class_count(self) -> int:
+        """Length of the RGB class probability vectors. A scene without RGB
+        observations has 5 classes, SceneConfig's default, or as many as
+        its highest IR class needs."""
+        if self.rgb_obs:
+            return len(self.rgb_obs[0].class_probs)
+        return max([5] + [c + 1 for _, _, c in self.ir_gt])
+
+    @property
     def corr_map(self) -> dict[int, int]:
         """rgb observation id -> ir id (spurious entries excluded)."""
         return {o.source_id: o.corr_id for o in self.rgb_obs if o.corr_id != SPURIOUS}
@@ -225,7 +234,7 @@ def detect(params: SimDetectorParams, scene: Scene, modality: str,
     rng = _detect_rng(scene, salt)
     out = []
     if modality == "ir":
-        n_classes = len(scene.rgb_obs[0].class_probs) if scene.rgb_obs else 5
+        n_classes = scene.class_count
         one_hot = [tuple([float(j == c) for j in range(n_classes)])
                    for c in range(n_classes)]
         for ir_id, box, cls in scene.ir_gt:
@@ -346,7 +355,9 @@ def scene_from_record(rec: dict) -> Scene:
 
     A missing or rejected field of an ir_gt or rgb_obs item raises a
     FieldError whose field is its path in the record, e.g. "rgb_obs[3].cx".
-    Scene and item ids must be integers.
+    Scene and item ids must be integers. Every class_probs of a scene must
+    have the scene's class count of entries, and every ir_gt class must be
+    an integer in [0, class count).
     """
     scene_id = _integer(rec["scene_id"], "scene_id")
     ir_gt = []
@@ -355,7 +366,7 @@ def scene_from_record(rec: dict) -> Scene:
             ir_gt.append((_integer(g["id"], "id"),
                           OrientedBox(g["cx"], g["cy"], g["w"], g["h"],
                                       g["theta"]),
-                          g["class"]))
+                          _integer(g["class"], "class")))
         except (KeyError, TypeError, ValueError) as exc:
             raise _field_error(f"ir_gt[{i}]", exc) from exc
     obs = []
@@ -365,7 +376,16 @@ def scene_from_record(rec: dict) -> Scene:
                 OrientedBox(o["cx"], o["cy"], o["w"], o["h"], o["theta"]),
                 tuple(o["class_probs"]), _integer(o["id"], "id"),
                 corr_id=o["corr_id"]))
+            n, k = len(obs[-1].class_probs), len(obs[0].class_probs)
+            if n != k:
+                raise FieldError("class_probs",
+                                 f"{n} entries, rgb_obs[0] has {k}")
         except (KeyError, TypeError, ValueError) as exc:
             raise _field_error(f"rgb_obs[{i}]", exc) from exc
-    return Scene(scene_id, tuple(rec["canvas"]), tuple(rec["true_offset"]),
-                 tuple(ir_gt), tuple(obs))
+    scene = Scene(scene_id, tuple(rec["canvas"]), tuple(rec["true_offset"]),
+                  tuple(ir_gt), tuple(obs))
+    k = scene.class_count
+    for i, (_, _, cls) in enumerate(ir_gt):
+        if not 0 <= cls < k:
+            raise FieldError(f"ir_gt[{i}].class", f"not in [0, {k}): {cls}")
+    return scene

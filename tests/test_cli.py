@@ -141,6 +141,22 @@ def _list_scene_id(rec):
     rec["scene_id"] = [1]
 
 
+def _class_beyond_count(rec):
+    rec["ir_gt"][0]["class"] = 9
+
+
+def _negative_class(rec):
+    rec["ir_gt"][0]["class"] = -1
+
+
+def _fractional_class(rec):
+    rec["ir_gt"][0]["class"] = 1.5
+
+
+def _short_first_probs(rec):
+    rec["rgb_obs"][0]["class_probs"] = rec["rgb_obs"][0]["class_probs"][:2]
+
+
 def _overfull_probs(rec):
     k = len(rec["rgb_obs"][0]["class_probs"])
     rec["rgb_obs"][0]["class_probs"] = [1.5 / k] * k
@@ -159,6 +175,10 @@ def _overfull_probs(rec):
     (_list_ir_id_then_missing_cx, "ir_gt[0].id"),
     (_list_rgb_id, "rgb_obs[0].id"),
     (_list_scene_id, "scene_id"),
+    (_class_beyond_count, "ir_gt[0].class"),
+    (_negative_class, "ir_gt[0].class"),
+    (_fractional_class, "ir_gt[0].class"),
+    (_short_first_probs, "rgb_obs[1].class_probs"),
 ])
 def test_bad_record_names_file_line_field(scene_file, tmp_path, capsys,
                                           argv, corrupt, field):
@@ -174,6 +194,53 @@ def test_bad_record_names_file_line_field(scene_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{bad}:3: field '{field}':" in err
     assert not out.exists()
+
+
+SHORT = ["--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--batch-size", "0"],
+    ["match", "--batch-size", "-2"],
+    ["match", "--beta", "0"],
+    ["pipeline", "--batch-size", "-2"],
+    ["pipeline", "--batch-size", "0"],
+    ["pipeline", "--lr", "0"],
+    ["pipeline", "--lr", "-1"],
+    ["pipeline", "--lr", "nan"],
+    ["pipeline", "--lr", "inf"],
+    ["pipeline", "--k1", "0"],
+    ["pipeline", "--k4", "-1"],
+    ["pipeline", "--beta", "0"],
+    ["pipeline", "--ema-decay", "1"],
+    ["pipeline", "--ema-decay", "-0.1"],
+    ["pipeline", "--steps-per-epoch", "-1"],
+    ["simulate", "--classes", "0"],
+    ["sweep-shift", "--scenes", "0"],
+])
+def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
+    out = tmp_path / "o.jsonl"
+    source = ["--input", str(scene_file)]
+    extra = {"filter": source, "match": source,
+             "pipeline": SHORT + source}.get(argv[0], [])
+    rc = invoke(argv + extra + ["-o", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and argv[1] in err
+    assert not out.exists()
+
+
+def test_scenes_without_rgb_load(tmp_path):
+    # every RGB observation dropped: IR classes up to 8 of 9 stay valid
+    scenes = tmp_path / "s.jsonl"
+    assert invoke(["simulate", "--scenes", "3", "--boxes", "4", "--classes",
+                   "9", "--dropout", "1.0", "--seed", "2",
+                   "-o", str(scenes)]) == EXIT_OK
+    assert max(g["class"] for rec in read_records(scenes)
+               for g in rec["ir_gt"]) >= 5
+    for argv in (["match"], ["pipeline"] + SHORT):
+        assert invoke(argv + ["--input", str(scenes),
+                              "-o", str(tmp_path / "o.jsonl")]) == EXIT_OK
 
 
 class TestPipeline:
@@ -193,7 +260,7 @@ class TestPipeline:
         rc = invoke(["pipeline", "--input", str(scene_file),
                      "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2",
                      "--no-plf", "--no-dlc", "--iou-match-only",
-                     "--dlc-improve-only", "--ema-reset",
+                     "--dlc-improve-only",
                      "-o", str(tmp_path / "r.jsonl")])
         assert rc == EXIT_OK
 

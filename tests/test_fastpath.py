@@ -262,6 +262,31 @@ RECORDED = [
 ]
 
 
+# Digests of `match` and `filter` outputs (primary file, then the stats file
+# for match) recorded with the per-command batch filtering that
+# pipeline.filter_pools replaces.
+RECORDED_FILTERED = [
+    (["match"],
+     ("a143168da1285bebf92c5b702d35719b2a42b6e77be0a793a20d0a949faf4bee",
+      "2ce9104d9719563aea9e64b7d6255681354ec383fca964ecd722fad0b272d789")),
+    (["match", "--no-plf", "--batch-size", "7"],
+     ("554b9a1cd15aeca3b5b2e9ebba5c74ae2ffbf69996a1b9b18e62a214b2afa2ff",
+      "2ce9104d9719563aea9e64b7d6255681354ec383fca964ecd722fad0b272d789")),
+    (["filter", "--per-class", "--batch-size", "5"],
+     ("507a88c1a74882e38c0432ae78619de67035b81d323011c39d198481133338c2",)),
+]
+
+
+@pytest.mark.parametrize("argv,digests", RECORDED_FILTERED)
+def test_filtered_outputs_unchanged(tmp_path, argv, digests):
+    scenes = tmp_path / "s.jsonl"
+    out = tmp_path / "o.jsonl"
+    assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
+    assert run(argv + ["--input", str(scenes), "-o", str(out)]) == EXIT_OK
+    suffixes = ("", ".stats.json")[:len(digests)]
+    assert tuple(file_digest(str(out) + s) for s in suffixes) == digests
+
+
 @pytest.mark.parametrize("flags,digests", RECORDED)
 def test_pipeline_outputs_unchanged(tmp_path, flags, digests):
     scenes = tmp_path / "s.jsonl"

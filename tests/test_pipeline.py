@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from crosspair.correction import COPIED, MATCHED
-from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
-                                run_pipeline)
+from crosspair.filtering import ScoredBox, filter_batch
+from crosspair.geometry import OrientedBox
+from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig, batches,
+                                filter_pools, run_pipeline)
 from crosspair.schedule import StageConfig
 from crosspair.simulate import SceneConfig, generate_scenes, least_squares_offset
 
@@ -128,6 +130,40 @@ class TestPipeline:
                                              seed=4))
         with pytest.raises(ValueError, match="duplicate scene_id 1"):
             run_pipeline(scenes + [scenes[1]], SHORT)
+
+    def test_stage1_never_moves_the_student(self):
+        cfg = SceneConfig(count=12, boxes_per_scene=5, shift_max=5.0,
+                          jitter=0.4, dropout_rate=0.1, seed=10)
+        full = run(cfg)
+        skipped = run(cfg, train=TrainConfig(skip_stage1=True))
+        stage1 = [r for r in full.epochs if r.phase in ("burn_in", "mutual")]
+        assert len(stage1) == SHORT.k1 + SHORT.k2
+        assert all(r.loss_terms.get("L_unsup", 0.0) == 0.0 for r in stage1)
+        assert full.epochs[len(stage1):] == skipped.epochs
+        assert full.final_student_offset == skipped.final_student_offset
+        assert full.final_teacher_offset == skipped.final_teacher_offset
+
+
+class TestBatchFiltering:
+    def test_batches(self):
+        assert batches(list(range(5)), 2) == [[0, 1], [2, 3], [4]]
+        assert batches([], 3) == []
+        with pytest.raises(ValueError, match="at least 1"):
+            batches([1], 0)
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_filter_pools_splits_one_batch(self, per_class):
+        box = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+        scores = [[0.9, 0.2, 0.6], [], [0.3, 0.95], [0.5]]
+        pools = [[ScoredBox(box, (s, 1.0 - s), j) for j, s in enumerate(pool)]
+                 for pool in scores]
+        kept, threshold = filter_pools(pools, per_class=per_class)
+        flat_kept, flat_threshold = filter_batch(
+            [c for pool in pools for c in pool], per_class=per_class)
+        assert threshold == flat_threshold
+        assert [c for pool in kept for c in pool] == flat_kept
+        assert all(any(c is o for o in pool)
+                   for pool, part in zip(pools, kept) for c in part)
 
 
 class TestDlcBehaviour:
