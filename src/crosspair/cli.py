@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Subcommands: simulate, filter, match, pipeline, sweep-shift, verify.
-Every run writes a manifest next to its primary output; `verify` reruns
-a manifest into a scratch directory and compares artifact digests.
+Every run writes a manifest next to its primary output, with the digest
+of the input file for runs that read one; `verify` checks that digest,
+reruns the manifest into a scratch directory and compares artifact digests.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -19,13 +20,14 @@ from pathlib import Path
 from .correction import bag_records
 from .filtering import filter_batch
 from .geometry import FieldError
-from .matching import match_scene
+from .matching import match_scene, pair_tables
 from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
 from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
                        filter_pools, run_pipeline)
 from .records import (RecordError, file_digest, read_manifest, read_records,
-                      record_line, write_csv, write_manifest, write_records)
+                      record_line, write_csv, write_json, write_manifest,
+                      write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
                        generate_scenes, rgb_proposals, scene_from_record,
@@ -228,6 +230,7 @@ def cmd_simulate(args):
 
 def cmd_filter(args):
     out = _resolve_out(args.output)
+    input_digest = file_digest(args.input)
     scenes = _load_scenes(args.input)
     records = []
     for batch in batches(scenes, args.batch_size):
@@ -241,45 +244,48 @@ def cmd_filter(args):
                           "tau": thr.tau, "n": thr.n},
             })
     write_records(out, records)
-    write_manifest(out, "filter", _run_config(args), 0, [out])
+    write_manifest(out, "filter", _run_config(args), 0, [out], input_digest)
     print(f"filtered {len(scenes)} scenes to {out}")
     return EXIT_OK
 
 
 def cmd_match(args):
     out = _resolve_out(args.output)
+    input_digest = file_digest(args.input)
     scenes = _load_scenes(args.input)
-    records, scores = [], []
+    pools = []
     for batch in batches(scenes, args.batch_size):
-        pools = [s.rgb_obs for s in batch]
-        if not args.no_plf:
-            pools, _ = filter_pools(pools)
-        for s, pool in zip(batch, pools):
-            result = match_scene(s.ir_boxes, pool, args.beta,
-                                 use_search_region=not args.iou_match_only)
-            scores.append(correspondence_score(result, s))
-            records.append({
-                "scene_id": s.scene_id,
-                "pairs": [[i, j, v] for i, j, v in result.pairs],
-                "unmatched_ir": list(result.unmatched_ir),
-                "unmatched_rgb": list(result.unmatched_rgb),
-            })
+        batch_pools = [s.rgb_obs for s in batch]
+        pools += batch_pools if args.no_plf else filter_pools(batch_pools)[0]
+    gated = not args.iou_match_only
+    tables = pair_tables([s.ir_boxes for s in scenes], pools, args.beta, gated)
+    records, scores = [], []
+    for s, pool, table in zip(scenes, pools, tables):
+        result = match_scene(s.ir_boxes, pool, args.beta,
+                             use_search_region=gated, table=table)
+        scores.append(correspondence_score(result, s))
+        records.append({
+            "scene_id": s.scene_id,
+            "pairs": [[i, j, v] for i, j, v in result.pairs],
+            "unmatched_ir": list(result.unmatched_ir),
+            "unmatched_rgb": list(result.unmatched_rgb),
+        })
     write_records(out, records)
     agg = pooled_correspondence(scores)
     stats = {"precision": agg.precision, "recall": agg.recall,
              "correct": agg.correct, "pairs": agg.pair_count,
              "true_correspondences": agg.true_count}
     stats_path = Path(str(out) + ".stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "match", _run_config(args), 0, [out, stats_path])
+    write_json(stats_path, stats)
+    write_manifest(out, "match", _run_config(args), 0, [out, stats_path],
+                   input_digest)
     print(json.dumps(stats))
     return EXIT_OK
 
 
 def cmd_pipeline(args):
     out = _resolve_out(args.output)
+    input_digest = file_digest(args.input)
     scenes = _load_scenes(args.input)
     stage_cfg = StageConfig(args.k1, args.k2, args.k3, args.k4)
     pla = PlaConfig(beta=args.beta, use_plf=not args.no_plf,
@@ -311,7 +317,7 @@ def cmd_pipeline(args):
     write_records(bag_path, [rec for sid in sorted(report.bags)
                              for rec in bag_records(report.bags[sid])])
     write_manifest(out, "pipeline", _run_config(args), 0,
-                   [out, csv_path, bag_path])
+                   [out, csv_path, bag_path], input_digest)
     print(json.dumps(report.summary()))
     return EXIT_OK
 
@@ -337,11 +343,13 @@ def cmd_sweep_shift(args):
                               jitter=args.jitter, seed=args.seed,
                               offset_override=(dx, dy))
             scenes = generate_scenes(cfg)
+            pools = [filter_batch(s.rgb_obs)[0] for s in scenes]
+            tables = pair_tables([s.ir_boxes for s in scenes], pools,
+                                 args.beta)
             scores = []
             ir_maps, rgb_maps = [], []
-            for s in scenes:
-                kept, _ = filter_batch(s.rgb_obs)
-                result = match_scene(s.ir_boxes, kept, args.beta)
+            for s, kept, table in zip(scenes, pools, tables):
+                result = match_scene(s.ir_boxes, kept, args.beta, table=table)
                 scores.append(correspondence_score(result, s))
                 gts = [(b, c) for _, b, c in s.ir_gt]
                 ir_maps.append(map_at(detect(params, s, "ir"), gts))
@@ -365,6 +373,12 @@ def cmd_verify(args):
     manifest = read_manifest(args.manifest)
     sub = manifest["subcommand"]
     config = dict(manifest["config"])
+    # manifests written before input digests were recorded have none
+    input_digest = manifest.get("input_digest")
+    if (input_digest is not None
+            and file_digest(config["input"]) != input_digest):
+        print("verify: input changed")
+        return EXIT_DATA
     with tempfile.TemporaryDirectory() as tmp:
         argv = [sub]
         for key, val in config.items():

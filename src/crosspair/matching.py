@@ -13,12 +13,14 @@ redraws only their scores) can build the table once and reuse it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filtering import ScoredBox
-from .geometry import EDGE_EPS, OrientedBox, iou, point_in_obb
+from .geometry import (EDGE_EPS, OrientedBox, box_rows, iou, iou_rows,
+                       normalize_angle, point_in_obb)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ def search_region(ir: OrientedBox, beta: float, source_id: int = -1) -> SearchRe
 
 def candidates_for(ir: OrientedBox, rgb_pool, paired, beta: float):
     """Unclaimed candidates whose centers lie in the search region (boundary
-    inclusive); input order preserved. The scalar form of pair_table's gate,
+    inclusive); input order preserved. The scalar form of pair_tables' gate,
     kept as its reference."""
     region = search_region(ir, beta).region
     return [
@@ -71,56 +73,163 @@ class PairTable:
     gated: bool
 
 
-def _gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:
-    """mask[i, j]: the center of candidate j lies in the search region of
-    reference box i.
+# pair_tables builds the tables of consecutive scenes together, in chunks of
+# about this many (reference, candidate) pairs: enough to spread numpy's
+# per-call cost over many scenes, few enough to keep the arrays small.
+CHUNK_PAIRS = 2 ** 15
+
+
+class _Chunk:
+    """Consecutive scenes laid out flat: their reference boxes ir as (id,
+    box) with box_rows ir_rows, their candidates cands with center columns
+    cand_x and cand_y, and every (reference, candidate) pair of a scene,
+    scene by scene and reference-major, as index arrays ia into ir and ib
+    into cands."""
+
+    def __init__(self, ir_boxes_list, pools):
+        self.ir = [item for ir_boxes in ir_boxes_list for item in ir_boxes]
+        self.cands = [c for pool in pools for c in pool]
+        self.ir_rows = box_rows([b for _, b in self.ir])
+        self.cand_x = np.array([c.box.cx for c in self.cands], dtype=float)
+        self.cand_y = np.array([c.box.cy for c in self.cands], dtype=float)
+        n_ir = np.array([len(b) for b in ir_boxes_list], dtype=np.intp)
+        n_cand = np.array([len(p) for p in pools], dtype=np.intp)
+        # pairs of reference r: ib runs over its scene's candidates
+        per_ir = np.repeat(n_cand, n_ir)
+        first_pair = np.cumsum(per_ir) - per_ir
+        first_cand = np.repeat(np.cumsum(n_cand) - n_cand, n_ir)
+        self.ia = np.repeat(np.arange(len(per_ir)), per_ir)
+        self.ib = (np.arange(per_ir.sum())
+                   + np.repeat(first_cand - first_pair, per_ir))
+
+
+def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
+    """mask[k]: the center of candidate chunk.ib[k] lies in the search region
+    of reference box chunk.ia[k].
 
     Bit-identical to point_in_obb(center, search_region(box, beta).region):
-    the same scalar math.cos/math.sin of the region's theta and the same
-    elementwise operations in the same order, over all centers at once.
+    the region's w, h and normalized theta, the same scalar
+    math.cos/math.sin of that theta and the same elementwise operations,
+    over all pairs at once. The operations run in place, because the pair
+    arrays are the largest the table build holds.
     """
-    regions = [search_region(b, beta).region for _, b in ir_boxes]
+    ia, ib, ir = chunk.ia, chunk.ib, chunk.ir_rows
+    if not len(ia):
+        return np.zeros(0, dtype=bool)
+    theta = [normalize_angle(b.theta) for _, b in chunk.ir]
+    c = np.array([math.cos(t) for t in theta])[ia]
+    s = np.array([math.sin(t) for t in theta])[ia]
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        dx = chunk.cand_x[ib]
+        dx -= ir[ia, 0]
+        dy = chunk.cand_y[ib]
+        dy -= ir[ia, 1]
+        u = c * dx
+        u += s * dy             # u = c * dx + s * dy
+        np.negative(s, out=s)
+        s *= dx
+        c *= dy
+        v = s
+        v += c                  # v = -s * dx + c * dy
+        mask = np.abs(u, out=u) <= ((beta * ir[:, 2]) / 2.0 + EDGE_EPS)[ia]
+        mask &= np.abs(v, out=v) <= ((beta * ir[:, 3]) / 2.0 + EDGE_EPS)[ia]
+    return mask
 
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
 
-    c = column([math.cos(r.theta) for r in regions])
-    s = column([math.sin(r.theta) for r in regions])
-    dx = np.array([o.box.cx for o in rgb_pool], dtype=float) - column(
-        [r.cx for r in regions])
-    dy = np.array([o.box.cy for o in rgb_pool], dtype=float) - column(
-        [r.cy for r in regions])
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    return ((np.abs(u) <= column([r.w / 2.0 + EDGE_EPS for r in regions]))
-            & (np.abs(v) <= column([r.h / 2.0 + EDGE_EPS for r in regions])))
+def _chunks(ir_boxes_list, pools):
+    """(start, stop) of consecutive scenes holding about CHUNK_PAIRS pairs."""
+    start, pairs = 0, 0
+    for i, (ir_boxes, pool) in enumerate(zip(ir_boxes_list, pools)):
+        pairs += len(ir_boxes) * len(pool)
+        if pairs >= CHUNK_PAIRS or i == len(pools) - 1:
+            yield start, i + 1
+            start, pairs = i + 1, 0
+
+
+def _by_iou_then_id(hit):
+    return (-hit[1], hit[0])
+
+
+def _chunk_tables(ir_boxes_list, pools, beta, gated):
+    """The PairTable of each scene of one chunk."""
+    chunk = _Chunk(ir_boxes_list, pools)
+    ids = [c.source_id for c in chunk.cands]
+    # index of the first reference box whose search region is invalid
+    first_bad = len(chunk.ir)
+    if gated:
+        with np.errstate(over="ignore"):
+            w, h = beta * chunk.ir_rows[:, 2], beta * chunk.ir_rows[:, 3]
+        ok = (beta > 0) & np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0)
+        if not ok.all():
+            first_bad = int(np.argmin(ok))
+    # the errors of pair_table, raised for the first scene that has one
+    scene_ids = []
+    ir_end = cand_end = 0
+    for ir_boxes, pool in zip(ir_boxes_list, pools):
+        ir_end += len(ir_boxes)
+        cand_end += len(pool)
+        scene_ids.append(ids[cand_end - len(pool):cand_end])
+        if len(set(scene_ids[-1])) != len(pool):
+            raise ValueError("duplicate candidate ids")
+        if first_bad < ir_end:
+            # raises the error the region of this box raised before
+            search_region(chunk.ir[first_bad][1], beta)
+
+    ia, ib = chunk.ia, chunk.ib
+    if gated:
+        mask = _gate(chunk, beta)
+        ia, ib = ia[mask], ib[mask]
+    values, scalar = iou_rows(chunk.ir_rows[ia], box_rows(
+        [chunk.cands[j].box for j in ib.tolist()]))
+    for k in np.flatnonzero(scalar).tolist():
+        values[k] = iou(chunk.ir[ia[k]][1], chunk.cands[ib[k]].box)
+    hit = values > 0.0
+    ia, ib, values = ia[hit], ib[hit], values[hit]
+    hits = list(zip([ids[j] for j in ib.tolist()], values.tolist()))
+    # pairs run reference-major, so each reference's hits are contiguous
+    bounds = np.searchsorted(ia, np.arange(len(chunk.ir) + 1)).tolist()
+
+    tables = []
+    row = 0
+    for ir_boxes, cand_ids in zip(ir_boxes_list, scene_ids):
+        ranked = {}
+        for ir_id, _ in ir_boxes:
+            found = hits[bounds[row]:bounds[row + 1]]
+            if len(found) > 1:
+                found.sort(key=_by_iou_then_id)
+            ranked[ir_id] = tuple(found)
+            row += 1
+        tables.append(PairTable(ranked, frozenset(cand_ids), beta, gated))
+    return tables
+
+
+def pair_tables(ir_boxes_list, pools, beta: float = 1.0,
+                use_search_region: bool = True) -> Iterator[PairTable]:
+    """Yield the PairTable of each scene, in order: the reference boxes
+    ir_boxes_list[i] ranked against the candidates pools[i].
+
+    Each reference box's candidates with IoU > 0 are ranked by descending
+    IoU, then ascending id. With use_search_region the IoU is evaluated
+    only for candidates whose center lies in the box's search region;
+    without it, for all of them. The gate and the IoU of consecutive scenes
+    are computed together in numpy (geometry.iou_rows), bit for bit as
+    point_in_obb and iou compute them. A scene whose pool repeats an id, or
+    whose search region is invalid, raises ValueError. The tables come a
+    chunk at a time, so a caller that uses each table once and drops it
+    never holds them all.
+    """
+    if len(ir_boxes_list) != len(pools):
+        raise ValueError(f"{len(ir_boxes_list)} reference lists for "
+                         f"{len(pools)} candidate pools")
+    for start, stop in _chunks(ir_boxes_list, pools):
+        yield from _chunk_tables(ir_boxes_list[start:stop], pools[start:stop],
+                                 beta, use_search_region)
 
 
 def pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
                use_search_region: bool = True) -> PairTable:
-    """Rank the candidates of every reference box by rotated IoU.
-
-    With use_search_region the IoU is evaluated only for candidates whose
-    center lies in the box's search region; without it, for all of them.
-    """
-    rgb_ids = [c.source_id for c in rgb_pool]
-    if len(set(rgb_ids)) != len(rgb_ids):
-        raise ValueError("duplicate candidate ids")
-    if use_search_region:
-        mask = _gate_mask(ir_boxes, rgb_pool, beta)
-        gated = [np.flatnonzero(row).tolist() for row in mask]
-    else:
-        gated = [range(len(rgb_pool))] * len(ir_boxes)
-    ranked = {}
-    for (ir_id, ir_box), cols in zip(ir_boxes, gated):
-        hits = []
-        for j in cols:
-            v = iou(ir_box, rgb_pool[j].box)
-            if v > 0.0:
-                hits.append((rgb_ids[j], v))
-        hits.sort(key=lambda t: (-t[1], t[0]))
-        ranked[ir_id] = tuple(hits)
-    return PairTable(ranked, frozenset(rgb_ids), beta, use_search_region)
+    """pair_tables of one scene."""
+    return next(pair_tables([ir_boxes], [rgb_pool], beta, use_search_region))
 
 
 def match_scene(ir_boxes, rgb_pool, beta: float = 1.0,

@@ -15,7 +15,7 @@ import numpy as np
 from . import schedule as sched
 from .correction import COPIED, MATCHED, LabelBag, init_bag, update_bag
 from .filtering import filter_batch
-from .matching import PairTable, match_scene, pair_table
+from .matching import PairTable, match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (Scene, SimDetectorParams, detect, least_squares_offset,
                        pair_loss, rgb_proposals, student_step)
@@ -187,24 +187,26 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
     """Run filter + match + bag maintenance for one epoch; returns counters.
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
-    so each scene's pair table is built on its first assigning epoch and
-    reused from tables afterwards. The scores are drawn from a generator
+    so the pair tables of all scenes are built on the first assigning epoch
+    and reused from tables afterwards. The scores are drawn from a generator
     seeded with (scene_id, epoch), the same seed _sup_loss gives detect, so
     in stage-2 epochs the RGB proposal noise and the IR detection noise of a
     scene share their draws.
     """
     matched = copied = updated = 0
+    gated = not pla.iou_match_only
+    if pla.use_sdlm and not tables:
+        tables.update(zip(
+            (s.scene_id for s in scenes),
+            pair_tables([s.ir_boxes for s in scenes],
+                        [s.rgb_obs for s in scenes], pla.beta, gated)))
     for batch in batches(scenes, batch_size):
         proposals = _filtered_proposals(student, batch, pla, salt=epoch)
         for scene, pool in zip(batch, proposals):
             if pla.use_sdlm:
-                gated = not pla.iou_match_only
-                table = tables.get(scene.scene_id)
-                if table is None:
-                    table = tables[scene.scene_id] = pair_table(
-                        scene.ir_boxes, scene.rgb_obs, pla.beta, gated)
                 result = match_scene(scene.ir_boxes, pool, pla.beta,
-                                     use_search_region=gated, table=table)
+                                     use_search_region=gated,
+                                     table=tables[scene.scene_id])
             else:
                 result = match_scene(scene.ir_boxes, [], pla.beta)
             full_pool = scene.rgb_obs

@@ -1,9 +1,15 @@
-"""Line-delimited record files, content digests, and run manifests."""
+"""Line-delimited record files, content digests, and run manifests.
+
+Every writer here writes a temporary file beside its target and then moves
+it into place with os.replace, so a failed or interrupted run leaves the
+previous file (or none), never a truncated one.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -16,12 +22,33 @@ class RecordError(ValueError):
         self.line_no = line_no
 
 
-def write_records(path, records):
+@contextmanager
+def _replacing(path):
+    """A text file to write in place of path; it replaces path only when
+    the block completes, and is removed when the block raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_records(path, records):
+    with _replacing(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
+
+
+def write_json(path, obj):
+    """obj as indented JSON with sorted keys and a final newline."""
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_records(path):
@@ -51,9 +78,7 @@ def record_line(path, index) -> int:
 
 
 def write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
@@ -77,11 +102,13 @@ def manifest_path(output_path) -> Path:
     return Path(str(output_path) + ".manifest.json")
 
 
-def write_manifest(output_path, subcommand, config, seed, artifacts):
+def write_manifest(output_path, subcommand, config, seed, artifacts,
+                   input_digest=None):
     """Record the resolved run next to its primary output.
 
     artifacts: list of file paths produced by the run; stored with their
-    content hashes so a rerun can be verified bit-for-bit.
+    content hashes so a rerun can be verified bit-for-bit. input_digest:
+    the file_digest of the run's input file, for runs that read one.
     """
     manifest = {
         "subcommand": subcommand,
@@ -91,10 +118,10 @@ def write_manifest(output_path, subcommand, config, seed, artifacts):
             os.path.basename(str(p)): file_digest(p) for p in artifacts
         },
     }
+    if input_digest is not None:
+        manifest["input_digest"] = input_digest
     mpath = manifest_path(output_path)
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(mpath, manifest)
     return mpath
 
 

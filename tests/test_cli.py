@@ -5,7 +5,8 @@ import os
 import pytest
 
 from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run)
-from crosspair.records import file_digest, read_records
+from crosspair.records import (file_digest, read_records, write_csv,
+                               write_json, write_records)
 
 
 def invoke(argv):
@@ -334,6 +335,31 @@ class TestVerify:
         rc = invoke(["verify", str(scene_file) + ".manifest.json"])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        ["filter"],
+        ["match"],
+        ["pipeline", "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2"],
+    ])
+    def test_verify_checks_input_digest(self, scene_file, tmp_path, capsys,
+                                        argv):
+        out = tmp_path / "out.jsonl"
+        assert invoke(argv + ["--input", str(scene_file),
+                              "-o", str(out)]) == EXIT_OK
+        manifest_file = tmp_path / "out.jsonl.manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        assert manifest["input_digest"] == file_digest(scene_file)
+        # a blank line changes no scene, so only the digest tells
+        with open(scene_file, "a") as fh:
+            fh.write("\n")
+        capsys.readouterr()
+        assert invoke(["verify", str(manifest_file)]) == EXIT_DATA
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["verify: input changed"]
+        # manifests from before input digests skip the check
+        del manifest["input_digest"]
+        manifest_file.write_text(json.dumps(manifest))
+        assert invoke(["verify", str(manifest_file)]) == EXIT_OK
+
 
 class TestOutputDirEnv:
     def test_relative_output_resolves(self, scene_file, tmp_path, monkeypatch):
@@ -342,3 +368,25 @@ class TestOutputDirEnv:
         rc = invoke(["simulate", "--scenes", "3", "-o", "s.jsonl"])
         assert rc == EXIT_OK
         assert (outdir / "s.jsonl").exists()
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "records": lambda p, bad: write_records(
+            p, [{"a": 1}] + ([{"b": object()}] if bad else [])),
+        "csv": lambda p, bad: write_csv(
+            p, ["x"], ([1], None) if bad else ([1],)),
+        "json": lambda p, bad: write_json(p, {"a": object() if bad else 1}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, kind):
+        path = tmp_path / "out"
+        path.write_text("previous\n")
+        with pytest.raises(TypeError):
+            self.WRITERS[kind](path, True)
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["out"]
+        self.WRITERS[kind](path, False)
+        assert path.read_text() != "previous\n"
+        assert os.listdir(tmp_path) == ["out"]

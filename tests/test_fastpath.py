@@ -1,10 +1,12 @@
 """Property tests of the fast paths against the code they replaced.
 
-The pair table with its vectorized gate, the lean Dirichlet draw and the
-IR detector's one-hot table must give the same results bit for bit as the
-scalar loops and numpy forms kept here as references.
+The batched rotated IoU, the pair tables with their vectorized gate, the
+lean Dirichlet draw and the IR detector's one-hot table must give the same
+results bit for bit as the scalar loops and numpy forms kept here as
+references.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +16,13 @@ from hypothesis import strategies as st
 from crosspair.cli import EXIT_OK, run
 from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
-from crosspair.geometry import OrientedBox, corners_of, iou, point_in_obb
-from crosspair.matching import (MatchResult, _gate_mask, candidates_for,
-                                match_scene, pair_table, search_region)
+from crosspair import matching
+from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox, box_rows,
+                                corners_of, iou, iou_batch, iou_rows,
+                                point_in_obb)
+from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
+                                candidates_for, match_scene, pair_table,
+                                pair_tables, search_region)
 from crosspair.metrics import ordered_sum
 from crosspair.records import file_digest
 from crosspair.simulate import (Scene, SceneConfig, SimDetectorParams,
@@ -107,7 +113,8 @@ class TestMatcher:
         corners = [OrientedBox(x, y, 1.0, 1.0, 0.0) for b in irs
                    for x, y in corners_of(search_region(b, beta).region).vertices]
         pool = [ScoredBox(b, (1.0,), j) for j, b in enumerate(cands + corners)]
-        mask = _gate_mask(list(enumerate(irs)), pool, beta)
+        mask = _gate(_Chunk([list(enumerate(irs))], [pool]),
+                     beta).reshape(len(irs), len(pool))
         assert mask.shape == (len(irs), len(pool))
         for i, ir_box in enumerate(irs):
             region = search_region(ir_box, beta).region
@@ -147,6 +154,196 @@ class TestMatcher:
         b = OrientedBox(0, 0, 4, 4, 0)
         with pytest.raises(ValueError, match="duplicate"):
             pair_table([(0, b)], [ScoredBox(b, (1.0,), 3)] * 2)
+
+
+def reference_gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:
+    """matching._gate_mask as it was before pair_tables, verbatim."""
+    regions = [search_region(b, beta).region for _, b in ir_boxes]
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    c = column([math.cos(r.theta) for r in regions])
+    s = column([math.sin(r.theta) for r in regions])
+    dx = np.array([o.box.cx for o in rgb_pool], dtype=float) - column(
+        [r.cx for r in regions])
+    dy = np.array([o.box.cy for o in rgb_pool], dtype=float) - column(
+        [r.cy for r in regions])
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    return ((np.abs(u) <= column([r.w / 2.0 + EDGE_EPS for r in regions]))
+            & (np.abs(v) <= column([r.h / 2.0 + EDGE_EPS for r in regions])))
+
+
+def reference_pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
+                         use_search_region: bool = True) -> PairTable:
+    """matching.pair_table as it was before pair_tables, verbatim."""
+    rgb_ids = [c.source_id for c in rgb_pool]
+    if len(set(rgb_ids)) != len(rgb_ids):
+        raise ValueError("duplicate candidate ids")
+    if use_search_region:
+        mask = reference_gate_mask(ir_boxes, rgb_pool, beta)
+        gated = [np.flatnonzero(row).tolist() for row in mask]
+    else:
+        gated = [range(len(rgb_pool))] * len(ir_boxes)
+    ranked = {}
+    for (ir_id, ir_box), cols in zip(ir_boxes, gated):
+        hits = []
+        for j in cols:
+            v = iou(ir_box, rgb_pool[j].box)
+            if v > 0.0:
+                hits.append((rgb_ids[j], v))
+        hits.sort(key=lambda t: (-t[1], t[0]))
+        ranked[ir_id] = tuple(hits)
+    return PairTable(ranked, frozenset(rgb_ids), beta, use_search_region)
+
+
+def _table_bits(table):
+    return ({i: [(j, v.hex()) for j, v in hits]
+             for i, hits in table.ranked.items()},
+            table.rgb_ids, table.beta, table.gated)
+
+
+ANGLES = [0.0, math.pi / 4, -math.pi / 2, math.pi / 2 - 1e-12]
+extent = st.floats(1e-3, 1e4)
+angle = st.one_of(st.sampled_from(ANGLES), st.floats(-1.6, 1.6))
+any_box = st.builds(OrientedBox, st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                    extent, extent, angle)
+
+
+@st.composite
+def related_pair(draw):
+    """(a, b): b identical to a, sharing an edge with it, touching a corner
+    at +-1e-10, nested in it, overlapping it, or unrelated."""
+    a = draw(any_box)
+    kind = draw(st.sampled_from(
+        ["same", "edge", "corner", "nested", "overlap", "free"]))
+    if kind == "same":
+        return a, OrientedBox(a.cx, a.cy, a.w, a.h, a.theta)
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    if kind in ("edge", "corner"):
+        # neighbour along the box's own axes, one width over
+        gap = draw(st.sampled_from([0.0, 1e-10, -1e-10]))
+        du = a.w + gap
+        dv = a.h + gap if kind == "corner" else 0.0
+        return a, OrientedBox(a.cx + c * du - s * dv, a.cy + s * du + c * dv,
+                              a.w, a.h, a.theta)
+    if kind == "nested":
+        f = draw(st.floats(0.01, 1.0))
+        return a, OrientedBox(a.cx, a.cy, a.w * f, a.h * f,
+                              a.theta + draw(st.sampled_from([0.0, 1e-12])))
+    if kind == "overlap":
+        fu, fv = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+        return a, OrientedBox(a.cx + fu * a.w, a.cy + fv * a.h,
+                              a.w * draw(st.floats(0.2, 5)),
+                              a.h * draw(st.floats(0.2, 5)), draw(angle))
+    return a, draw(any_box)
+
+
+class TestIouBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(related_pair(), max_size=40), st.booleans())
+    def test_equals_scalar_bit_for_bit(self, pairs, swap):
+        a = [p[1 if swap else 0] for p in pairs]
+        b = [p[0 if swap else 1] for p in pairs]
+        got = iou_batch(a, b)
+        # hex tells 0.0 from -0.0 and every last bit
+        assert [v.hex() for v in got] == [iou(x, y).hex()
+                                          for x, y in zip(a, b)]
+        assert all(type(v) is float for v in got)
+
+    def test_fallback_rows_match_scalar(self):
+        # a shared edge and an inscribed diamond clip to repeated vertices,
+        # which only the scalar _merge_close may drop; a plain overlap does not
+        a = OrientedBox(0.0, 0.0, 4.0, 2.0, 0.0)
+        side = 2.0 * math.sqrt(2.0)
+        b = [OrientedBox(0.0, 2.0, 4.0, 2.0, 0.0),
+             OrientedBox(0.0, 1.0, 2.0, 2.0, math.pi / 4),
+             OrientedBox(0.0, 0.0, side, side, math.pi / 4),
+             OrientedBox(0.5, 0.5, 1.0, 1.0, 0.3)]
+        _, scalar = iou_rows(box_rows([a] * 4), box_rows(b))
+        assert scalar.tolist() == [True, True, True, False]
+        assert [v.hex() for v in iou_batch([a] * 4, b)] == [
+            iou(a, y).hex() for y in b]
+
+    def test_empty_and_unequal_lengths(self):
+        assert iou_batch([], []) == []
+        box = OrientedBox(0.0, 0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="differ in length"):
+            iou_batch([box], [])
+
+
+@st.composite
+def scene_batches(draw):
+    """(ir_boxes_list, pools) of 0-6 scenes; scenes may have no reference
+    boxes or no candidates, and ids repeat across scenes."""
+    ir_list, pools = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        ir, _, pool = draw(scenes())
+        ir_list.append(ir)
+        pools.append(pool)
+    return ir_list, pools
+
+
+class TestPairTables:
+    @settings(max_examples=200, deadline=None)
+    @given(scene_batches(), st.sampled_from([0.5, 1.0, 2.5]), st.booleans(),
+           st.sampled_from([1, 20, 2 ** 15]))
+    def test_equals_reference_per_scene(self, batch, beta, gated, chunk):
+        ir_list, pools = batch
+        want = [_table_bits(reference_pair_table(ir, pool, beta, gated))
+                for ir, pool in zip(ir_list, pools)]
+        # small chunks put chunk boundaries between and after scenes
+        with mock.patch.object(matching, "CHUNK_PAIRS", chunk):
+            got = [_table_bits(t)
+                   for t in pair_tables(ir_list, pools, beta, gated)]
+        assert got == want
+
+    @staticmethod
+    def _error(fn):
+        try:
+            fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    BOX = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+    BIG = OrientedBox(0.0, 0.0, 1e300, 4.0, 0.0)
+    OK = ([(0, BOX)], [ScoredBox(BOX, (1.0,), 1)])
+    DUP = ([(0, BOX)], [ScoredBox(BOX, (1.0,), 2)] * 2)
+    NO_IR = ([], [ScoredBox(BOX, (1.0,), 1)])
+    OVERFLOW = ([(0, BOX), (1, BIG)], [ScoredBox(BOX, (1.0,), 1)])
+    BOTH = ([(0, BIG)], [ScoredBox(BOX, (1.0,), 2)] * 2)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0, -1.0, 1e10, math.nan])
+    @pytest.mark.parametrize("gated", [True, False])
+    @pytest.mark.parametrize("scenes_", [
+        [OK, DUP], [OK, OVERFLOW], [NO_IR, OK], [NO_IR, OVERFLOW, DUP],
+        [OK, DUP, OVERFLOW], [NO_IR], [NO_IR, BOTH]])
+    def test_errors_equal_reference(self, scenes_, gated, beta):
+        ir_list = [ir for ir, _ in scenes_]
+        pools = [pool for _, pool in scenes_]
+
+        def reference():
+            for ir, pool in zip(ir_list, pools):
+                reference_pair_table(ir, pool, beta, gated)
+
+        want = self._error(reference)
+        got = self._error(lambda: list(pair_tables(ir_list, pools, beta,
+                                                   gated)))
+        assert got == want
+
+    def test_errors_name_the_fault(self):
+        def tables(scene, beta, gated=True):
+            return list(pair_tables([scene[0]], [scene[1]], beta, gated))
+
+        with pytest.raises(ValueError, match="beta must be positive"):
+            tables(self.OK, 0.0)
+        with pytest.raises(FieldError, match="non-finite w: inf"):
+            tables(self.OVERFLOW, 1e10)
+        with pytest.raises(ValueError, match="duplicate candidate ids"):
+            tables(self.DUP, 1.0, gated=False)
+        assert tables(self.OVERFLOW, 1e10, gated=False)
 
 
 def reference_perturb(rng, probs, scale):
@@ -274,6 +471,13 @@ RECORDED_FILTERED = [
       "2ce9104d9719563aea9e64b7d6255681354ec383fca964ecd722fad0b272d789")),
     (["filter", "--per-class", "--batch-size", "5"],
      ("507a88c1a74882e38c0432ae78619de67035b81d323011c39d198481133338c2",)),
+    # recorded with the per-scene pair tables that pair_tables replaces
+    (["match", "--iou-match-only", "--beta", "1.5", "--batch-size", "3"],
+     ("1a54dba431d3f783f9fefc216e0fe8e5e159baa4988f65821ffad2d58e62d10d",
+      "0fd57f136bf136e969fd3173246a98cb42232313281233b352d54a8f7eab55f0")),
+    (["sweep-shift", "--min", "-6", "--max", "6", "--step", "6", "--scenes",
+      "4", "--boxes", "5", "--beta", "1.5", "--jitter", "0.5", "--seed", "3"],
+     ("cc5cfba0b8d0d10ab46052921611860347f6950a584c46f6abd06a16bfbf6089",)),
 ]
 
 
@@ -282,7 +486,9 @@ def test_filtered_outputs_unchanged(tmp_path, argv, digests):
     scenes = tmp_path / "s.jsonl"
     out = tmp_path / "o.jsonl"
     assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
-    assert run(argv + ["--input", str(scenes), "-o", str(out)]) == EXIT_OK
+    if argv[0] != "sweep-shift":  # the sweep generates its own scenes
+        argv = argv + ["--input", str(scenes)]
+    assert run(argv + ["-o", str(out)]) == EXIT_OK
     suffixes = ("", ".stats.json")[:len(digests)]
     assert tuple(file_digest(str(out) + s) for s in suffixes) == digests
 
