@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .records import (RecordError, file_digest, read_manifest, read_records,
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
                        generate_scenes, rgb_proposals, scene_from_record,
-                       scene_to_record)
+                       scene_to_record, scenes_from_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,34 +79,52 @@ def _repeated_id(key, ids):
     return None
 
 
+# records per scenes_from_records call: each chunk's record dicts are dropped
+# once its scenes are built, so the file's dicts and scenes never coexist
+LOAD_CHUNK = 64
+
+
 def _load_scenes(path):
     """Scenes of a record file.
 
     Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
     within each scene. A bad record fails with a RecordError naming the
     file, the line and the field.
+
+    Each chunk of LOAD_CHUNK records is checked and built as columns by
+    scenes_from_records. A chunk that it does not vouch for is built record
+    by record with scene_from_record, so the first bad record in the file
+    raises, with the same message either way.
     """
+    records = read_records(path)
     scenes = []
     first_index = {}
-    for index, rec in enumerate(read_records(path)):
-        try:
-            scene = scene_from_record(rec)
-            ir_ids = [i for i, _, _ in scene.ir_gt]
-            obs_ids = [o.source_id for o in scene.rgb_obs]
-            if (len(set(ir_ids)) != len(ir_ids)
-                    or len(set(obs_ids)) != len(obs_ids)):
-                raise (_repeated_id("ir_gt", ir_ids)
-                       or _repeated_id("rgb_obs", obs_ids))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecordError(path, record_line(path, index),
-                              _record_fault(exc)) from exc
-        first = first_index.setdefault(scene.scene_id, index)
-        if first != index:
-            raise RecordError(
-                path, record_line(path, index),
-                f"field 'scene_id': duplicate value {scene.scene_id} "
-                f"(first on line {record_line(path, first)})")
-        scenes.append(scene)
+    for start in range(0, len(records), LOAD_CHUNK):
+        chunk = records[start:start + LOAD_CHUNK]
+        built = scenes_from_records(chunk)
+        for index, rec in enumerate(chunk, start):
+            if built is not None:
+                scene = built[index - start]
+            else:
+                try:
+                    scene = scene_from_record(rec)
+                    ir_ids = [i for i, _, _ in scene.ir_gt]
+                    obs_ids = [o.source_id for o in scene.rgb_obs]
+                    if (len(set(ir_ids)) != len(ir_ids)
+                            or len(set(obs_ids)) != len(obs_ids)):
+                        raise (_repeated_id("ir_gt", ir_ids)
+                               or _repeated_id("rgb_obs", obs_ids))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RecordError(path, record_line(path, index),
+                                      _record_fault(exc)) from exc
+            first = first_index.setdefault(scene.scene_id, index)
+            if first != index:
+                raise RecordError(
+                    path, record_line(path, index),
+                    f"field 'scene_id': duplicate value {scene.scene_id} "
+                    f"(first on line {record_line(path, first)})")
+            scenes.append(scene)
+        records[start:start + LOAD_CHUNK] = [None] * len(chunk)
     return scenes
 
 
@@ -429,6 +448,23 @@ COMMANDS = {
 
 
 def run(argv) -> int:
+    """Run one command line; returns the exit code.
+
+    The cyclic garbage collector is paused for the command: its data holds
+    no reference cycles, and a load leaves over a million objects on the
+    heap that each collection would rescan. The collector's state is
+    restored on return, so a nested run (verify's rerun) leaves it paused.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

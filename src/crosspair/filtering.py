@@ -37,7 +37,11 @@ class ScoredBox:
     def __post_init__(self):
         probs = tuple(map(float, self.class_probs))
         object.__setattr__(self, "class_probs", probs)
-        total = sum(probs)
+        # left to right, as np.cumsum adds; the builtin sum() compensates
+        # from Python 3.12 on and could judge the bound differently
+        total = 0.0
+        for p in probs:
+            total += p
         if total > 1.0 + PROB_SUM_TOL:
             raise FieldError("class_probs",
                              f"class probabilities sum to {total} > 1")
@@ -67,13 +71,22 @@ INVALID_THRESHOLD = BatchThreshold(math.nan, math.nan, math.nan, 0)
 
 
 def batch_threshold(scores) -> BatchThreshold:
-    """Threshold tau = mu - sigma over a batch of scores (population sigma)."""
+    """Threshold tau = mu - sigma over a batch of scores (population sigma).
+
+    Scores whose maximum is below 1/2 are scaled up by a power of two for
+    the arithmetic, and mu, sigma and tau scaled back. That changes no bit
+    of them, except where scores below about 1e-154 made the squared
+    deviations underflow, or subnormal ones rounded mu and sigma apart:
+    there tau came out above scores it should keep, up to the whole batch.
+    """
     if len(scores) == 0:
         raise ValueError("empty score list")
     arr = np.asarray(scores, dtype=float)
-    mu = float(arr.mean())
-    sigma = float(arr.std())  # divide by N
-    return BatchThreshold(mu, sigma, mu - sigma, len(scores))
+    exp = min(math.frexp(float(arr.max()))[1], 0)
+    unit = np.ldexp(arr, -exp)
+    mu, sigma = float(unit.mean()), float(unit.std())  # divide by N
+    return BatchThreshold(math.ldexp(mu, exp), math.ldexp(sigma, exp),
+                          math.ldexp(mu - sigma, exp), len(scores))
 
 
 def filter_batch(candidates, per_class: bool = False):

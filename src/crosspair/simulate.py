@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
 from .correction import LabelPair
-from .filtering import ScoredBox
-from .geometry import FieldError, OrientedBox
+from .filtering import PROB_SUM_TOL, ScoredBox
+from .geometry import FieldError, OrientedBox, normalize_angle
 from .metrics import ordered_sum
 
 SPURIOUS = -1
@@ -389,3 +390,130 @@ def scene_from_record(rec: dict) -> Scene:
         if not 0 <= cls < k:
             raise FieldError(f"ir_gt[{i}].class", f"not in [0, {k}): {cls}")
     return scene
+
+
+_BOX_FIELDS = itemgetter("cx", "cy", "w", "h", "theta")
+
+
+def _array(values, kinds, ndim=1):
+    """np.array(values) if it has ndim dimensions and a dtype of one of
+    kinds ("f" float, "i" signed integer), else None."""
+    arr = np.array(values)
+    if arr.ndim != ndim or arr.dtype.kind not in kinds:
+        return None
+    return arr
+
+
+def _repeats(groups, ids) -> bool:
+    """True if some id occurs twice within one group."""
+    order = np.lexsort((ids, groups))
+    g, i = groups[order], ids[order]
+    return bool(((g[1:] == g[:-1]) & (i[1:] == i[:-1])).any())
+
+
+def scenes_from_records(records) -> list[Scene] | None:
+    """The scenes scene_from_record builds of consecutive records, with the
+    duplicate-id checks of a scene's ir_gt and rgb_obs ids, or None when a
+    record is bad or unusual.
+
+    The fields of all records are read into numpy columns and checked with
+    array masks: finite box fields with w > 0 and h > 0, probabilities in
+    [0, 1] that add up left to right to at most 1 + PROB_SUM_TOL, integer
+    ids unique within a scene, and integer ir_gt classes in [0, class
+    count). The boxes are then built without re-validation and hold the
+    records' own values, as scene_from_record's do. Columns that numpy
+    cannot hold as plain floats or int64 (strings, None, booleans alone,
+    ids beyond int64) and class counts that differ between scenes give
+    None as well, so that the caller builds those scenes one by one with
+    scene_from_record, whose errors name the record's fault.
+    """
+    try:
+        return _scenes_of_columns(records)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _scenes_of_columns(records):
+    scene_ids = [rec["scene_id"] for rec in records]
+    if not all(isinstance(s, int) for s in scene_ids):
+        return None
+    ir_lists = [rec["ir_gt"] for rec in records]
+    obs_lists = [rec["rgb_obs"] for rec in records]
+    frames = [(tuple(rec["canvas"]), tuple(rec["true_offset"]))
+              for rec in records]
+    ir = [g for items in ir_lists for g in items]
+    obs = [o for items in obs_lists for o in items]
+    ir_counts = [len(items) for items in ir_lists]
+    obs_counts = [len(items) for items in obs_lists]
+    rows = list(map(_BOX_FIELDS, ir)) + list(map(_BOX_FIELDS, obs))
+    ir_ids = [g["id"] for g in ir]
+    classes = [g["class"] for g in ir]
+    obs_ids = [o["id"] for o in obs]
+    corr_ids = [o["corr_id"] for o in obs]
+
+    scene_of = np.arange(len(records))
+    probs = class_ids = ()
+    if rows:
+        box = _array(rows, "fi", 2)
+        if (box is None or not np.isfinite(box).all()
+                or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
+            return None
+    if ir:
+        ids, cls = _array(ir_ids, "i"), _array(classes, "i")
+        if ids is None or cls is None:
+            return None
+        groups = np.repeat(scene_of, ir_counts)
+        if not (cls >= 0).all() or _repeats(groups, ids):
+            return None
+    if obs:
+        ids, probs = _array(obs_ids, "i"), _array(
+            [o["class_probs"] for o in obs], "fi", 2)
+        if ids is None or probs is None or probs.shape[1] == 0:
+            return None
+        probs = probs.astype(np.float64, copy=False)
+        if (not ((probs >= 0.0) & (probs <= 1.0)).all()
+                or not (np.cumsum(probs, axis=1)[:, -1]
+                        <= 1.0 + PROB_SUM_TOL).all()
+                or _repeats(np.repeat(scene_of, obs_counts), ids)):
+            return None
+        if ir:
+            # a scene without rgb_obs takes any class count its ir_gt needs
+            with_obs = np.repeat(np.array(obs_counts) > 0, ir_counts)
+            if (with_obs & (cls >= probs.shape[1])).any():
+                return None
+        # the first maximum, as probs.index(max(probs)) finds it
+        class_ids = probs.argmax(axis=1).tolist()
+        probs = probs.tolist()
+
+    new, put = object.__new__, object.__setattr__
+    boxes = []
+    for cx, cy, w, h, theta in rows:
+        b = new(OrientedBox)
+        put(b, "cx", cx)
+        put(b, "cy", cy)
+        put(b, "w", w)
+        put(b, "h", h)
+        put(b, "theta", normalize_angle(theta))
+        boxes.append(b)
+    gt = list(zip(ir_ids, boxes, classes))
+    observed = []
+    for b, row, sid, corr, cid in zip(boxes[len(ir):], probs, obs_ids,
+                                      corr_ids, class_ids):
+        o = new(ObservedBox)
+        put(o, "box", b)
+        put(o, "class_probs", tuple(row))
+        put(o, "source_id", sid)
+        put(o, "corr_id", corr)
+        put(o, "score", row[cid])
+        put(o, "class_id", cid)
+        observed.append(o)
+
+    scenes = []
+    i = j = 0
+    for sid, (canvas, offset), n_ir, n_obs in zip(scene_ids, frames,
+                                                  ir_counts, obs_counts):
+        scenes.append(Scene(sid, canvas, offset, tuple(gt[i:i + n_ir]),
+                            tuple(observed[j:j + n_obs])))
+        i += n_ir
+        j += n_obs
+    return scenes

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 
 import pytest
 
+from crosspair import cli
 from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run)
 from crosspair.records import (file_digest, read_records, write_csv,
                                write_json, write_records)
@@ -359,6 +361,39 @@ class TestVerify:
         del manifest["input_digest"]
         manifest_file.write_text(json.dumps(manifest))
         assert invoke(["verify", str(manifest_file)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case,code", [
+    ("match", EXIT_OK),
+    ("bad input", EXIT_DATA),
+    ("verify", EXIT_OK),
+])
+def test_run_restores_gc_state(scene_file, tmp_path, monkeypatch, enabled,
+                               case, code):
+    out = tmp_path / "o.jsonl"
+    argv = ["match", "--input", str(scene_file), "-o", str(out)]
+    if case == "verify":  # its rerun of match is a run nested in a run
+        assert invoke(argv) == EXIT_OK
+        argv = ["verify", str(out) + ".manifest.json"]
+    elif case == "bad input":
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"scene_id": 1}\n')
+        argv[2] = str(bad)
+    during = []
+    match = cli.COMMANDS["match"]
+    monkeypatch.setitem(cli.COMMANDS, "match",
+                        lambda args: during.append(gc.isenabled())
+                        or match(args))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = invoke(argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert rc == code
+    assert during == [False]
+    assert after is enabled
 
 
 class TestOutputDirEnv:

@@ -1,10 +1,15 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crosspair.filtering import (INVALID_THRESHOLD, BatchThreshold, ScoredBox,
-                                 batch_threshold, filter_batch, score_of)
+from crosspair.filtering import (INVALID_THRESHOLD, PROB_SUM_TOL,
+                                 BatchThreshold, ScoredBox, batch_threshold,
+                                 filter_batch, score_of)
 from crosspair.geometry import OrientedBox
 
 BOX = OrientedBox(0, 0, 10, 10, 0)
@@ -41,6 +46,16 @@ class TestScoreOf:
     def test_prob_sum_checked(self):
         with pytest.raises(ValueError):
             ScoredBox(BOX, (0.9, 0.9), 0)
+
+    def test_prob_sum_adds_left_to_right(self):
+        # 0.75 reaches the bound exactly; each 1e-16 after it is below half
+        # an ulp and rounds away, as in np.cumsum, though the exact sum
+        # (and the compensated sum() of Python 3.12) lies above the bound
+        bound = 1.0 + PROB_SUM_TOL
+        probs = (0.75, bound - 0.75, 1e-16, 1e-16, 1e-16)
+        assert math.fsum(probs) > bound
+        assert np.cumsum(probs)[-1] == bound
+        assert ScoredBox(BOX, probs, 0).class_id == 0
 
 
 class TestBatchThreshold:
@@ -135,3 +150,60 @@ class TestFilterBatch:
         weak_pc = sum(c.class_id == 1 for c in kept_pc)
         assert weak_global == 1  # the 0.2 pair falls below the global tau
         assert weak_pc == 3
+
+
+def _exact_keeps(scores):
+    """For each score: True if it is >= mean - pstd of scores, False if it
+    is below, None if it lies within the rounding of a float computation
+    of the threshold. Mean and variance are exact rationals, and
+    s >= mu - sigma is decided as mu - s <= sigma, squared."""
+    q = [Fraction(s) for s in scores]
+    mu = sum(q) / len(q)
+    var = sum((x - mu) ** 2 for x in q) / len(q)
+    # sigma to float precision, scaled so that no square underflows
+    k = (var.denominator.bit_length() - var.numerator.bit_length()) // 2
+    tau = mu - Fraction(math.sqrt(var * Fraction(4) ** k)) / Fraction(2) ** k
+    tol = (8 * len(scores) * Fraction(sys.float_info.epsilon) * max(q)
+           + Fraction(math.ulp(0.0)))
+    return [None if abs(x - tau) <= tol
+            else mu - x <= 0 or (mu - x) ** 2 <= var for x in q]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2)),
+                min_size=1, max_size=30), st.booleans())
+# tiny scores: unscaled, the squared deviations underflow and sigma reads 0,
+# and subnormal ones round mu and sigma apart
+@example([(0.0, 0), (1.6323927492561881e-186, 0)], False)
+@example([(2.2250738585e-313, 0), (5e-324, 0)], False)
+@example([(1.6180625093166528e-183, 0)] * 3, False)
+@example([(1e-300, 1)] * 3, True)
+def test_filter_batch_keeps_brute_force_threshold(items, per_class):
+    cands = []
+    for i, (score, cls) in enumerate(items):
+        probs = [0.0, 0.0, 0.0]
+        probs[cls] = score
+        cands.append(ScoredBox(BOX, tuple(probs), i))
+    kept, _ = filter_batch(cands, per_class=per_class)
+    assert kept
+    kept_ids = {c.source_id for c in kept}
+    assert kept == [c for c in cands if c.source_id in kept_ids]
+    groups = {}
+    for c in cands:
+        groups.setdefault(c.class_id if per_class else None, []).append(c)
+    for group in groups.values():
+        assert any(c.source_id in kept_ids for c in group)
+        for c, keep in zip(group, _exact_keeps([c.score for c in group])):
+            if keep is not None:
+                assert (c.source_id in kept_ids) == keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1.0)), min_size=1,
+                max_size=40))
+def test_threshold_bits_of_plain_mean_and_std(scores):
+    # the power-of-two scaling changes no bit where nothing underflows
+    arr = np.asarray(scores)
+    t = batch_threshold(scores)
+    assert (t.mu, t.sigma) == (float(arr.mean()), float(arr.std()))
+    assert t.tau == t.mu - t.sigma

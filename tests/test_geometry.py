@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspair.geometry import (ConvexPolygon, OrientedBox, corners_of,
                                 intersect_area, iou, point_in_obb,
@@ -202,3 +205,32 @@ class TestRasterOracle:
         b = OrientedBox(0, 0, 4, 4, 0)
         with pytest.raises(ValueError):
             raster_iou_oracle(b, b, 32)
+
+
+coords = st.floats(-1000.0, 1000.0)
+extents = st.floats(0.01, 500.0)
+obbs = st.builds(OrientedBox, coords, coords, extents, extents,
+                 st.floats(-4.0, 4.0))
+
+
+def _rounding_bound(*boxes):
+    """How far two clippings of the same overlap can round apart: vertex
+    errors of a few ulps of the largest coordinate, which the area of the
+    thinnest box magnifies."""
+    scale = max(abs(b.cx) + abs(b.cy) + b.w + b.h for b in boxes)
+    side = min(min(b.w, b.h) for b in boxes)
+    return 8 * sys.float_info.epsilon * (scale / side) ** 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(obbs, obbs)
+def test_iou_symmetric_and_bounded(a, b):
+    v = iou(a, b)
+    assert 0.0 <= v <= 1.0
+    assert abs(v - iou(b, a)) <= _rounding_bound(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obbs)
+def test_iou_with_itself_is_one(a):
+    assert abs(iou(a, a) - 1.0) <= _rounding_bound(a)
