@@ -50,6 +50,21 @@ class ScoredBox:
         # lowest index wins ties
         object.__setattr__(self, "class_id", probs.index(score))
 
+    @classmethod
+    def trusted(cls, box, class_probs: tuple[float, ...], source_id):
+        """The box __init__ builds of valid probabilities, without checking
+        them again: class_probs must be a tuple of floats in [0, 1] that
+        add up to at most 1 + PROB_SUM_TOL."""
+        self = object.__new__(cls)
+        put = object.__setattr__
+        put(self, "box", box)
+        put(self, "class_probs", class_probs)
+        put(self, "source_id", source_id)
+        score = max(class_probs)
+        put(self, "score", score)
+        put(self, "class_id", class_probs.index(score))
+        return self
+
     @property
     def center(self) -> tuple[float, float]:
         return self.box.center

@@ -18,7 +18,7 @@ from .filtering import filter_batch
 from .matching import PairTable, match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (Scene, SimDetectorParams, detect, least_squares_offset,
-                       pair_loss, rgb_proposals, student_step)
+                       pair_centers, pair_loss, rgb_proposals, student_step)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,10 @@ def _cross_entropy(pred_probs, true_class) -> float:
 
 
 def _sup_loss(student, scenes, salt) -> float:
-    """Classification CE plus box error of the reference-modality head.
+    """Classification cross-entropy of the reference-modality head.
+
+    The box term of the supervised loss is identically 0, because IR
+    detections echo the ground truth boxes, so it is left out.
 
     detect seeds its generator with (scene_id, salt), as rgb_proposals does.
     run_pipeline passes salt = epoch to both, so in the mutual and stage-2
@@ -128,11 +131,9 @@ def _sup_loss(student, scenes, salt) -> float:
     """
     acc, n = 0.0, 0
     for scene in scenes:
-        dets = {d.source_id: d for d in detect(student, scene, "ir", salt)}
-        for ir_id, box, cls in scene.ir_gt:
-            d = dets[ir_id]
+        for d, (_, _, cls) in zip(detect(student, scene, "ir", salt),
+                                  scene.ir_gt):
             acc += _cross_entropy(d.class_probs, cls)
-            acc += (d.box.cx - box.cx) ** 2 + (d.box.cy - box.cy) ** 2
             n += 1
     return acc / max(n, 1)
 
@@ -232,11 +233,14 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
 
 
 def _train_on_bags(student, ema, bags, cfg: TrainConfig):
-    pairs = [p for bag in bags.values() for p in bag.pairs.values()]
+    """steps_per_epoch student steps on the pairs of bags, each followed by
+    an EMA update; returns (student, ema, the pairs' PairCenters)."""
+    centers = pair_centers([p for bag in bags.values()
+                            for p in bag.pairs.values()])
     for _ in range(cfg.steps_per_epoch):
-        student = student_step(student, pairs, cfg.learning_rate)
+        student = student_step(student, centers, cfg.learning_rate)
         ema = sched.ema_update(ema, student.as_vector())
-    return student, ema
+    return student, ema, centers
 
 
 def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
@@ -289,9 +293,8 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         else:  # STAGE2 / STAGE3
             matched, copied, updated = _assign_epoch(
                 scenes, student, bags, tables, pla, epoch, train.batch_size)
-            student, ema = _train_on_bags(student, ema, bags, train)
-            pairs = [p for bag in bags.values() for p in bag.pairs.values()]
-            losses[sched.L_PAIRED] = pair_loss(student, pairs)
+            student, ema, centers = _train_on_bags(student, ema, bags, train)
+            losses[sched.L_PAIRED] = pair_loss(student, centers)
             if phase is Phase.STAGE2:
                 losses[sched.L_SUP] = _sup_loss(student, scenes, epoch)
                 losses[sched.L_UNSUP] = losses[sched.L_PAIRED]

@@ -17,7 +17,6 @@ import numpy as np
 from .correction import LabelPair
 from .filtering import PROB_SUM_TOL, ScoredBox
 from .geometry import FieldError, OrientedBox, normalize_angle
-from .metrics import ordered_sum
 
 SPURIOUS = -1
 
@@ -233,59 +232,86 @@ def detect(params: SimDetectorParams, scene: Scene, modality: str,
     detections echo the ground truth. Both carry confidence perturbation.
     """
     rng = _detect_rng(scene, salt)
-    out = []
+    noise = params.confidence_noise
+    trusted = ScoredBox.trusted
     if modality == "ir":
         n_classes = scene.class_count
         one_hot = [tuple([float(j == c) for j in range(n_classes)])
                    for c in range(n_classes)]
-        for ir_id, box, cls in scene.ir_gt:
-            probs = _perturb_probs(rng, one_hot[cls], params.confidence_noise)
-            out.append(ScoredBox(box, probs, ir_id))
-    elif modality == "rgb":
+        return [trusted(box, _perturb_probs(rng, one_hot[cls], noise), ir_id)
+                for ir_id, box, cls in scene.ir_gt]
+    if modality == "rgb":
         dx, dy = params.offset_estimate
-        for o in scene.rgb_obs:
-            probs = _perturb_probs(rng, o.class_probs, params.confidence_noise)
-            out.append(ScoredBox(o.box.translated(-dx, -dy), probs, o.source_id))
-    else:
-        raise ValueError(f"unknown modality: {modality!r}")
-    return out
+        return [trusted(o.box.translated(-dx, -dy),
+                        _perturb_probs(rng, o.class_probs, noise), o.source_id)
+                for o in scene.rgb_obs]
+    raise ValueError(f"unknown modality: {modality!r}")
 
 
 def rgb_proposals(params: SimDetectorParams, scene: Scene, salt: int = 0):
     """Teacher pseudo-label candidates in raw RGB-frame coordinates."""
     rng = _detect_rng(scene, salt)
-    return [
-        ScoredBox(o.box, _perturb_probs(rng, o.class_probs, params.confidence_noise),
-                  o.source_id)
-        for o in scene.rgb_obs
-    ]
+    noise = params.confidence_noise
+    return [ScoredBox.trusted(o.box, _perturb_probs(rng, o.class_probs, noise),
+                              o.source_id)
+            for o in scene.rgb_obs]
+
+
+@dataclass(frozen=True)
+class PairCenters:
+    """Center columns of label pairs: reference (IR) and RGB box centers."""
+    ir_cx: np.ndarray
+    ir_cy: np.ndarray
+    rgb_cx: np.ndarray
+    rgb_cy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ir_cx)
+
+
+def pair_centers(pairs) -> PairCenters:
+    """The center columns of a sequence of LabelPairs; PairCenters as given."""
+    if isinstance(pairs, PairCenters):
+        return pairs
+    cols = np.array([(p.ir_box.cx, p.ir_box.cy, p.rgb_box.cx, p.rgb_box.cy)
+                     for p in pairs], dtype=float).reshape(-1, 4)
+    return PairCenters(*np.ascontiguousarray(cols.T))
+
+
+def _total(values) -> float:
+    """ordered_sum of a float array: np.cumsum adds left to right, and
+    + 0.0 turns an all -0.0 total into 0.0, as ordered_sum's 0.0 start
+    does."""
+    return float(np.cumsum(values)[-1]) + 0.0
 
 
 def pair_loss(params: SimDetectorParams, pairs) -> float:
-    """Mean squared center error of the decoupled RGB head over label pairs.
+    """Mean squared center error of the decoupled RGB head over label pairs
+    (LabelPairs or their PairCenters).
 
     The head predicts each object's RGB position as its reference center
     plus the current offset belief.
     """
-    if not pairs:
+    c = pair_centers(pairs)
+    if not len(c):
         return 0.0
     dx, dy = params.offset_estimate
-    acc = 0.0
-    for p in pairs:
-        ex = p.ir_box.cx + dx - p.rgb_box.cx
-        ey = p.ir_box.cy + dy - p.rgb_box.cy
-        acc += ex * ex + ey * ey
-    return acc / len(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = c.ir_cx + dx - c.rgb_cx
+        ey = c.ir_cy + dy - c.rgb_cy
+        return _total(ex * ex + ey * ey) / len(c)
 
 
 def pair_gradient(params: SimDetectorParams, pairs) -> tuple[float, float]:
     """Exact gradient of pair_loss: 2 * mean(prediction - target) per axis."""
-    if not pairs:
+    c = pair_centers(pairs)
+    if not len(c):
         return (0.0, 0.0)
     dx, dy = params.offset_estimate
-    gx = ordered_sum(p.ir_box.cx + dx - p.rgb_box.cx for p in pairs)
-    gy = ordered_sum(p.ir_box.cy + dy - p.rgb_box.cy for p in pairs)
-    n = len(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = _total(c.ir_cx + dx - c.rgb_cx)
+        gy = _total(c.ir_cy + dy - c.rgb_cy)
+    n = len(c)
     return (2.0 * gx / n, 2.0 * gy / n)
 
 
@@ -304,10 +330,12 @@ def student_step(params: SimDetectorParams, pseudo_labels,
 
 def least_squares_offset(pairs) -> tuple[float, float]:
     """Analytic minimizer of pair_loss: mean(rgb center - reference center)."""
-    if not pairs:
+    c = pair_centers(pairs)
+    if not len(c):
         return (0.0, 0.0)
-    mx = ordered_sum(p.rgb_box.cx - p.ir_box.cx for p in pairs) / len(pairs)
-    my = ordered_sum(p.rgb_box.cy - p.ir_box.cy for p in pairs) / len(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx = _total(c.rgb_cx - c.ir_cx) / len(c)
+        my = _total(c.rgb_cy - c.ir_cy) / len(c)
     return (mx, my)
 
 

@@ -1,7 +1,8 @@
 """Property tests of the fast paths against the code they replaced.
 
 The batched rotated IoU, the pair tables with their vectorized gate, the
-lean Dirichlet draw and the IR detector's one-hot table must give the same
+lean Dirichlet draw, the IR detector's one-hot table, the pair-center
+column sums and the trusted ScoredBox constructor must give the same
 results bit for bit as the scalar loops and numpy forms kept here as
 references.
 """
@@ -28,7 +29,8 @@ from crosspair.records import file_digest
 from crosspair.simulate import (Scene, SceneConfig, SimDetectorParams,
                                 _detect_rng, _perturb_probs, detect,
                                 generate_scenes, least_squares_offset,
-                                pair_gradient)
+                                pair_centers, pair_gradient, pair_loss,
+                                student_step)
 
 
 def reference_match(ir_boxes, rgb_pool, beta=1.0, use_search_region=True):
@@ -439,6 +441,101 @@ class TestOrderedSums:
                  for t in self.TERMS]
         assert least_squares_offset(pairs) == (0.0, 0.0)
         assert pair_gradient(SimDetectorParams(), pairs) == (0.0, 0.0)
+
+
+def reference_pair_loss(params, pairs):
+    """pair_loss as it was before the center columns, verbatim."""
+    if not pairs:
+        return 0.0
+    dx, dy = params.offset_estimate
+    acc = 0.0
+    for p in pairs:
+        ex = p.ir_box.cx + dx - p.rgb_box.cx
+        ey = p.ir_box.cy + dy - p.rgb_box.cy
+        acc += ex * ex + ey * ey
+    return acc / len(pairs)
+
+
+def reference_pair_gradient(params, pairs):
+    """pair_gradient as it was before the center columns, verbatim."""
+    if not pairs:
+        return (0.0, 0.0)
+    dx, dy = params.offset_estimate
+    gx = ordered_sum(p.ir_box.cx + dx - p.rgb_box.cx for p in pairs)
+    gy = ordered_sum(p.ir_box.cy + dy - p.rgb_box.cy for p in pairs)
+    n = len(pairs)
+    return (2.0 * gx / n, 2.0 * gy / n)
+
+
+def reference_least_squares_offset(pairs):
+    """least_squares_offset as it was before the center columns, verbatim."""
+    if not pairs:
+        return (0.0, 0.0)
+    mx = ordered_sum(p.rgb_box.cx - p.ir_box.cx for p in pairs) / len(pairs)
+    my = ordered_sum(p.rgb_box.cy - p.ir_box.cy for p in pairs) / len(pairs)
+    return (mx, my)
+
+
+# signed zeros, integers (records keep them) and far-apart magnitudes, so
+# that the order of the additions shows in the last bits
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 0.1]),
+                       st.integers(-50, 50), st.floats(-1e6, 1e6),
+                       st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def label_pairs(draw):
+    pairs = []
+    for i in range(draw(st.integers(0, 40))):
+        ir = OrientedBox(draw(coordinate), draw(coordinate), 4.0, 4.0, 0.0)
+        rgb = OrientedBox(draw(coordinate), draw(coordinate), 4.0, 4.0, 0.0)
+        pairs.append(LabelPair(ir, rgb, i, "matched", 0))
+    return pairs
+
+
+class TestPairColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs(), st.tuples(coordinate, coordinate))
+    def test_equal_per_pair_sums_bit_for_bit(self, pairs, offset):
+        params = SimDetectorParams((float(offset[0]), float(offset[1])))
+        centers = pair_centers(pairs)
+        assert len(centers) == len(pairs)
+        for given_pairs in (pairs, centers):
+            assert _bits([pair_loss(params, given_pairs)]) == _bits(
+                [reference_pair_loss(params, pairs)])
+            assert _bits(pair_gradient(params, given_pairs)) == _bits(
+                reference_pair_gradient(params, pairs))
+            assert _bits(least_squares_offset(given_pairs)) == _bits(
+                reference_least_squares_offset(pairs))
+        stepped = student_step(params, centers, 0.25)
+        assert stepped == student_step(params, pairs, 0.25)
+
+    def test_all_negative_zero_terms_sum_to_positive_zero(self):
+        ir = OrientedBox(-0.0, -0.0, 4.0, 4.0, 0.0)
+        pairs = [LabelPair(ir, OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0), 0,
+                           "matched", 0)] * 3
+        # each term is -0.0 - 0.0 = -0.0; ordered_sum starts from 0.0
+        assert _bits(least_squares_offset(pairs)) == [(0.0).hex()] * 2
+
+    def test_empty(self):
+        assert len(pair_centers([])) == 0
+        assert pair_loss(SimDetectorParams(), pair_centers([])) == 0.0
+        params = SimDetectorParams((1.0, 2.0))
+        assert student_step(params, pair_centers([]), 0.1) is params
+
+
+class TestTrustedScoredBox:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, 0.125]),
+                    min_size=1, max_size=8).filter(
+                        lambda ps: ordered_sum(ps) <= 1.0))
+    def test_equals_validated_box(self, probs):
+        box = OrientedBox(1.0, 2.0, 3.0, 4.0, 0.5)
+        want = ScoredBox(box, tuple(probs), 7)
+        got = ScoredBox.trusted(box, tuple(probs), 7)
+        assert got == want
+        assert (got.score.hex(), got.class_id) == (want.score.hex(),
+                                                   want.class_id)
 
 
 # Digests of `simulate` + `pipeline` outputs recorded with the matcher and
