@@ -11,6 +11,6 @@ from .schedule import (EmaState, Phase, StageConfig, StageState, ema_update,
                        lambda_at, loss_terms_at, phase_of, stage_state)
 from .simulate import (Scene, SceneConfig, SimDetectorParams, detect,
                        generate_scene, generate_scenes, least_squares_offset,
-                       rgb_proposals, student_step)
+                       perturbed_rows, rgb_proposals, student_step)
 
 __version__ = "0.1.0"

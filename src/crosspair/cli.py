@@ -323,14 +323,12 @@ def cmd_pipeline(args):
     write_records(out, recs)
     csv_path = Path(str(out) + ".csv")
     header = ["epoch", "phase", "lambda", "total_loss", "matched_count",
-              "copied_count", "updated_count", "mean_center_error_ir",
-              "mean_center_error_rgb"]
+              "copied_count", "updated_count", "mean_center_error_rgb"]
     rows = []
     for r in report.epochs:
         total = ordered_sum(r.loss_terms.values())
         rows.append([r.epoch, r.phase, r.lam, total, r.matched_count,
-                     r.copied_count, r.updated_count, r.mean_center_error_ir,
-                     r.mean_center_error_rgb])
+                     r.copied_count, r.updated_count, r.mean_center_error_rgb])
     write_csv(csv_path, header, rows)
     bag_path = Path(str(out) + ".bags.jsonl")
     write_records(bag_path, [rec for sid in sorted(report.bags)

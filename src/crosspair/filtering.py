@@ -35,7 +35,11 @@ class ScoredBox:
     class_id: int = field(init=False)
 
     def __post_init__(self):
-        probs = tuple(map(float, self.class_probs))
+        try:
+            probs = tuple(map(float, self.class_probs))
+        except OverflowError:  # an int beyond the float range
+            raise FieldError("class_probs",
+                             "probability out of float range") from None
         object.__setattr__(self, "class_probs", probs)
         # left to right, as np.cumsum adds; the builtin sum() compensates
         # from Python 3.12 on and could judge the bound differently
@@ -56,13 +60,13 @@ class ScoredBox:
         them again: class_probs must be a tuple of floats in [0, 1] that
         add up to at most 1 + PROB_SUM_TOL."""
         self = object.__new__(cls)
-        put = object.__setattr__
-        put(self, "box", box)
-        put(self, "class_probs", class_probs)
-        put(self, "source_id", source_id)
-        score = max(class_probs)
-        put(self, "score", score)
-        put(self, "class_id", class_probs.index(score))
+        # the fields in __init__'s order; frozen only guards __setattr__
+        d = self.__dict__
+        d["box"] = box
+        d["class_probs"] = class_probs
+        d["source_id"] = source_id
+        d["score"] = score = max(class_probs)
+        d["class_id"] = class_probs.index(score)
         return self
 
     @property

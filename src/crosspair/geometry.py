@@ -43,7 +43,11 @@ class OrientedBox:
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "theta"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                raise FieldError(name, f"{name} out of float range") from None
+            if not finite:
                 raise FieldError(name, f"non-finite {name}: {v!r}")
         if self.w <= 0 or self.h <= 0:
             raise FieldError("w" if self.w <= 0 else "h",

@@ -18,7 +18,8 @@ from .filtering import filter_batch
 from .matching import PairTable, match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (Scene, SimDetectorParams, detect, least_squares_offset,
-                       pair_centers, pair_loss, rgb_proposals, student_step)
+                       pair_centers, pair_loss, perturbed_rows, rgb_proposals,
+                       student_step)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class EpochRecord:
     matched_count: int
     copied_count: int
     updated_count: int
-    mean_center_error_ir: float
     mean_center_error_rgb: float
 
 
@@ -72,7 +72,6 @@ class PipelineReport:
             {"epoch": r.epoch, "phase": r.phase, "loss_terms": r.loss_terms,
              "lambda": r.lam, "matched_count": r.matched_count,
              "copied_count": r.copied_count, "updated_count": r.updated_count,
-             "mean_center_error_ir": r.mean_center_error_ir,
              "mean_center_error_rgb": r.mean_center_error_rgb}
             for r in self.epochs
         ]
@@ -122,17 +121,16 @@ def _sup_loss(student, scenes, salt) -> float:
     """Classification cross-entropy of the reference-modality head.
 
     The box term of the supervised loss is identically 0, because IR
-    detections echo the ground truth boxes, so it is left out.
-
-    detect seeds its generator with (scene_id, salt), as rgb_proposals does.
-    run_pipeline passes salt = epoch to both, so in the mutual and stage-2
-    epochs a scene's IR confidence noise here reuses the draws of its RGB
-    proposal noise in the same epoch.
+    detections echo the ground truth boxes, so it is left out. The IR
+    probability rows of all scenes come from one perturbed_rows call, keyed
+    by (scene_id, salt, "ir"): run_pipeline passes salt = epoch, and the
+    RGB proposals of the same epoch draw other noise, keyed by "rgb".
     """
     acc, n = 0.0, 0
-    for scene in scenes:
-        for d, (_, _, cls) in zip(detect(student, scene, "ir", salt),
-                                  scene.ir_gt):
+    rows = perturbed_rows(scenes, "ir", student.confidence_noise, salt)
+    for scene, scene_rows in zip(scenes, rows):
+        dets = detect(student, scene, "ir", salt, rows=scene_rows)
+        for d, (_, _, cls) in zip(dets, scene.ir_gt):
             acc += _cross_entropy(d.class_probs, cls)
             n += 1
     return acc / max(n, 1)
@@ -178,8 +176,11 @@ def _copy_baseline_error(scenes) -> float:
 
 def _filtered_proposals(student, batch, pla: PlaConfig, salt):
     """Teacher proposals of each scene of batch, in batch order, after
-    batch-level score filtering."""
-    pools = [rgb_proposals(student, s, salt) for s in batch]
+    batch-level score filtering; their probability rows come from one
+    perturbed_rows call for the batch."""
+    rows = perturbed_rows(batch, "rgb", student.confidence_noise, salt)
+    pools = [rgb_proposals(student, s, salt, rows=r)
+             for s, r in zip(batch, rows)]
     return filter_pools(pools)[0] if pla.use_plf else pools
 
 
@@ -189,10 +190,10 @@ def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
     so the pair tables of all scenes are built on the first assigning epoch
-    and reused from tables afterwards. The scores are drawn from a generator
-    seeded with (scene_id, epoch), the same seed _sup_loss gives detect, so
-    in stage-2 epochs the RGB proposal noise and the IR detection noise of a
-    scene share their draws.
+    and reused from tables afterwards. The scores carry the keyed noise of
+    perturbed_rows, keyed by (scene_id, epoch, "rgb"), which neither
+    batching nor file order changes and which differs from the IR noise
+    _sup_loss draws in the same epoch.
     """
     matched = copied = updated = 0
     gated = not pla.iou_match_only
@@ -308,7 +309,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         records.append(EpochRecord(
             epoch, phase.value, {k: losses.get(k, 0.0) for k in terms},
             state.lam if phase is Phase.MUTUAL else 1.0,
-            matched, copied, updated, 0.0, rgb_err))
+            matched, copied, updated, rgb_err))
 
     pairs = [p for bag in bags.values() for p in bag.pairs.values()]
     optimum = least_squares_offset(pairs)

@@ -8,6 +8,7 @@ cross-modality offset.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -186,75 +187,152 @@ class SimDetectorParams:
         return np.array(self.offset_estimate, dtype=float)
 
 
-def _perturb_probs(rng, probs, scale):
-    """Mix probs with flat Dirichlet noise by a uniform weight in [0, scale).
+# Keyed detector noise: each uniform is a SplitMix64 hash (Steele, Lea and
+# Flood, OOPSLA 2014) of its key, a counter-based stream in the manner of
+# Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+_MODALITY_CODE = {"ir": 1, "rgb": 2}
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_U64 = (1 << 64) - 1
 
-    Same draws and bits as rng.dirichlet(np.ones(k)) followed by
-    rng.uniform(0.0, scale) and the array arithmetic that mixed and
-    renormalized them, without numpy's per-call overhead on k-element
-    arrays: numpy's Dirichlet with alpha = 1 draws one standard exponential
-    per component, sums them in order and scales by the reciprocal of the
-    sum, and uniform(0, scale) is scale times the next double. The rest is
-    elementwise Python float arithmetic in numpy's order. The normalizing
-    total follows ndarray.sum, which adds in order below 8 elements and
-    pairwise from 8 up. The builtin sum() is not used: from Python 3.12 it
-    adds floats with compensation, which gives other bits.
+
+def _mix(x):
+    """SplitMix64 of a uint64 array: add the golden gamma, then the
+    finalizer. Arithmetic wraps modulo 2**64."""
+    x = x + _GAMMA
+    x = (x ^ (x >> 30)) * _MUL1
+    x = (x ^ (x >> 27)) * _MUL2
+    return x ^ (x >> 31)
+
+
+def _uniform(h):
+    """Doubles in (0, 1) of uint64 hashes: the top 52 bits plus one half,
+    times 2**-52, from 2**-53 to 1 - 2**-53. (With 53 bits, the largest
+    hash would give 2**53 - 0.5, which rounds to 2**53 and so to 1.0.)"""
+    return ((h >> 12).astype(np.float64) + 0.5) * 2.0 ** -52
+
+
+@functools.lru_cache(maxsize=256)
+def _one_hot(k, cls):
+    """The one-hot row of class cls of k; IndexError when cls is not in
+    [-k, k), as indexing a table of the rows would raise."""
+    row = [0.0] * k
+    row[cls] = 1.0
+    return tuple(row)
+
+
+def _clean_rows(scene: Scene, modality: str):
+    """The class probability rows of a scene's boxes before noise."""
+    if modality == "ir":
+        k = scene.class_count
+        return [_one_hot(k, cls) for _, _, cls in scene.ir_gt]
+    return [o.class_probs for o in scene.rgb_obs]
+
+
+def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
+    """Per scene, the class probabilities of its detections in one modality.
+
+    The clean rows are the one-hot classes of scene.ir_gt ("ir") or the
+    class_probs of scene.rgb_obs ("rgb"). A row p of k classes becomes
+    ((1 - m) p + m d) / total: d is a flat Dirichlet draw, the spacings of
+    the sorted uniforms u_1 .. u_(k-1) on [0, 1], m = min(1, scale u_0), and
+    total is the sum of the mixed row, added left to right. Uniform j of box
+    b is a pure function of (scene_id, salt, modality, b, j), a SplitMix64
+    hash in wrapping uint64, so a scene's rows are the same bit for bit alone
+    or in any batch, in any order, and its IR and RGB rows draw apart.
+    Only correctly rounded float operations and a sort touch the uniforms,
+    so the bits do not depend on numpy's SIMD code paths. With scale <= 0
+    the clean rows are returned as they are. Every row is a tuple of floats
+    in [0, 1] that add up to 1 within rounding, as ScoredBox accepts.
     """
+    code = _MODALITY_CODE.get(modality)
+    if code is None:
+        raise ValueError(f"unknown modality: {modality!r}")
+    rows = [_clean_rows(s, modality) for s in scenes]
     if scale <= 0:
-        return probs
-    e = rng.standard_exponential(len(probs)).tolist()
-    acc = 0.0
-    for x in e:
-        acc += x
-    inv = 1.0 / acc
-    mix = min(1.0, scale * rng.random())
-    keep = 1.0 - mix
-    out = [keep * p + mix * (x * inv) for p, x in zip(probs, e)]
-    if len(out) < 8:
-        total = 0.0
-        for v in out:
-            total += v
-    else:
-        total = float(np.array(out).sum())
-    return tuple([v / total for v in out])
+        return rows
+    flat = [row for scene_rows in rows for row in scene_rows]
+    if not flat:
+        return rows
+    counts = np.array([len(scene_rows) for scene_rows in rows])
+    starts = np.cumsum(counts) - counts
+    scene_of = np.repeat(np.arange(len(rows)), counts)
+    box_of = np.arange(len(flat)) - starts[scene_of]
+    scene_key = _mix(_mix(_mix(np.array(
+        [s.scene_id & _U64 for s in scenes], dtype=np.uint64))
+        ^ np.uint64(salt & _U64)) ^ np.uint64(code))
+    box_key = _mix(scene_key[scene_of] ^ box_of.astype(np.uint64))
+    widths = np.array(list(map(len, flat)))
+    for k in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == k)
+        clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
+        noisy = _mixed_rows(clean, box_key[at], scale)
+        for i, row in zip(at.tolist(), map(tuple, noisy.tolist())):
+            flat[i] = row
+    return [flat[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
 
 
-def _detect_rng(scene: Scene, salt: int):
-    return np.random.default_rng(np.random.SeedSequence([scene.scene_id, salt]))
+def _mixed_rows(clean, box_key, scale):
+    """The rows of clean, each mixed with the flat Dirichlet draw and the
+    weight of its box's keyed uniforms and renormalized."""
+    n, k = clean.shape
+    u = _uniform(_mix(box_key[:, None] ^ np.arange(k, dtype=np.uint64)))
+    # fmin: a NaN scale mixes in all noise, as min(1.0, nan) does
+    m = np.fmin(1.0, scale * u[:, :1])
+    edges = np.concatenate([np.zeros((n, 1)), np.sort(u[:, 1:], axis=1),
+                            np.ones((n, 1))], axis=1)
+    mixed = (1.0 - m) * clean + m * (edges[:, 1:] - edges[:, :-1])
+    total = mixed[:, 0].copy()
+    for j in range(1, k):
+        total += mixed[:, j]
+    # a row of zeros whose noise weight underflowed stays zeros
+    total[total == 0.0] = 1.0
+    return mixed / total[:, None]
+
+
+def _rows_for(params, scene, modality, salt, rows, boxes):
+    """rows, one per box of boxes, or the scene's perturbed_rows if None."""
+    if rows is None:
+        return perturbed_rows([scene], modality, params.confidence_noise,
+                              salt)[0]
+    if len(rows) != len(boxes):
+        raise ValueError(f"{len(rows)} probability rows for {len(boxes)} "
+                         f"{modality} boxes of scene {scene.scene_id}")
+    return rows
 
 
 def detect(params: SimDetectorParams, scene: Scene, modality: str,
-           salt: int = 0):
+           salt: int = 0, *, rows=None):
     """Detections for one modality; deterministic given (params, scene, salt).
 
     RGB detections are the observations translated by -offset_estimate
     (the detector reports positions aligned to the reference frame); IR
-    detections echo the ground truth. Both carry confidence perturbation.
+    detections echo the ground truth. Their class probabilities are the
+    scene's perturbed_rows at scale params.confidence_noise, keyed by
+    (scene_id, salt, modality): rows passes them in, as perturbed_rows gave
+    them for this scene, and they are computed for the one scene when it is
+    None.
     """
-    rng = _detect_rng(scene, salt)
-    noise = params.confidence_noise
-    trusted = ScoredBox.trusted
     if modality == "ir":
-        n_classes = scene.class_count
-        one_hot = [tuple([float(j == c) for j in range(n_classes)])
-                   for c in range(n_classes)]
-        return [trusted(box, _perturb_probs(rng, one_hot[cls], noise), ir_id)
-                for ir_id, box, cls in scene.ir_gt]
+        rows = _rows_for(params, scene, modality, salt, rows, scene.ir_gt)
+        return [ScoredBox.trusted(box, p, ir_id)
+                for (ir_id, box, _), p in zip(scene.ir_gt, rows)]
     if modality == "rgb":
+        rows = _rows_for(params, scene, modality, salt, rows, scene.rgb_obs)
         dx, dy = params.offset_estimate
-        return [trusted(o.box.translated(-dx, -dy),
-                        _perturb_probs(rng, o.class_probs, noise), o.source_id)
-                for o in scene.rgb_obs]
+        return [ScoredBox.trusted(o.box.translated(-dx, -dy), p, o.source_id)
+                for o, p in zip(scene.rgb_obs, rows)]
     raise ValueError(f"unknown modality: {modality!r}")
 
 
-def rgb_proposals(params: SimDetectorParams, scene: Scene, salt: int = 0):
-    """Teacher pseudo-label candidates in raw RGB-frame coordinates."""
-    rng = _detect_rng(scene, salt)
-    noise = params.confidence_noise
-    return [ScoredBox.trusted(o.box, _perturb_probs(rng, o.class_probs, noise),
-                              o.source_id)
-            for o in scene.rgb_obs]
+def rgb_proposals(params: SimDetectorParams, scene: Scene, salt: int = 0, *,
+                  rows=None):
+    """Teacher pseudo-label candidates in raw RGB-frame coordinates, with
+    the class probabilities of detect(params, scene, "rgb", salt, rows=rows)."""
+    rows = _rows_for(params, scene, "rgb", salt, rows, scene.rgb_obs)
+    return [ScoredBox.trusted(o.box, p, o.source_id)
+            for o, p in zip(scene.rgb_obs, rows)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspair.correction import (COPIED, MATCHED, LabelBag, bag_records,
                                   init_bag, update_bag)
 from crosspair.filtering import ScoredBox
-from crosspair.geometry import OrientedBox
+from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import MatchResult, match_scene
 
 
@@ -144,3 +146,54 @@ class TestSerialization:
         assert len(recs[0]["ir_box"]) == 5 and len(recs[0]["rgb_box"]) == 5
         b = ir[0][1]
         assert recs[0]["ir_box"] == [b.cx, b.cy, b.w, b.h, b.theta]
+
+
+# ---------------------------------------------------------------------------
+# Invariants of update_bag over random epoch sequences
+
+small_box = st.builds(OrientedBox, st.floats(0, 60), st.floats(0, 60),
+                      st.floats(2, 20), st.floats(2, 20), st.floats(-1.6, 1.6))
+
+
+@st.composite
+def bag_histories(draw):
+    """(ir boxes, candidate pool, [(epoch, MatchResult)]): epochs increase
+    by 1 to 5, and each epoch matches a random subset of the reference
+    boxes to random candidates."""
+    ir = list(enumerate(draw(st.lists(small_box, min_size=1, max_size=5))))
+    pool = [sb(b, j) for j, b in enumerate(
+        draw(st.lists(small_box, min_size=1, max_size=6)))]
+    history, epoch = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 8))):
+        pairs = []
+        for ir_id, _ in ir:
+            rgb = draw(st.one_of(st.none(),
+                                 st.integers(0, len(pool) - 1)))
+            if rgb is not None:
+                pairs.append((ir_id, rgb, 0.5))
+        history.append((epoch, MatchResult(tuple(pairs), (), ())))
+        epoch += draw(st.integers(1, 5))
+    return ir, pool, history
+
+
+@settings(max_examples=300, deadline=None)
+@given(bag_histories(), st.booleans())
+def test_update_bag_invariants(history, improve_only):
+    ir, pool, epochs = history
+    ir_index = dict(ir)
+    (first, matches), rest = epochs[0], epochs[1:]
+    bag = init_bag(0, ir, matches, pool, first)
+    for epoch, matches in rest:
+        new = update_bag(bag, matches, pool, epoch, improve_only=improve_only)
+        assert new.epoch == epoch
+        assert set(new.pairs) == set(ir_index)
+        for ir_id, p in new.pairs.items():
+            old = bag.pairs[ir_id]
+            assert p.ir_box == ir_index[ir_id]
+            assert old.last_update_epoch <= p.last_update_epoch <= epoch
+            if p.rgb_box != old.rgb_box or p.origin != old.origin:
+                assert p.last_update_epoch == epoch
+            if improve_only:
+                assert iou(p.ir_box, p.rgb_box) >= iou(old.ir_box,
+                                                       old.rgb_box)
+        bag = new

@@ -1,7 +1,7 @@
 """Property tests of the fast paths against the code they replaced.
 
 The batched rotated IoU, the pair tables with their vectorized gate, the
-lean Dirichlet draw, the IR detector's one-hot table, the pair-center
+keyed detector noise, the IR detector's one-hot table, the pair-center
 column sums and the trusted ScoredBox constructor must give the same
 results bit for bit as the scalar loops and numpy forms kept here as
 references.
@@ -26,10 +26,10 @@ from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
                                 pair_tables, search_region)
 from crosspair.metrics import ordered_sum
 from crosspair.records import file_digest
-from crosspair.simulate import (Scene, SceneConfig, SimDetectorParams,
-                                _detect_rng, _perturb_probs, detect,
-                                generate_scenes, least_squares_offset,
-                                pair_centers, pair_gradient, pair_loss,
+from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
+                                SimDetectorParams, detect, generate_scenes,
+                                least_squares_offset, pair_centers,
+                                pair_gradient, pair_loss, perturbed_rows,
                                 student_step)
 
 
@@ -348,58 +348,95 @@ class TestPairTables:
         assert tables(self.OVERFLOW, 1e10, gated=False)
 
 
-def reference_perturb(rng, probs, scale):
-    """_perturb_probs as it was before the lean draw, verbatim."""
+U64 = (1 << 64) - 1
+
+
+def reference_mix(x):
+    """SplitMix64 on a Python int."""
+    x = (x + 0x9E3779B97F4A7C15) & U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & U64
+    return x ^ (x >> 31)
+
+
+def reference_row(scene_id, salt, modality, box, probs, scale):
+    """One row of perturbed_rows, with Python ints and floats, box by box."""
     if scale <= 0:
         return probs
-    noise = rng.dirichlet(np.ones(len(probs)))
-    mix = min(1.0, rng.uniform(0.0, scale))
-    out = (1.0 - mix) * np.asarray(probs) + mix * noise
-    return tuple(float(p) for p in out / out.sum())
+    code = {"ir": 1, "rgb": 2}[modality]
+    key = reference_mix(reference_mix(reference_mix(reference_mix(
+        scene_id & U64) ^ (salt & U64)) ^ code) ^ box)
+    u = [((reference_mix(key ^ j) >> 12) + 0.5) * 2.0 ** -52
+         for j in range(len(probs))]
+    m = min(1.0, scale * u[0])
+    edges = [0.0] + sorted(u[1:]) + [1.0]
+    mixed = [(1.0 - m) * p + m * (b - a)
+             for p, a, b in zip(probs, edges, edges[1:])]
+    total = mixed[0]
+    for v in mixed[1:]:
+        total += v
+    if total == 0.0:
+        total = 1.0
+    return tuple([v / total for v in mixed])
 
 
 def _bits(values):
     return [float(v).hex() for v in values]
 
 
-class TestDraw:
+class TestKeyedNoise:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 12), st.sampled_from([0.05, 0.1, 0.7, 3.0]),
-           st.integers(0, 2**32 - 1), st.data())
-    def test_equals_dirichlet_uniform_reference(self, k, scale, seed, data):
-        probs = tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k,
-                                         max_size=k)))
-        probs = tuple(p + 1e-3 for p in probs)
-        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _perturb_probs(fast, probs, scale)
-        want = reference_perturb(ref, probs, scale)
-        assert all(type(p) is float for p in got)
-        assert _bits(got) == _bits(want)
-        # both consumed the same stream
-        assert fast.random() == ref.random()
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(-2**70, 2**70), st.integers(0, 5)),
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
+                 max_size=4)), max_size=5),
+        st.sampled_from([1e-320, 0.05, 0.1, 0.7, 3.0, math.inf, math.nan]),
+        st.integers(-2**65, 2**65), st.sampled_from(["ir", "rgb"]))
+    def test_equals_scalar_reference(self, spec, scale, salt, modality):
+        scenes_ = []
+        box = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
+        for scene_id, rows in spec:
+            # rows of any lengths, scaled to sum to at most 1
+            rows = [tuple(p / max(1.0, ordered_sum(r)) for p in r)
+                    for r in rows]
+            obs = tuple(ObservedBox(box, r, j) for j, r in enumerate(rows))
+            # ir classes below the class count, the length of rows[0]
+            ir = tuple((j, box, j % len(rows[0])) for j in range(len(rows)))
+            scenes_.append(Scene(scene_id, (64, 64), (0.0, 0.0), ir, obs))
+        got = perturbed_rows(scenes_, modality, scale, salt)
+        for scene, want_rows, got_rows in zip(scenes_, [
+                [d.class_probs for d in detect(
+                    SimDetectorParams(confidence_noise=0.0), s, modality)]
+                for s in scenes_], got):
+            want = [reference_row(scene.scene_id, salt, modality, b, r, scale)
+                    for b, r in enumerate(want_rows)]
+            assert [_bits(r) for r in got_rows] == [_bits(r) for r in want]
+            assert all(type(r) is tuple for r in got_rows)
 
-    def test_zero_scale_is_identity_and_draws_nothing(self):
-        rng = np.random.default_rng(0)
-        probs = (0.5, 0.5)
-        assert _perturb_probs(rng, probs, 0.0) is probs
-        assert rng.random() == np.random.default_rng(0).random()
+    def test_zero_scale_returns_input_rows(self):
+        scenes_ = generate_scenes(SceneConfig(count=3, spurious_rate=0.3,
+                                              seed=2))
+        for scale in (0.0, -1.0):
+            got = perturbed_rows(scenes_, "rgb", scale, 5)
+            assert all(r is o.class_probs for s, rows in zip(scenes_, got)
+                       for o, r in zip(s.rgb_obs, rows))
 
 
 def reference_detect_ir(params, scene, salt=0):
-    """detect(..., "ir") as it was before the one-hot table, verbatim, with
-    the draw it made then."""
-    rng = _detect_rng(scene, salt)
+    """detect(..., "ir") as it was before the one-hot table, with the keyed
+    noise of reference_row in place of the numpy draws it made then."""
     out = []
     n_classes = len(scene.rgb_obs[0].class_probs) if scene.rgb_obs else 5
-    for ir_id, box, cls in scene.ir_gt:
-        probs = np.eye(n_classes)[cls]
-        probs = reference_perturb(rng, tuple(probs), params.confidence_noise)
+    for b, (ir_id, box, cls) in enumerate(scene.ir_gt):
+        probs = tuple(float(p) for p in np.eye(n_classes)[cls])
+        probs = reference_row(scene.scene_id, salt, "ir", b, probs,
+                              params.confidence_noise)
         out.append(ScoredBox(box, probs, ir_id))
     return out
 
 
 class TestDetectIr:
-    # 9 classes take the pairwise branch of the normalizing total
+    # one-hot tables of two sizes
     @pytest.mark.parametrize("classes", [5, 9])
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_equals_eye_reference(self, noise, classes):
@@ -511,11 +548,21 @@ class TestPairColumns:
         assert stepped == student_step(params, pairs, 0.25)
 
     def test_all_negative_zero_terms_sum_to_positive_zero(self):
-        ir = OrientedBox(-0.0, -0.0, 4.0, 4.0, 0.0)
-        pairs = [LabelPair(ir, OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0), 0,
+        ir = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+        pairs = [LabelPair(ir, OrientedBox(-0.0, -0.0, 4.0, 4.0, 0.0), 0,
                            "matched", 0)] * 3
         # each term is -0.0 - 0.0 = -0.0; ordered_sum starts from 0.0
         assert _bits(least_squares_offset(pairs)) == [(0.0).hex()] * 2
+        assert _bits(reference_least_squares_offset(pairs)) == [
+            (0.0).hex()] * 2
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        ir = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+        pairs = pair_centers([LabelPair(ir, ir, 0, "matched", 0)] * 2)
+        # RuntimeWarnings are errors in this suite
+        assert pair_loss(SimDetectorParams((1e200, 0.0)), pairs) == math.inf
+        assert pair_gradient(SimDetectorParams((1e308, 0.0)),
+                             pairs)[0] == math.inf
 
     def test_empty(self):
         assert len(pair_centers([])) == 0
@@ -538,20 +585,21 @@ class TestTrustedScoredBox:
                                                    want.class_id)
 
 
-# Digests of `simulate` + `pipeline` outputs recorded with the matcher and
-# draw this module replaces (Python 3.11, numpy 2.4, x86-64 Linux). Any
+# Digests of `simulate` + `pipeline` outputs (report, csv, bags) recorded
+# with the keyed detector noise of perturbed_rows and without the
+# mean_center_error_ir column (Python 3.11, numpy 2.4, x86-64 Linux). Any
 # change to them is a change to an output byte.
 SIMULATE = ["simulate", "--scenes", "20", "--boxes", "6", "--shift-max", "10",
             "--jitter", "0.5", "--dropout", "0.1", "--spurious", "0.2",
             "--seed", "11"]
 SCHEDULE = ["--k1", "2", "--k2", "2", "--k3", "3", "--k4", "3"]
 RECORDED = [
-    ([], ("2fc0a35e9e16b9d955ea6c3009cf0bb12faab8f5682ea23f4cb66349b02b4728",
-          "944d9a92520e9105e320555388e5a517e126abc0b07605de308a6e1ea82e41e9",
+    ([], ("14674942a3422cce7d25d516852c0f4db30213faa8cf92e8f9dd68403ae99ca8",
+          "5376555e276d23b75c8f8b332e02980d02f5b359fed445a3830e207b1dea1ae5",
           "3906239236d548b0338ea17337b87952bf46a389fab2e64970e11872b3583303")),
     (["--iou-match-only", "--beta", "1.5", "--batch-size", "5"],
-     ("9fcb46ec19e6b1a02594b4bc34b307ccbe167947ca7ff5894c7280a53231512b",
-      "d32b5ea9d851a97e4896f798794930dfddf7687621c1f3d42833ae11dea06f9a",
+     ("2d17755b211d4cfedcc4f99ec7fe4c13689c6d0c401ae1ef8d6509121cf0c552",
+      "b196d9c0c66aca9bcad0cc73d8c560d743a36bdc0f6ff810468090df21758062",
       "3de5f970addc00dcc8381e655f7b5c412f96c9d5b8ef4ff60839f02b0fa8c3de")),
 ]
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosspair import cli
-from crosspair.cli import EXIT_OK, run
+from crosspair.cli import EXIT_DATA, EXIT_OK, run
 from crosspair.filtering import PROB_SUM_TOL
 from crosspair.records import read_records
 
@@ -280,6 +280,9 @@ REJECTED = {
     "list cx": _every("ir_gt", "cx", [1.0]),
     "list ids": _every("ir_gt", "id", [1]),
     "float scene id": lambda rec: rec.update(scene_id=1.5),
+    "cx beyond float range": _first("ir_gt", "cx", 10**400),
+    "prob beyond float range": _first("rgb_obs", "class_probs",
+                                      _row(0.5, 10**400)),
 }
 
 # changes that scene_from_record accepts and the columns take as they are
@@ -326,6 +329,27 @@ def test_one_changed_record(three_chunks, tmp_path, name, chunk):
     assert scalar[0] == ("error" if name in REJECTED else "ok")
     if name in REJECTED:
         assert scalar[2].startswith(f"{path}:{index + 1}: field ")
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+@pytest.mark.parametrize("change,field", [
+    (_first("ir_gt", "cx", 10**400), "ir_gt[0].cx"),
+    (_first("rgb_obs", "w", -10**400), "rgb_obs[0].w"),
+    (_first("rgb_obs", "class_probs", _row(0.5, 10**400)),
+     "rgb_obs[0].class_probs"),
+])
+def test_int_beyond_float_range_is_a_data_error(three_chunks, tmp_path, capsys,
+                                                change, field, columnar):
+    records = json.loads(json.dumps(three_chunks))
+    index = cli.LOAD_CHUNK + 1
+    change(records[index])
+    path = _write(tmp_path / "s.jsonl", records)
+    with mock.patch.object(cli, "scenes_from_records",
+                           cli.scenes_from_records if columnar
+                           else lambda records: None):
+        assert run(["match", "--input", str(path),
+                    "-o", str(tmp_path / "p.jsonl")]) == EXIT_DATA
+    assert f"{path}:{index + 1}: field '{field}': " in capsys.readouterr().err
 
 
 def _bad_cx(records, index):

@@ -6,10 +6,13 @@ import pytest
 from crosspair.correction import COPIED, MATCHED
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox
-from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig, batches,
+from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
+                                _filtered_proposals, _sup_loss, batches,
                                 filter_pools, run_pipeline)
 from crosspair.schedule import StageConfig
-from crosspair.simulate import SceneConfig, generate_scenes, least_squares_offset
+from crosspair.simulate import (SceneConfig, SimDetectorParams,
+                                generate_scenes, least_squares_offset,
+                                perturbed_rows)
 
 SHORT = StageConfig(2, 2, 4, 4)
 
@@ -142,6 +145,27 @@ class TestPipeline:
         assert full.epochs[len(stage1):] == skipped.epochs
         assert full.final_student_offset == skipped.final_student_offset
         assert full.final_teacher_offset == skipped.final_teacher_offset
+
+
+class TestKeyedNoiseWiring:
+    SCENES = generate_scenes(SceneConfig(count=6, spurious_rate=0.3,
+                                         dropout_rate=0.2, seed=3))
+    STUDENT = SimDetectorParams((0.5, -0.5), 0.3)
+
+    def test_proposals_carry_the_rgb_rows_of_their_epoch(self):
+        pools = _filtered_proposals(self.STUDENT, self.SCENES,
+                                    PlaConfig(use_plf=False), salt=4)
+        assert [[c.class_probs for c in pool] for pool in pools] == \
+            perturbed_rows(self.SCENES, "rgb", 0.3, 4)
+
+    def test_sup_loss_reads_the_ir_rows_of_its_epoch(self):
+        acc, n = 0.0, 0
+        for scene, rows in zip(self.SCENES, perturbed_rows(
+                self.SCENES, "ir", 0.3, 4)):
+            for row, (_, _, cls) in zip(rows, scene.ir_gt):
+                acc += -math.log(max(row[cls], 1e-12))
+                n += 1
+        assert _sup_loss(self.STUDENT, self.SCENES, 4) == acc / n
 
 
 class TestBatchFiltering:

@@ -1,14 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspair.correction import LabelPair
+from crosspair.filtering import ScoredBox
 from crosspair.geometry import OrientedBox, corners_of
-from crosspair.simulate import (SPURIOUS, GenerationError, Scene, SceneConfig,
-                                SimDetectorParams, detect, generate_scenes,
-                                least_squares_offset, pair_gradient, pair_loss,
+from crosspair.simulate import (SPURIOUS, GenerationError, ObservedBox, Scene,
+                                SceneConfig, SimDetectorParams, _uniform, detect,
+                                generate_scenes, least_squares_offset,
+                                pair_gradient, pair_loss, perturbed_rows,
                                 rgb_proposals, scene_from_record,
                                 scene_to_record, student_step)
 
@@ -157,6 +162,129 @@ class TestDetect:
     def test_unknown_modality(self):
         with pytest.raises(ValueError):
             detect(SimDetectorParams(), self.scenes[0], "uv")
+
+
+def _scene_pool():
+    """Scenes of 2, 5 and 7 classes, with and without RGB observations,
+    whose ids repeat between the configurations."""
+    pool = []
+    for classes, spurious, dropout in ((2, 0.0, 0.0), (5, 0.4, 0.3),
+                                       (7, 0.0, 1.0)):
+        cfg = SceneConfig(count=4, boxes_per_scene=3, class_count=classes,
+                          spurious_rate=spurious, dropout_rate=dropout,
+                          seed=classes)
+        pool.extend(generate_scenes(cfg))
+    return pool
+
+
+SCENE_POOL = _scene_pool()
+
+
+def _row_bits(rows):
+    return [[p.hex() for p in row] for row in rows]
+
+
+class TestKeyedNoise:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, len(SCENE_POOL) - 1), min_size=1,
+                    max_size=8), st.sampled_from(["ir", "rgb"]),
+           st.sampled_from([0.05, 0.1, 0.9, 4.0]), st.integers(0, 70))
+    def test_scene_rows_do_not_depend_on_the_batch(self, picks, modality,
+                                                   scale, salt):
+        batch = [SCENE_POOL[i] for i in picks]
+        got = perturbed_rows(batch, modality, scale, salt)
+        assert len(got) == len(batch)
+        for scene, rows in zip(batch, got):
+            alone = perturbed_rows([scene], modality, scale, salt)[0]
+            assert _row_bits(rows) == _row_bits(alone)
+
+    def test_ir_and_rgb_rows_draw_apart(self):
+        # noise-free one-hot observations of every IR box, in IR order: the
+        # clean rows of both modalities are the same
+        scenes = generate_scenes(SceneConfig(count=10, confidence_noise=0.0,
+                                             seed=4))
+        ir = perturbed_rows(scenes, "ir", 0.3, 6)
+        rgb = perturbed_rows(scenes, "rgb", 0.3, 6)
+        for scene, ir_rows, rgb_rows in zip(scenes, ir, rgb):
+            assert [o.class_probs for o in scene.rgb_obs] == perturbed_rows(
+                [scene], "ir", 0.0)[0]
+            assert all(a != b for a, b in zip(ir_rows, rgb_rows))
+
+    def test_salt_and_scene_id_change_the_rows(self):
+        scene = SCENE_POOL[5]
+        rows = perturbed_rows([scene], "rgb", 0.5, 1)[0]
+        assert rows != perturbed_rows([scene], "rgb", 0.5, 2)[0]
+        moved = Scene(scene.scene_id + 1, scene.canvas, scene.true_offset,
+                      scene.ir_gt, scene.rgb_obs)
+        assert rows != perturbed_rows([moved], "rgb", 0.5, 1)[0]
+
+    @pytest.mark.parametrize("modality", ["ir", "rgb"])
+    @pytest.mark.parametrize("scale", [1e-320, 0.1, 1.0, 50.0, math.inf,
+                                       math.nan])
+    def test_rows_are_what_a_validated_box_stores(self, modality, scale):
+        box = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perturbed_rows(SCENE_POOL, modality, scale, -3)
+        for scene, rows in zip(SCENE_POOL, got):
+            assert len(rows) == len(scene.ir_gt if modality == "ir"
+                                    else scene.rgb_obs)
+            for row in rows:
+                assert type(row) is tuple
+                assert all(type(p) is float and 0.0 <= p <= 1.0 for p in row)
+                assert _row_bits([ScoredBox(box, row, 0).class_probs]) == \
+                    _row_bits([row])
+
+    def test_zero_rows_with_an_underflowing_weight_stay_zero(self):
+        box = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
+        scene = Scene(2 ** 70, (8, 8), (0.0, 0.0), (),
+                      (ObservedBox(box, (0.0, 0.0, 0.0), 0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = perturbed_rows([scene], "rgb", 5e-324, -1)[0]
+            noisy = perturbed_rows([scene], "rgb", 1e-300, -1)[0]
+        assert rows == [(0.0, 0.0, 0.0)]
+        assert sum(noisy[0]) == pytest.approx(1.0)
+
+    def test_uniforms_lie_strictly_inside_zero_one(self):
+        extremes = np.array([0, 1, 2 ** 11, 2 ** 12 - 1, 2 ** 63,
+                             2 ** 64 - 2 ** 12, 2 ** 64 - 1], dtype=np.uint64)
+        u = _uniform(extremes)
+        assert u.min() == 2.0 ** -53 and u.max() == 1.0 - 2.0 ** -53
+        assert ((u > 0.0) & (u < 1.0)).all()
+        rng = np.random.default_rng(0)
+        u = _uniform(rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64))
+        assert ((u > 0.0) & (u < 1.0)).all()
+        assert abs(u.mean() - 0.5) < 0.01
+
+    def test_flat_dirichlet_moments(self):
+        # the mixed-in noise of a fully noisy row is a flat Dirichlet draw:
+        # mean 1/k and variance (k - 1) / (k^2 (k + 1)) per class
+        scenes = generate_scenes(SceneConfig(count=400, boxes_per_scene=5,
+                                             seed=9))
+        rows = np.array([r for rows in perturbed_rows(scenes, "ir", 1e9, 0)
+                         for r in rows])
+        k = rows.shape[1]
+        assert np.allclose(rows.mean(axis=0), 1.0 / k, atol=0.01)
+        assert np.allclose(rows.var(axis=0), (k - 1) / (k * k * (k + 1)),
+                           rtol=0.1)
+
+    def test_detect_takes_the_rows_of_its_scene(self):
+        params = SimDetectorParams((1.0, -1.0), 0.2)
+        for modality in ("ir", "rgb"):
+            rows = perturbed_rows(SCENE_POOL, modality, 0.2, 9)
+            for scene, scene_rows in zip(SCENE_POOL, rows):
+                assert detect(params, scene, modality, 9, rows=scene_rows) == \
+                    detect(params, scene, modality, 9)
+        rows = perturbed_rows(SCENE_POOL, "rgb", 0.2, 9)
+        for scene, scene_rows in zip(SCENE_POOL, rows):
+            assert rgb_proposals(params, scene, 9, rows=scene_rows) == \
+                rgb_proposals(params, scene, 9)
+        scene = SCENE_POOL[0]
+        with pytest.raises(ValueError, match="probability rows"):
+            detect(params, scene, "ir", rows=[])
+        with pytest.raises(ValueError, match="unknown modality"):
+            perturbed_rows([], "uv", 0.1)
 
 
 def make_pairs(rng, n):
