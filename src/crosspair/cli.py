@@ -31,8 +31,8 @@ from .records import (RecordError, file_digest, read_manifest, read_records,
                       write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
-                       generate_scenes, rgb_proposals, scene_from_record,
-                       scene_to_record, scenes_from_records)
+                       generate_scenes, scene_from_record, scene_to_record,
+                       scenes_from_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,6 +151,10 @@ def _checked(convert, ok, condition):
 _at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
 _at_least_0 = _checked(int, lambda v: v >= 0, "at least 0")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
+_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf,
+                         "finite and at least 0")
+_finite = _checked(float, math.isfinite, "finite")
+_rate = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _decay = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
@@ -160,16 +164,16 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="generate a synthetic scene stream")
     sim.add_argument("--scenes", type=int, default=100)
-    sim.add_argument("--boxes", type=int, default=8)
+    sim.add_argument("--boxes", type=_at_least_0, default=8)
     sim.add_argument("--canvas", type=int, nargs=2, default=[640, 640])
-    sim.add_argument("--shift-max", type=float, default=15.0)
-    sim.add_argument("--jitter", type=float, default=0.0)
-    sim.add_argument("--angle-jitter", type=float, default=0.0)
-    sim.add_argument("--dropout", type=float, default=0.0)
-    sim.add_argument("--spurious", type=float, default=0.0)
+    sim.add_argument("--shift-max", type=_non_negative, default=15.0)
+    sim.add_argument("--jitter", type=_non_negative, default=0.0)
+    sim.add_argument("--angle-jitter", type=_non_negative, default=0.0)
+    sim.add_argument("--dropout", type=_rate, default=0.0)
+    sim.add_argument("--spurious", type=_rate, default=0.0)
     sim.add_argument("--classes", type=_at_least_1, default=5)
-    sim.add_argument("--confidence-noise", type=float, default=0.1)
-    sim.add_argument("--offset", type=float, nargs=2, default=None,
+    sim.add_argument("--confidence-noise", type=_non_negative, default=0.1)
+    sim.add_argument("--offset", type=_finite, nargs=2, default=None,
                      help="force this true offset for every scene")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("-o", "--output", required=True)
@@ -209,13 +213,13 @@ def build_parser() -> _Parser:
     pipe.add_argument("-o", "--output", required=True)
 
     swp = sub.add_parser("sweep-shift", help="position-shift robustness sweep")
-    swp.add_argument("--min", type=float, default=-15.0)
-    swp.add_argument("--max", type=float, default=15.0)
-    swp.add_argument("--step", type=float, default=3.0)
+    swp.add_argument("--min", type=_finite, default=-15.0)
+    swp.add_argument("--max", type=_finite, default=15.0)
+    swp.add_argument("--step", type=_finite, default=3.0)
     swp.add_argument("--scenes", type=_at_least_1, default=30)
-    swp.add_argument("--boxes", type=int, default=8)
+    swp.add_argument("--boxes", type=_at_least_0, default=8)
     swp.add_argument("--beta", type=_positive, default=1.0)
-    swp.add_argument("--jitter", type=float, default=0.0)
+    swp.add_argument("--jitter", type=_non_negative, default=0.0)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("-o", "--output", required=True)
 
@@ -470,7 +474,7 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RecordError, GenerationError, FileNotFoundError, KeyError,
+    except (RecordError, GenerationError, OSError, KeyError,
             ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -7,7 +7,7 @@ whenever a fresh match appears, and leave it untouched otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .filtering import ScoredBox
 from .geometry import OrientedBox, iou

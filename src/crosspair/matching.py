@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import ScoredBox
 from .geometry import (EDGE_EPS, OrientedBox, box_rows, iou, iou_rows,
                        normalize_angle, point_in_obb)
 

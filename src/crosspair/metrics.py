@@ -2,10 +2,9 @@
 oracle correspondence precision/recall for simulated scenes."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .geometry import OrientedBox, iou
+from .geometry import iou
 from .matching import MatchResult
 
 

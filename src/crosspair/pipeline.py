@@ -10,14 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import schedule as sched
-from .correction import COPIED, MATCHED, LabelBag, init_bag, update_bag
+from .correction import MATCHED, LabelBag, init_bag, update_bag
 from .filtering import filter_batch
-from .matching import PairTable, match_scene, pair_tables
+from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
-from .simulate import (Scene, SimDetectorParams, detect, least_squares_offset,
+from .simulate import (SimDetectorParams, detect, least_squares_offset,
                        pair_centers, pair_loss, perturbed_rows, rgb_proposals,
                        student_step)
 
@@ -150,15 +148,29 @@ def _rgb_detect_error(student, scenes) -> float:
     return acc / n if n else 0.0
 
 
-def _bag_rgb_error(bags, scenes) -> float:
-    """Mean distance of bag RGB labels from the true RGB object positions."""
-    acc, n = 0.0, 0
+def _truth_index(scenes):
+    """Per scene id, each IR id -> (the true RGB center of its object, the
+    box of its live RGB partner, or None if dropout removed it)."""
+    index = {}
     for scene in scenes:
-        bag = bags.get(scene.scene_id)
-        if bag is None:
-            continue
+        live = {corr: rgb for rgb, corr in scene.corr_map.items()}
+        boxes = {o.source_id: o.box for o in scene.rgb_obs}
+        dx, dy = scene.true_offset
+        index[scene.scene_id] = {
+            i: ((b.cx + dx, b.cy + dy),
+                boxes[live[i]] if i in live else None)
+            for i, b, _ in scene.ir_gt}
+    return index
+
+
+def _bag_rgb_error(bags, truth) -> float:
+    """Mean distance of bag RGB labels from the true RGB object positions;
+    truth is the _truth_index of the bags' scenes."""
+    acc, n = 0.0, 0
+    for scene_id, bag in bags.items():
+        scene_truth = truth[scene_id]
         for ir_id, pair in bag.pairs.items():
-            tx, ty = scene.true_rgb_center(ir_id)
+            tx, ty = scene_truth[ir_id][0]
             acc += math.hypot(pair.rgb_box.cx - tx, pair.rgb_box.cy - ty)
             n += 1
     return acc / n if n else 0.0
@@ -184,24 +196,19 @@ def _filtered_proposals(student, batch, pla: PlaConfig, salt):
     return filter_pools(pools)[0] if pla.use_plf else pools
 
 
-def _assign_epoch(scenes, student, bags, tables: dict[int, PairTable],
-                  pla: PlaConfig, epoch, batch_size):
+def _assign_epoch(scenes, student, bags, tables, pla: PlaConfig, epoch,
+                  batch_size):
     """Run filter + match + bag maintenance for one epoch; returns counters.
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
-    so the pair tables of all scenes are built on the first assigning epoch
-    and reused from tables afterwards. The scores carry the keyed noise of
+    so with use_sdlm every epoch matches against tables, the pair tables
+    of all scenes by scene id. The scores carry the keyed noise of
     perturbed_rows, keyed by (scene_id, epoch, "rgb"), which neither
     batching nor file order changes and which differs from the IR noise
     _sup_loss draws in the same epoch.
     """
     matched = copied = updated = 0
     gated = not pla.iou_match_only
-    if pla.use_sdlm and not tables:
-        tables.update(zip(
-            (s.scene_id for s in scenes),
-            pair_tables([s.ir_boxes for s in scenes],
-                        [s.rgb_obs for s in scenes], pla.beta, gated)))
     for batch in batches(scenes, batch_size):
         proposals = _filtered_proposals(student, batch, pla, salt=epoch)
         for scene, pool in zip(batch, proposals):
@@ -250,10 +257,13 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
 
     Stage 1 (burn-in and mutual epochs) never moves the student: its offset
     belief, and so the EMA teacher's, stays (0, 0) until stage 2 trains it
-    on the label bags. The mutual epochs' L_unsup is therefore 0, and
-    skip_stage1 changes no later epoch. Stage 1 still makes the proposal,
-    filter and EMA calls of the full schedule, whose counts
-    perfbench/selftest.py pins.
+    on the label bags. The mutual epochs' L_unsup is therefore 0, their
+    RGB error is the initial student's, and skip_stage1 changes no later
+    epoch. Stage 1 still makes the proposal, filter and EMA calls of the
+    full schedule, whose counts perfbench/selftest.py pins.
+
+    The pair tables (with use_sdlm) and the truth index change in no epoch,
+    so they are built, and a table's ValueError raised, before epoch 0.
     """
     if not scenes:
         raise ValueError("empty scene stream")
@@ -266,9 +276,17 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     train = train or TrainConfig()
 
     student = SimDetectorParams()
-    ema = EmaState(student.as_vector(), train.ema_decay, 0)
+    ema = EmaState(student.as_vector(), train.ema_decay)
     bags: dict[int, LabelBag] = {}
-    tables: dict[int, PairTable] = {}
+    tables = {}
+    if pla.use_sdlm:
+        tables = dict(zip(
+            (s.scene_id for s in scenes),
+            pair_tables([s.ir_boxes for s in scenes],
+                        [s.rgb_obs for s in scenes], pla.beta,
+                        not pla.iou_match_only)))
+    truth = _truth_index(scenes)
+    stage1_rgb_err = _rgb_detect_error(student, scenes)
     records = []
 
     for epoch in range(stage_cfg.total):
@@ -304,55 +322,37 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         if not math.isfinite(total):
             raise NumericError(f"non-finite loss at epoch {epoch} ({phase.value})")
 
-        rgb_err = (_bag_rgb_error(bags, scenes) if bags
-                   else _rgb_detect_error(student, scenes))
+        rgb_err = _bag_rgb_error(bags, truth) if bags else stage1_rgb_err
         records.append(EpochRecord(
             epoch, phase.value, {k: losses.get(k, 0.0) for k in terms},
-            state.lam if phase is Phase.MUTUAL else 1.0,
-            matched, copied, updated, rgb_err))
+            state.lam, matched, copied, updated, rgb_err))
 
     pairs = [p for bag in bags.values() for p in bag.pairs.values()]
     optimum = least_squares_offset(pairs)
     corr_correct = corr_total_matched = corr_total = 0
     acc_correct = 0
-    scene_by_id = {s.scene_id: s for s in scenes}
-    for bag in bags.values():
-        scene = scene_by_id[bag.scene_id]
-        live = {corr: rgb for rgb, corr in scene.corr_map.items()}
+    for scene_id, bag in bags.items():
+        partners = truth[scene_id]
         for ir_id, p in bag.pairs.items():
             corr_total += 1
+            partner = partners[ir_id][1]
             if p.origin == MATCHED:
                 corr_total_matched += 1
-                true_rgb = live.get(ir_id)
-                ok = (true_rgb is not None and
-                      _same_box(p.rgb_box, _obs_box(scene, true_rgb)))
+                ok = partner is not None and p.rgb_box == partner
                 corr_correct += ok
                 acc_correct += ok
             else:
-                acc_correct += ir_id not in live
+                acc_correct += partner is None
 
     return PipelineReport(
         tuple(records),
         student.offset_estimate,
         tuple(float(v) for v in ema.teacher_params),
         optimum,
-        _bag_rgb_error(bags, scenes),
+        records[-1].mean_center_error_rgb,
         _copy_baseline_error(scenes),
         corr_correct / corr_total_matched if corr_total_matched else None,
         acc_correct / corr_total if corr_total else 0.0,
         not train.skip_stage1,
         bags,
     )
-
-
-def _obs_box(scene: Scene, rgb_id: int):
-    for o in scene.rgb_obs:
-        if o.source_id == rgb_id:
-            return o.box
-    return None
-
-
-def _same_box(a, b) -> bool:
-    if b is None:
-        return False
-    return (a.cx, a.cy, a.w, a.h, a.theta) == (b.cx, b.cy, b.w, b.h, b.theta)

@@ -7,8 +7,7 @@ training, and decoupled self-tuning.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +108,6 @@ def loss_terms_at(state: StageState) -> dict[str, float]:
 class EmaState:
     teacher_params: np.ndarray
     decay: float = 0.9999
-    step: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.teacher_params, dtype=float)
@@ -127,4 +125,4 @@ def ema_update(ema: EmaState, student_params) -> EmaState:
     if not np.all(np.isfinite(student)):
         raise ValueError("non-finite student parameters")
     new = ema.decay * ema.teacher_params + (1.0 - ema.decay) * student
-    return EmaState(new, ema.decay, ema.step + 1)
+    return EmaState(new, ema.decay)

@@ -15,7 +15,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .correction import LabelPair
 from .filtering import PROB_SUM_TOL, ScoredBox
 from .geometry import FieldError, OrientedBox, normalize_angle
 
@@ -53,13 +52,6 @@ class Scene:
     def corr_map(self) -> dict[int, int]:
         """rgb observation id -> ir id (spurious entries excluded)."""
         return {o.source_id: o.corr_id for o in self.rgb_obs if o.corr_id != SPURIOUS}
-
-    def true_rgb_center(self, ir_id: int) -> tuple[float, float]:
-        """Where the object really sits in the RGB frame (oracle)."""
-        for i, b, _ in self.ir_gt:
-            if i == ir_id:
-                return (b.cx + self.true_offset[0], b.cy + self.true_offset[1])
-        raise KeyError(ir_id)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,19 @@ SHORT = ["--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"]
     ["pipeline", "--steps-per-epoch", "-1"],
     ["simulate", "--classes", "0"],
     ["sweep-shift", "--scenes", "0"],
+    ["simulate", "--dropout", "2"],
+    ["simulate", "--spurious", "-0.5"],
+    ["simulate", "--boxes", "-3"],
+    ["simulate", "--jitter", "-1"],
+    ["simulate", "--shift-max", "inf"],
+    ["simulate", "--angle-jitter", "-1"],
+    ["simulate", "--confidence-noise", "nan"],
+    ["simulate", "--offset", "0", "nan"],
+    ["sweep-shift", "--max", "inf"],
+    ["sweep-shift", "--min", "nan"],
+    ["sweep-shift", "--step", "nan"],
+    ["sweep-shift", "--jitter", "-1"],
+    ["sweep-shift", "--boxes", "-2"],
 ])
 def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
     out = tmp_path / "o.jsonl"
@@ -231,6 +244,21 @@ def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "usage error" in err and argv[1] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
+def test_directory_input_is_data_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.jsonl"
+    rc = invoke(argv + ["--input", str(tmp_path), "-o", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_directory_manifest_is_data_error(tmp_path, capsys):
+    assert invoke(["verify", str(tmp_path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_scenes_without_rgb_load(tmp_path):

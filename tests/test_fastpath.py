@@ -601,6 +601,28 @@ RECORDED = [
      ("2d17755b211d4cfedcc4f99ec7fe4c13689c6d0c401ae1ef8d6509121cf0c552",
       "b196d9c0c66aca9bcad0cc73d8c560d743a36bdc0f6ff810468090df21758062",
       "3de5f970addc00dcc8381e655f7b5c412f96c9d5b8ef4ff60839f02b0fa8c3de")),
+    # recorded before run_pipeline built its pair tables and truth index
+    # ahead of the epoch loop: no stage-1 rows
+    (["--skip-stage1"],
+     ("e20dfb52d825cb35bdfc0a831397de9fd4beb6db89550e6b010c5ce665c7a85e",
+      "e83dbaf214c394874be5a9c45bbe09cfedeaaaf76c985686de4e9531389076f4",
+      "3906239236d548b0338ea17337b87952bf46a389fab2e64970e11872b3583303")),
+    # no pair tables, every label copied
+    (["--no-sdlm"],
+     ("e96dde6be843552fd5771379ef6cf53920b40ced17dd4b883c705465c8ab7120",
+      "15c00de254be23117063d71e5bd55b175d631a240c4ce3bfd851097bf6d206bf",
+      "fe90625e15e2ecd4e17336e1138666ebaff982636ed9b403ea1a8cdae6f2f9ff")),
+    # bags re-initialised every epoch, the run ends in stage 2
+    (["--no-dlc", "--skip-stage3"],
+     ("ee42f6894f712d23fae2ae4897fdff8c88fca56771d7bf8f01e86fbd6d7cc1ef",
+      "52e56cc9cd8e1216b4c0d081e8657381aa377cb718d1200ad910b3dfd4bbe649",
+      "a819e33d2afef446ceffdccffa0729fb51b6b597e31f34fdff219b7d9bc3339e")),
+    # on this input improve-only never keeps an older label, so the digests
+    # are those of the default flags
+    (["--dlc-improve-only"],
+     ("14674942a3422cce7d25d516852c0f4db30213faa8cf92e8f9dd68403ae99ca8",
+      "5376555e276d23b75c8f8b332e02980d02f5b359fed445a3830e207b1dea1ae5",
+      "3906239236d548b0338ea17337b87952bf46a389fab2e64970e11872b3583303")),
 ]
 
 

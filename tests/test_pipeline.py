@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import crosspair.pipeline
 from crosspair.correction import COPIED, MATCHED
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox
@@ -133,6 +135,19 @@ class TestPipeline:
                                              seed=4))
         with pytest.raises(ValueError, match="duplicate scene_id 1"):
             run_pipeline(scenes + [scenes[1]], SHORT)
+
+    def test_duplicate_candidate_ids_rejected(self, monkeypatch):
+        # the pair tables are built, and fail, before the first epoch draws
+        scenes = generate_scenes(SceneConfig(count=3, boxes_per_scene=3,
+                                             seed=4))
+        s = scenes[1]
+        scenes[1] = replace(s, rgb_obs=s.rgb_obs + s.rgb_obs[:1])
+        drawn = []
+        monkeypatch.setattr(crosspair.pipeline, "perturbed_rows",
+                            lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match="duplicate candidate ids"):
+            run_pipeline(scenes, SHORT)
+        assert drawn == []
 
     def test_stage1_never_moves_the_student(self):
         cfg = SceneConfig(count=12, boxes_per_scene=5, shift_max=5.0,
