@@ -163,9 +163,10 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic scene stream")
-    sim.add_argument("--scenes", type=int, default=100)
+    sim.add_argument("--scenes", type=_at_least_0, default=100)
     sim.add_argument("--boxes", type=_at_least_0, default=8)
-    sim.add_argument("--canvas", type=int, nargs=2, default=[640, 640])
+    sim.add_argument("--canvas", type=_at_least_1, nargs=2,
+                     default=[640, 640])
     sim.add_argument("--shift-max", type=_non_negative, default=15.0)
     sim.add_argument("--jitter", type=_non_negative, default=0.0)
     sim.add_argument("--angle-jitter", type=_non_negative, default=0.0)
@@ -175,7 +176,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--confidence-noise", type=_non_negative, default=0.1)
     sim.add_argument("--offset", type=_finite, nargs=2, default=None,
                      help="force this true offset for every scene")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_at_least_0, default=0)
     sim.add_argument("-o", "--output", required=True)
 
     flt = sub.add_parser("filter", help="score-filter RGB observations per batch")
@@ -220,7 +221,7 @@ def build_parser() -> _Parser:
     swp.add_argument("--boxes", type=_at_least_0, default=8)
     swp.add_argument("--beta", type=_positive, default=1.0)
     swp.add_argument("--jitter", type=_non_negative, default=0.0)
-    swp.add_argument("--seed", type=int, default=0)
+    swp.add_argument("--seed", type=_at_least_0, default=0)
     swp.add_argument("-o", "--output", required=True)
 
     ver = sub.add_parser("verify", help="re-run a manifest and compare digests")
@@ -343,19 +344,37 @@ def cmd_pipeline(args):
     return EXIT_OK
 
 
+# most offsets per axis of a sweep-shift grid; the grid has its square
+SWEEP_MAX_POINTS = 1000
+
+
+def _check_sweep_grid(lo, hi, step):
+    """UsageError unless cmd_sweep_shift's grid, from lo to hi + 1e-9 in
+    steps of step, ends and is small: lo <= hi, step > 0, step at least the
+    float spacing at the grid's largest magnitude, so that every addition
+    moves the offset on, and (hi + 1e-9 - lo) / step below
+    SWEEP_MAX_POINTS."""
+    if lo > hi:
+        raise UsageError("--min must be <= --max")
+    if step <= 0:
+        raise UsageError("--step must be positive")
+    end = hi + 1e-9
+    if step < math.ulp(max(abs(lo), abs(end))):
+        raise UsageError(f"--step {step} is below the float spacing at "
+                         f"--min {lo} or --max {hi}")
+    if (end - lo) / step >= SWEEP_MAX_POINTS:
+        raise UsageError(f"sweep grid has more than {SWEEP_MAX_POINTS} "
+                         f"points per axis")
+
+
 def cmd_sweep_shift(args):
     out = _resolve_out(args.output)
-    if args.min > args.max:
-        raise UsageError("--min must be <= --max")
-    if args.step <= 0:
-        raise UsageError("--step must be positive")
+    _check_sweep_grid(args.min, args.max, args.step)
     grid = []
     v = args.min
     while v <= args.max + 1e-9:
         grid.append(round(v, 9))
         v += args.step
-    if not grid:
-        raise UsageError("empty sweep grid")
     params = SimDetectorParams((0.0, 0.0), 0.0)
     rows = []
     for dx in grid:

@@ -15,9 +15,9 @@ from .correction import MATCHED, LabelBag, init_bag, update_bag
 from .filtering import filter_batch
 from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
-from .simulate import (SimDetectorParams, detect, least_squares_offset,
-                       pair_centers, pair_loss, perturbed_rows, rgb_proposals,
-                       student_step)
+from .simulate import (NoiseRows, SimDetectorParams, detect,
+                       least_squares_offset, pair_centers, pair_loss,
+                       rgb_proposals, student_step)
 
 
 @dataclass(frozen=True)
@@ -115,17 +115,18 @@ def _cross_entropy(pred_probs, true_class) -> float:
     return -math.log(p)
 
 
-def _sup_loss(student, scenes, salt) -> float:
+def _sup_loss(student, scenes, ir_noise, salt) -> float:
     """Classification cross-entropy of the reference-modality head.
 
     The box term of the supervised loss is identically 0, because IR
     detections echo the ground truth boxes, so it is left out. The IR
-    probability rows of all scenes come from one perturbed_rows call, keyed
-    by (scene_id, salt, "ir"): run_pipeline passes salt = epoch, and the
-    RGB proposals of the same epoch draw other noise, keyed by "rgb".
+    probability rows of all scenes come from one draw of ir_noise, their
+    "ir" NoiseRows, keyed by (scene_id, salt, "ir"): run_pipeline passes
+    salt = epoch, and the RGB proposals of the same epoch draw other noise,
+    keyed by "rgb".
     """
     acc, n = 0.0, 0
-    rows = perturbed_rows(scenes, "ir", student.confidence_noise, salt)
+    rows = ir_noise.draw(student.confidence_noise, salt)
     for scene, scene_rows in zip(scenes, rows):
         dets = detect(student, scene, "ir", salt, rows=scene_rows)
         for d, (_, _, cls) in zip(dets, scene.ir_gt):
@@ -186,31 +187,42 @@ def _copy_baseline_error(scenes) -> float:
     return acc / n if n else 0.0
 
 
-def _filtered_proposals(student, batch, pla: PlaConfig, salt):
+def _filtered_proposals(student, batch, rows, pla: PlaConfig, salt):
     """Teacher proposals of each scene of batch, in batch order, after
-    batch-level score filtering; their probability rows come from one
-    perturbed_rows call for the batch."""
-    rows = perturbed_rows(batch, "rgb", student.confidence_noise, salt)
+    batch-level score filtering; rows holds each scene's RGB probability
+    rows, aligned with batch."""
     pools = [rgb_proposals(student, s, salt, rows=r)
              for s, r in zip(batch, rows)]
     return filter_pools(pools)[0] if pla.use_plf else pools
 
 
-def _assign_epoch(scenes, student, bags, tables, pla: PlaConfig, epoch,
-                  batch_size):
+def _epoch_proposals(student, scenes, rgb_noise, pla: PlaConfig, epoch,
+                     batch_size):
+    """(batch, its _filtered_proposals) for each of batches(scenes,
+    batch_size); the RGB rows of all scenes come from one draw of
+    rgb_noise, their "rgb" NoiseRows, keyed by (scene_id, epoch, "rgb")."""
+    rows = rgb_noise.draw(student.confidence_noise, epoch)
+    for batch, batch_rows in zip(batches(scenes, batch_size),
+                                 batches(rows, batch_size)):
+        yield batch, _filtered_proposals(student, batch, batch_rows, pla,
+                                         epoch)
+
+
+def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
+                  epoch, batch_size):
     """Run filter + match + bag maintenance for one epoch; returns counters.
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
     so with use_sdlm every epoch matches against tables, the pair tables
     of all scenes by scene id. The scores carry the keyed noise of
-    perturbed_rows, keyed by (scene_id, epoch, "rgb"), which neither
+    _epoch_proposals, keyed by (scene_id, epoch, "rgb"), which neither
     batching nor file order changes and which differs from the IR noise
     _sup_loss draws in the same epoch.
     """
     matched = copied = updated = 0
     gated = not pla.iou_match_only
-    for batch in batches(scenes, batch_size):
-        proposals = _filtered_proposals(student, batch, pla, salt=epoch)
+    for batch, proposals in _epoch_proposals(student, scenes, rgb_noise, pla,
+                                             epoch, batch_size):
         for scene, pool in zip(batch, proposals):
             if pla.use_sdlm:
                 result = match_scene(scene.ir_boxes, pool, pla.beta,
@@ -262,8 +274,12 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     epoch. Stage 1 still makes the proposal, filter and EMA calls of the
     full schedule, whose counts perfbench/selftest.py pins.
 
-    The pair tables (with use_sdlm) and the truth index change in no epoch,
-    so they are built, and a table's ValueError raised, before epoch 0.
+    The pair tables (with use_sdlm), the truth index and the NoiseRows of
+    both modalities change in no epoch, so they are built before epoch 0,
+    the tables first, so that a table's ValueError comes before any noise
+    work. Each epoch then draws the IR rows of all scenes once if it
+    computes the supervised loss and the RGB rows once if it makes
+    proposals.
     """
     if not scenes:
         raise ValueError("empty scene stream")
@@ -286,6 +302,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                         [s.rgb_obs for s in scenes], pla.beta,
                         not pla.iou_match_only)))
     truth = _truth_index(scenes)
+    ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
     stage1_rgb_err = _rgb_detect_error(student, scenes)
     records = []
 
@@ -302,20 +319,23 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         matched = copied = updated = 0
 
         if phase in (Phase.BURN_IN, Phase.MUTUAL):
-            losses[sched.L_SUP] = _sup_loss(student, scenes, epoch)
+            losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise, epoch)
             if phase is Phase.MUTUAL:
-                for batch in batches(scenes, train.batch_size):
-                    _filtered_proposals(student, batch, pla, salt=epoch)
+                for _ in _epoch_proposals(student, scenes, rgb_noise, pla,
+                                          epoch, train.batch_size):
+                    pass
             for _ in range(train.steps_per_epoch):
                 ema = sched.ema_update(ema, student.as_vector())
 
         else:  # STAGE2 / STAGE3
             matched, copied, updated = _assign_epoch(
-                scenes, student, bags, tables, pla, epoch, train.batch_size)
+                scenes, student, bags, tables, rgb_noise, pla, epoch,
+                train.batch_size)
             student, ema, centers = _train_on_bags(student, ema, bags, train)
             losses[sched.L_PAIRED] = pair_loss(student, centers)
             if phase is Phase.STAGE2:
-                losses[sched.L_SUP] = _sup_loss(student, scenes, epoch)
+                losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise,
+                                                epoch)
                 losses[sched.L_UNSUP] = losses[sched.L_PAIRED]
 
         total = sum(terms[k] * losses.get(k, 0.0) for k in terms)

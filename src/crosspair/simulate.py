@@ -237,32 +237,75 @@ def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
     so the bits do not depend on numpy's SIMD code paths. With scale <= 0
     the clean rows are returned as they are. Every row is a tuple of floats
     in [0, 1] that add up to 1 within rounding, as ScoredBox accepts.
+
+    To draw the same scenes many times, build one NoiseRows and call its
+    draw for each (scale, salt).
     """
-    code = _MODALITY_CODE.get(modality)
-    if code is None:
-        raise ValueError(f"unknown modality: {modality!r}")
-    rows = [_clean_rows(s, modality) for s in scenes]
-    if scale <= 0:
-        return rows
-    flat = [row for scene_rows in rows for row in scene_rows]
-    if not flat:
-        return rows
-    counts = np.array([len(scene_rows) for scene_rows in rows])
-    starts = np.cumsum(counts) - counts
-    scene_of = np.repeat(np.arange(len(rows)), counts)
-    box_of = np.arange(len(flat)) - starts[scene_of]
-    scene_key = _mix(_mix(_mix(np.array(
-        [s.scene_id & _U64 for s in scenes], dtype=np.uint64))
-        ^ np.uint64(salt & _U64)) ^ np.uint64(code))
-    box_key = _mix(scene_key[scene_of] ^ box_of.astype(np.uint64))
-    widths = np.array(list(map(len, flat)))
-    for k in np.unique(widths).tolist():
-        at = np.flatnonzero(widths == k)
-        clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
-        noisy = _mixed_rows(clean, box_key[at], scale)
-        for i, row in zip(at.tolist(), map(tuple, noisy.tolist())):
-            flat[i] = row
-    return [flat[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+    return NoiseRows(scenes, modality).draw(scale, salt)
+
+
+class NoiseRows:
+    """The keyed noise of fixed scenes in one modality, drawn many times.
+
+    From its first draw at a positive scale on, it holds what no draw
+    changes: the clean rows as float64 arrays grouped by class count, each
+    box's scene and box index, and each scene's base key. draw(scale, salt)
+    returns what perturbed_rows(scenes, modality, scale, salt) describes,
+    in new lists on every call.
+    """
+    __slots__ = ("_scenes", "_modality", "_arrays")
+
+    def __init__(self, scenes, modality: str):
+        if modality not in _MODALITY_CODE:
+            raise ValueError(f"unknown modality: {modality!r}")
+        self._scenes = tuple(scenes)
+        self._modality = modality
+        self._arrays = None
+
+    def draw(self, scale: float, salt: int = 0):
+        if scale <= 0:
+            return [_clean_rows(s, self._modality) for s in self._scenes]
+        if self._arrays is None:
+            self._arrays = self._columns()
+        base, groups, order, bounds = self._arrays
+        if not groups:
+            return [[] for _ in bounds]
+        scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
+                         ^ np.uint64(_MODALITY_CODE[self._modality]))
+        flat = []
+        for clean, scene_of, box_of in groups:
+            noisy = _mixed_rows(clean, _mix(scene_key[scene_of] ^ box_of),
+                                scale)
+            flat += map(tuple, noisy.tolist())
+        if order is not None:
+            flat = [flat[i] for i in order]
+        return [flat[a:b] for a, b in bounds]
+
+    def _columns(self):
+        """(base keys, a (clean rows, scene index, box index) group per
+        class count, the order that puts the groups' rows back in box order
+        or None if they are in it, each scene's (start, stop) in that
+        order)."""
+        rows = [_clean_rows(s, self._modality) for s in self._scenes]
+        flat = [row for scene_rows in rows for row in scene_rows]
+        counts = np.array([len(scene_rows) for scene_rows in rows], dtype=int)
+        starts = np.cumsum(counts) - counts
+        bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
+        scene_of = np.repeat(np.arange(len(rows)), counts)
+        box_of = (np.arange(len(flat)) - starts[scene_of]).astype(np.uint64)
+        widths = np.array(list(map(len, flat)), dtype=int)
+        by_width = np.argsort(widths, kind="stable")
+        groups = []
+        for k in np.unique(widths).tolist():
+            at = by_width[widths[by_width] == k]
+            clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
+            groups.append((clean, scene_of[at], box_of[at]))
+        order = None
+        if (by_width != np.arange(len(flat))).any():
+            order = np.argsort(by_width).tolist()
+        base = _mix(np.array([s.scene_id & _U64 for s in self._scenes],
+                             dtype=np.uint64))
+        return base, groups, order, bounds
 
 
 def _mixed_rows(clean, box_key, scale):

@@ -233,6 +233,11 @@ SHORT = ["--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"]
     ["sweep-shift", "--step", "nan"],
     ["sweep-shift", "--jitter", "-1"],
     ["sweep-shift", "--boxes", "-2"],
+    ["simulate", "--scenes", "-1"],
+    ["simulate", "--seed", "-1"],
+    ["sweep-shift", "--seed", "-1"],
+    ["simulate", "--canvas", "0", "0", "--boxes", "0"],
+    ["simulate", "--canvas", "640", "-5"],
 ])
 def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
     out = tmp_path / "o.jsonl"
@@ -328,6 +333,38 @@ class TestSweep:
         rc = invoke(["sweep-shift", "--min", "5", "--max", "-5",
                      "-o", str(tmp_path / "s.csv")])
         assert rc == EXIT_USAGE
+
+    # checked without building the grid: the loop over these would never
+    # end (adding the step stops moving the offset) or ask for ~2e15 points
+    @pytest.mark.parametrize("lo, hi, step", [
+        (1e20, 1e20, 3.0),
+        (-1e9, 1e9, 1e-6),
+        # 2**53 - 2 + 0.75 rounds up to 2**53 - 1, then to 2**53, where
+        # the float spacing is 2 and adding 0.75 no longer moves it
+        (2.0 ** 53 - 2, 2.0 ** 53 + 100, 0.75),
+        (-1e308, 1e308, 1e300),
+        (0.0, 1000.0, 1.0),
+        # the loop runs on to --max + 1e-9
+        (-1e-300, 1e-300, 1e-301),
+    ])
+    def test_grid_check_rejects(self, lo, hi, step):
+        with pytest.raises(cli.UsageError):
+            cli._check_sweep_grid(lo, hi, step)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (-15.0, 15.0, 3.0), (0.0, 999.0, 1.0), (1e20, 1e20, 16384.0),
+        (-1e-3, 1e-3, 1e-5)])
+    def test_grid_check_accepts(self, lo, hi, step):
+        cli._check_sweep_grid(lo, hi, step)
+
+    def test_large_grid_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 2)
+        out = tmp_path / "s.csv"
+        rc = invoke(["sweep-shift", "--min", "-6", "--max", "6", "--step",
+                     "6", "--scenes", "1", "--boxes", "1", "-o", str(out)])
+        assert rc == EXIT_USAGE
+        assert "more than 2 points" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -12,7 +12,7 @@ from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
                                 _filtered_proposals, _sup_loss, batches,
                                 filter_pools, run_pipeline)
 from crosspair.schedule import StageConfig
-from crosspair.simulate import (SceneConfig, SimDetectorParams,
+from crosspair.simulate import (NoiseRows, SceneConfig, SimDetectorParams,
                                 generate_scenes, least_squares_offset,
                                 perturbed_rows)
 
@@ -143,8 +143,7 @@ class TestPipeline:
         s = scenes[1]
         scenes[1] = replace(s, rgb_obs=s.rgb_obs + s.rgb_obs[:1])
         drawn = []
-        monkeypatch.setattr(crosspair.pipeline, "perturbed_rows",
-                            lambda *a: drawn.append(a))
+        monkeypatch.setattr(NoiseRows, "draw", lambda *a: drawn.append(a))
         with pytest.raises(ValueError, match="duplicate candidate ids"):
             run_pipeline(scenes, SHORT)
         assert drawn == []
@@ -168,8 +167,10 @@ class TestKeyedNoiseWiring:
     STUDENT = SimDetectorParams((0.5, -0.5), 0.3)
 
     def test_proposals_carry_the_rgb_rows_of_their_epoch(self):
-        pools = _filtered_proposals(self.STUDENT, self.SCENES,
-                                    PlaConfig(use_plf=False), salt=4)
+        pools = _filtered_proposals(
+            self.STUDENT, self.SCENES,
+            NoiseRows(self.SCENES, "rgb").draw(0.3, 4),
+            PlaConfig(use_plf=False), salt=4)
         assert [[c.class_probs for c in pool] for pool in pools] == \
             perturbed_rows(self.SCENES, "rgb", 0.3, 4)
 
@@ -180,8 +181,33 @@ class TestKeyedNoiseWiring:
             for row, (_, _, cls) in zip(rows, scene.ir_gt):
                 acc += -math.log(max(row[cls], 1e-12))
                 n += 1
-        assert _sup_loss(self.STUDENT, self.SCENES, 4) == acc / n
+        assert _sup_loss(self.STUDENT, self.SCENES,
+                         NoiseRows(self.SCENES, "ir"), 4) == acc / n
 
+
+    def test_default_schedule_draws_each_epoch_once(self, monkeypatch):
+        built, drawn = [], []
+
+        class Recording(NoiseRows):
+            def __init__(self, scenes, modality):
+                super().__init__(scenes, modality)
+                self.modality = modality
+                built.append(modality)
+
+            def draw(self, scale, salt=0):
+                drawn.append((self.modality, salt))
+                return super().draw(scale, salt)
+
+        monkeypatch.setattr(crosspair.pipeline, "NoiseRows", Recording)
+        scenes = generate_scenes(SceneConfig(count=5, boxes_per_scene=3,
+                                             seed=2))
+        run_pipeline(scenes, StageConfig(), PlaConfig(),
+                     TrainConfig(steps_per_epoch=1, batch_size=2))
+        # burn-in 0-19 and mutual 20-29 draw IR, mutual, stage 2 (30-44)
+        # and stage 3 (45-64) draw RGB, stage 2 both
+        assert sorted(built) == ["ir", "rgb"]
+        assert [s for m, s in drawn if m == "ir"] == list(range(45))
+        assert [s for m, s in drawn if m == "rgb"] == list(range(20, 65))
 
 class TestBatchFiltering:
     def test_batches(self):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
 from crosspair.geometry import OrientedBox, corners_of
-from crosspair.simulate import (SPURIOUS, GenerationError, ObservedBox, Scene,
-                                SceneConfig, SimDetectorParams, _uniform, detect,
+from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
+                                ObservedBox, Scene, SceneConfig,
+                                SimDetectorParams, _uniform, detect,
                                 generate_scenes, least_squares_offset,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 rgb_proposals, scene_from_record,
@@ -285,6 +286,62 @@ class TestKeyedNoise:
             detect(params, scene, "ir", rows=[])
         with pytest.raises(ValueError, match="unknown modality"):
             perturbed_rows([], "uv", 0.1)
+
+
+def _plan_pool():
+    """SCENE_POOL plus a scene without RGB observations whose IR class 11
+    makes 12 classes, and two scenes without boxes."""
+    box = OrientedBox(5.0, 5.0, 4.0, 4.0, 0.0)
+    return SCENE_POOL + [
+        Scene(-7, (64, 64), (0.0, 0.0), ((0, box, 11), (1, box, 3)), ()),
+        Scene(2 ** 66, (64, 64), (0.0, 0.0), (), ()),
+        Scene(40, (64, 64), (0.0, 0.0), (), ()),
+    ]
+
+
+PLAN_POOL = _plan_pool()
+SCALES = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324]),
+                   st.floats(0.0, 50.0))
+SALTS = st.integers(-2 ** 65, 2 ** 65)
+
+
+class TestNoiseRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, len(PLAN_POOL) - 1), max_size=10),
+           st.sampled_from(["ir", "rgb"]),
+           st.lists(st.tuples(SCALES, SALTS), min_size=1, max_size=4))
+    def test_draws_equal_each_scene_alone(self, picks, modality, draws):
+        batch = [PLAN_POOL[i] for i in picks]
+        plan = NoiseRows(batch, modality)
+        for scale, salt in draws:
+            got = plan.draw(scale, salt)
+            assert len(got) == len(batch)
+            for scene, rows in zip(batch, got):
+                alone = perturbed_rows([scene], modality, scale, salt)[0]
+                assert type(rows) is list
+                assert _row_bits(rows) == _row_bits(alone)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, len(PLAN_POOL) - 1), min_size=1,
+                    max_size=6),
+           st.sampled_from(["ir", "rgb"]), SCALES, SALTS)
+    def test_mutating_a_draw_leaves_the_next_unchanged(self, picks, modality,
+                                                       scale, salt):
+        plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
+        first = plan.draw(scale, salt)
+        expected = [_row_bits(rows) for rows in first]
+        for rows in first:
+            rows.append((1.0,))
+            rows[0] = (0.5, 0.5)
+            rows.sort()
+        first.append([])
+        first[0] = None
+        assert [_row_bits(rows) for rows in plan.draw(scale, salt)] == \
+            expected
+
+    def test_unknown_modality(self):
+        with pytest.raises(ValueError, match="unknown modality"):
+            NoiseRows(SCENE_POOL, "uv")
 
 
 def make_pairs(rng, n):
