@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 from .correction import bag_records
@@ -26,8 +28,10 @@ from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
 from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
                        filter_pools, run_pipeline)
-from .records import (RecordError, file_digest, read_manifest, read_records,
-                      record_line, write_csv, write_json, write_manifest,
+# read_records is not called here: perfbench/tracer.py patches the name in
+# this module and fails when it is not bound
+from .records import (RecordError, file_digest, iter_records, read_manifest,
+                      read_records, write_csv, write_json, write_manifest,
                       write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
@@ -79,53 +83,86 @@ def _repeated_id(key, ids):
     return None
 
 
-# records per scenes_from_records call: each chunk's record dicts are dropped
-# once its scenes are built, so the file's dicts and scenes never coexist
+# records per scenes_from_records call, and about the scenes per group of
+# filter batches that match takes through pair_tables at once
 LOAD_CHUNK = 64
 
 
-def _load_scenes(path):
-    """Scenes of a record file.
+def _scenes(path, digest=None):
+    """The scenes of a record file, in order, read LOAD_CHUNK records at a
+    time; digest, if given, takes the file's bytes as iter_records reads
+    them.
 
     Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
     within each scene. A bad record fails with a RecordError naming the
-    file, the line and the field.
+    file, the line and the field. The first bad line in the file wins: a
+    line that is not JSON fails only after the records before it are
+    checked.
 
-    Each chunk of LOAD_CHUNK records is checked and built as columns by
-    scenes_from_records. A chunk that it does not vouch for is built record
-    by record with scene_from_record, so the first bad record in the file
-    raises, with the same message either way.
+    Each chunk's record dicts are dropped once its scenes are built, and
+    its scenes before the next chunk is read, so the stream holds one chunk
+    whatever the file's length.
     """
-    records = read_records(path)
+    first_line = {}
+    records = iter_records(path, digest)
+    unread = None
+    while unread is None:
+        chunk = []
+        try:
+            chunk.extend(islice(records, LOAD_CHUNK))
+        except RecordError as exc:  # raised after the records before it
+            unread = exc
+        if not chunk:
+            break
+        scenes = _chunk_scenes(path, chunk, first_line)
+        del chunk
+        yield from scenes
+        del scenes
+    if unread is not None:
+        raise unread
+
+
+def _chunk_scenes(path, chunk, first_line):
+    """Scenes of a chunk of (line number, record) pairs.
+
+    The chunk is checked and built as columns by scenes_from_records. A
+    chunk that it does not vouch for is built record by record with
+    scene_from_record, so the chunk's first bad record raises, with the
+    same message either way. first_line maps the scene ids of earlier
+    chunks to their lines and takes this chunk's.
+    """
+    built = scenes_from_records([rec for _, rec in chunk])
     scenes = []
-    first_index = {}
-    for start in range(0, len(records), LOAD_CHUNK):
-        chunk = records[start:start + LOAD_CHUNK]
-        built = scenes_from_records(chunk)
-        for index, rec in enumerate(chunk, start):
-            if built is not None:
-                scene = built[index - start]
-            else:
-                try:
-                    scene = scene_from_record(rec)
-                    ir_ids = [i for i, _, _ in scene.ir_gt]
-                    obs_ids = [o.source_id for o in scene.rgb_obs]
-                    if (len(set(ir_ids)) != len(ir_ids)
-                            or len(set(obs_ids)) != len(obs_ids)):
-                        raise (_repeated_id("ir_gt", ir_ids)
-                               or _repeated_id("rgb_obs", obs_ids))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise RecordError(path, record_line(path, index),
-                                      _record_fault(exc)) from exc
-            first = first_index.setdefault(scene.scene_id, index)
-            if first != index:
-                raise RecordError(
-                    path, record_line(path, index),
-                    f"field 'scene_id': duplicate value {scene.scene_id} "
-                    f"(first on line {record_line(path, first)})")
-            scenes.append(scene)
-        records[start:start + LOAD_CHUNK] = [None] * len(chunk)
+    for index, (line_no, rec) in enumerate(chunk):
+        if built is not None:
+            scene = built[index]
+        else:
+            try:
+                scene = scene_from_record(rec)
+                ir_ids = [i for i, _, _ in scene.ir_gt]
+                obs_ids = [o.source_id for o in scene.rgb_obs]
+                if (len(set(ir_ids)) != len(ir_ids)
+                        or len(set(obs_ids)) != len(obs_ids)):
+                    raise (_repeated_id("ir_gt", ir_ids)
+                           or _repeated_id("rgb_obs", obs_ids))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordError(path, line_no, _record_fault(exc)) from exc
+        first = first_line.setdefault(scene.scene_id, line_no)
+        if first != line_no:
+            raise RecordError(
+                path, line_no,
+                f"field 'scene_id': duplicate value {scene.scene_id} "
+                f"(first on line {first})")
+        scenes.append(scene)
     return scenes
+
+
+def _lists(items, size):
+    """Consecutive lists of size items of an iterable; the last may be
+    shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def _run_config(args) -> dict:
@@ -254,47 +291,61 @@ def cmd_simulate(args):
 
 def cmd_filter(args):
     out = _resolve_out(args.output)
-    input_digest = file_digest(args.input)
-    scenes = _load_scenes(args.input)
-    records = []
-    for batch in batches(scenes, args.batch_size):
-        kept, thr = filter_pools([s.rgb_obs for s in batch],
-                                 per_class=args.per_class)
-        for s, pool in zip(batch, kept):
-            records.append({
-                "scene_id": s.scene_id,
-                "kept_ids": sorted(o.source_id for o in pool),
-                "batch": {"mu": thr.mu, "sigma": thr.sigma,
-                          "tau": thr.tau, "n": thr.n},
-            })
-    write_records(out, records)
-    write_manifest(out, "filter", _run_config(args), 0, [out], input_digest)
-    print(f"filtered {len(scenes)} scenes to {out}")
+    digest = hashlib.sha256()
+    count = 0
+
+    def records():
+        nonlocal count
+        for batch in _lists(_scenes(args.input, digest), args.batch_size):
+            kept, thr = filter_pools([s.rgb_obs for s in batch],
+                                     per_class=args.per_class)
+            count += len(batch)
+            for s, pool in zip(batch, kept):
+                yield {
+                    "scene_id": s.scene_id,
+                    "kept_ids": sorted(o.source_id for o in pool),
+                    "batch": {"mu": thr.mu, "sigma": thr.sigma,
+                              "tau": thr.tau, "n": thr.n},
+                }
+
+    write_records(out, records())
+    write_manifest(out, "filter", _run_config(args), 0, [out],
+                   digest.hexdigest())
+    print(f"filtered {count} scenes to {out}")
     return EXIT_OK
 
 
 def cmd_match(args):
+    """Filter and match the input a group of whole filter batches at a
+    time, about LOAD_CHUNK scenes, and write each scene's pairs as they are
+    made; the correspondence scores are all that is kept to the end."""
     out = _resolve_out(args.output)
-    input_digest = file_digest(args.input)
-    scenes = _load_scenes(args.input)
-    pools = []
-    for batch in batches(scenes, args.batch_size):
-        batch_pools = [s.rgb_obs for s in batch]
-        pools += batch_pools if args.no_plf else filter_pools(batch_pools)[0]
+    digest = hashlib.sha256()
     gated = not args.iou_match_only
-    tables = pair_tables([s.ir_boxes for s in scenes], pools, args.beta, gated)
-    records, scores = [], []
-    for s, pool, table in zip(scenes, pools, tables):
-        result = match_scene(s.ir_boxes, pool, args.beta,
-                             use_search_region=gated, table=table)
-        scores.append(correspondence_score(result, s))
-        records.append({
-            "scene_id": s.scene_id,
-            "pairs": [[i, j, v] for i, j, v in result.pairs],
-            "unmatched_ir": list(result.unmatched_ir),
-            "unmatched_rgb": list(result.unmatched_rgb),
-        })
-    write_records(out, records)
+    group_size = max(1, LOAD_CHUNK // args.batch_size) * args.batch_size
+    scores = []
+
+    def records():
+        for group in _lists(_scenes(args.input, digest), group_size):
+            pools = []
+            for batch in batches(group, args.batch_size):
+                batch_pools = [s.rgb_obs for s in batch]
+                pools += (batch_pools if args.no_plf
+                          else filter_pools(batch_pools)[0])
+            tables = pair_tables([s.ir_boxes for s in group], pools,
+                                 args.beta, gated)
+            for s, pool, table in zip(group, pools, tables):
+                result = match_scene(s.ir_boxes, pool, args.beta,
+                                     use_search_region=gated, table=table)
+                scores.append(correspondence_score(result, s))
+                yield {
+                    "scene_id": s.scene_id,
+                    "pairs": [[i, j, v] for i, j, v in result.pairs],
+                    "unmatched_ir": list(result.unmatched_ir),
+                    "unmatched_rgb": list(result.unmatched_rgb),
+                }
+
+    write_records(out, records())
     agg = pooled_correspondence(scores)
     stats = {"precision": agg.precision, "recall": agg.recall,
              "correct": agg.correct, "pairs": agg.pair_count,
@@ -302,15 +353,15 @@ def cmd_match(args):
     stats_path = Path(str(out) + ".stats.json")
     write_json(stats_path, stats)
     write_manifest(out, "match", _run_config(args), 0, [out, stats_path],
-                   input_digest)
+                   digest.hexdigest())
     print(json.dumps(stats))
     return EXIT_OK
 
 
 def cmd_pipeline(args):
     out = _resolve_out(args.output)
-    input_digest = file_digest(args.input)
-    scenes = _load_scenes(args.input)
+    digest = hashlib.sha256()
+    scenes = list(_scenes(args.input, digest))
     stage_cfg = StageConfig(args.k1, args.k2, args.k3, args.k4)
     pla = PlaConfig(beta=args.beta, use_plf=not args.no_plf,
                     use_sdlm=not args.no_sdlm, use_dlc=not args.no_dlc,
@@ -339,7 +390,7 @@ def cmd_pipeline(args):
     write_records(bag_path, [rec for sid in sorted(report.bags)
                              for rec in bag_records(report.bags[sid])])
     write_manifest(out, "pipeline", _run_config(args), 0,
-                   [out, csv_path, bag_path], input_digest)
+                   [out, csv_path, bag_path], digest.hexdigest())
     print(json.dumps(report.summary()))
     return EXIT_OK
 
@@ -376,6 +427,9 @@ def cmd_sweep_shift(args):
         grid.append(round(v, 9))
         v += args.step
     params = SimDetectorParams((0.0, 0.0), 0.0)
+    # the IR mAP of a scene depends on its IR ground truth alone, which the
+    # offset of a grid cell does not move
+    ir_map_of = {}
     rows = []
     for dx in grid:
         for dy in grid:
@@ -392,7 +446,9 @@ def cmd_sweep_shift(args):
                 result = match_scene(s.ir_boxes, kept, args.beta, table=table)
                 scores.append(correspondence_score(result, s))
                 gts = [(b, c) for _, b, c in s.ir_gt]
-                ir_maps.append(map_at(detect(params, s, "ir"), gts))
+                if s.ir_gt not in ir_map_of:
+                    ir_map_of[s.ir_gt] = map_at(detect(params, s, "ir"), gts)
+                ir_maps.append(ir_map_of[s.ir_gt])
                 rgb_maps.append(map_at(detect(params, s, "rgb"), gts))
             agg = pooled_correspondence(scores)
             rows.append([dx, dy,

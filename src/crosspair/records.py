@@ -7,6 +7,7 @@ previous file (or none), never a truncated one.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -51,30 +52,55 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def read_records(path):
-    out = []
-    with open(path) as fh:
+class _Hashed(io.RawIOBase):
+    """A raw binary file that adds every byte read from it to a hash."""
+
+    def __init__(self, raw, digest):
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._raw.readinto(buffer)
+        if n:
+            self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self):
+        self._raw.close()
+        super().close()
+
+
+def iter_records(path, digest=None):
+    """(line number, record) of each non-blank line of a record file, in
+    order, read one line at a time.
+
+    A line that is not JSON raises a RecordError naming it only when the
+    reading reaches it. digest: a hashlib object that every byte of the file
+    is added to as it is read, so that once the records are exhausted it
+    holds the hash of the bytes they were parsed from. Lines are split and
+    decoded as open(path) splits and decodes them.
+    """
+    raw = io.FileIO(path)
+    if digest is not None:
+        raw = _Hashed(raw, digest)
+    with io.TextIOWrapper(io.BufferedReader(raw)) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(path, line_no, str(exc)) from exc
-    return out
+            yield line_no, record
 
 
-def record_line(path, index) -> int:
-    """Line number of the index-th (0-based) record that read_records returns."""
-    seen = 0
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                if seen == index:
-                    return line_no
-                seen += 1
-    raise IndexError(f"{path} holds no record {index}")
+def read_records(path):
+    """The records of a record file, as iter_records reads them."""
+    return [record for _, record in iter_records(path)]
 
 
 def write_csv(path, header, rows):

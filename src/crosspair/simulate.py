@@ -16,7 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .filtering import PROB_SUM_TOL, ScoredBox
-from .geometry import FieldError, OrientedBox, normalize_angle
+from .geometry import FieldError, OrientedBox
 
 SPURIOUS = -1
 
@@ -296,7 +296,8 @@ class NoiseRows:
         widths = np.array(list(map(len, flat)), dtype=int)
         by_width = np.argsort(widths, kind="stable")
         groups = []
-        for k in np.unique(widths).tolist():
+        # not np.unique: in numpy 2.x its first call imports numpy.ma
+        for k in sorted(set(widths.tolist())):
             at = by_width[widths[by_width] == k]
             clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
             groups.append((clean, scene_of[at], box_of[at]))
@@ -593,12 +594,16 @@ def _scenes_of_columns(records):
     corr_ids = [o["corr_id"] for o in obs]
 
     scene_of = np.arange(len(records))
-    probs = class_ids = ()
+    probs = class_ids = thetas = ()
     if rows:
         box = _array(rows, "fi", 2)
         if (box is None or not np.isfinite(box).all()
                 or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
             return None
+        # normalize_angle of the column: np.remainder takes fmod and the
+        # divisor's sign as float % does, so the bits are the same
+        thetas = ((box[:, 4] + math.pi / 2.0) % math.pi
+                  - math.pi / 2.0).tolist()
     if ir:
         ids, cls = _array(ir_ids, "i"), _array(classes, "i")
         if ids is None or cls is None:
@@ -626,27 +631,33 @@ def _scenes_of_columns(records):
         class_ids = probs.argmax(axis=1).tolist()
         probs = probs.tolist()
 
+    # Boxes are filled with object.__setattr__, observations through their
+    # instance dicts in __init__'s order, as ScoredBox.trusted does. On
+    # CPython 3.11 reading __dict__ gives an instance a dict of its own,
+    # which slows every later attribute read: a training run reads each
+    # box's fields many times, an observation's a few times per epoch.
     new, put = object.__new__, object.__setattr__
     boxes = []
-    for cx, cy, w, h, theta in rows:
+    for (cx, cy, w, h, _), theta in zip(rows, thetas):
         b = new(OrientedBox)
         put(b, "cx", cx)
         put(b, "cy", cy)
         put(b, "w", w)
         put(b, "h", h)
-        put(b, "theta", normalize_angle(theta))
+        put(b, "theta", theta)
         boxes.append(b)
     gt = list(zip(ir_ids, boxes, classes))
     observed = []
     for b, row, sid, corr, cid in zip(boxes[len(ir):], probs, obs_ids,
                                       corr_ids, class_ids):
         o = new(ObservedBox)
-        put(o, "box", b)
-        put(o, "class_probs", tuple(row))
-        put(o, "source_id", sid)
-        put(o, "corr_id", corr)
-        put(o, "score", row[cid])
-        put(o, "class_id", cid)
+        d = o.__dict__
+        d["box"] = b
+        d["class_probs"] = tuple(row)
+        d["source_id"] = sid
+        d["corr_id"] = corr
+        d["score"] = row[cid]
+        d["class_id"] = cid
         observed.append(o)
 
     scenes = []

@@ -80,6 +80,21 @@ class TestMatch:
         rc = invoke(["match", "--input", str(bad),
                      "-o", str(tmp_path / "o.jsonl")])
         assert rc == EXIT_DATA
+        # the bad record on line 1 comes before the bad JSON on line 2
+        assert (f"{bad}:1: field 'ir_gt': missing"
+                in capsys.readouterr().err)
+
+    def test_pair_table_error_comes_before_a_later_bad_record(
+            self, scene_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "LOAD_CHUNK", 4)
+        lines = scene_file.read_text().splitlines()
+        lines[10] = "not json"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = invoke(["match", "--input", str(bad), "--beta", "1e308",
+                     "--batch-size", "4", "-o", str(tmp_path / "o.jsonl")])
+        assert rc == EXIT_DATA
+        assert "data error: non-finite w: inf" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = invoke(["match", "--input", str(tmp_path / "absent.jsonl"),
@@ -252,6 +267,44 @@ def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
+def test_late_bad_record_leaves_the_previous_output(scene_file, tmp_path,
+                                                   monkeypatch, capsys, argv):
+    # three chunks and groups of four records; the last holds the bad one,
+    # so the lines of the first two are written before it is read
+    monkeypatch.setattr(cli, "LOAD_CHUNK", 4)
+    argv = argv + ["--batch-size", "4"]
+    out = tmp_path / "o.jsonl"
+    assert invoke(argv + ["--input", str(scene_file), "-o", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    lines = scene_file.read_text().splitlines()
+    rec = json.loads(lines[9])
+    rec["rgb_obs"][0]["w"] = -1.0
+    lines[9] = json.dumps(rec)
+    scene_file.write_text("\n".join(lines) + "\n")
+    rc = invoke(argv + ["--input", str(scene_file), "-o", str(out)])
+    assert rc == EXIT_DATA
+    assert f"{scene_file}:10: field 'rgb_obs[0].w':" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+            if p != scene_file} == {
+        name: data for name, data in before.items()
+        if name != scene_file.name}
+
+
+@pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
+def test_input_is_read_once(scene_file, tmp_path, monkeypatch, argv):
+    # the manifest's input digest is taken from the bytes the scenes are
+    # parsed from, not from a second read of the file
+    digests = []
+    monkeypatch.setattr(cli, "file_digest",
+                        lambda path: digests.append(path) or file_digest(path))
+    out = tmp_path / "o.jsonl"
+    assert invoke(argv + ["--input", str(scene_file), "-o", str(out)]) == 0
+    assert digests == []
+    manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+    assert manifest["input_digest"] == file_digest(scene_file)
+
+
+@pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
 def test_directory_input_is_data_error(tmp_path, capsys, argv):
     out = tmp_path / "o.jsonl"
     rc = invoke(argv + ["--input", str(tmp_path), "-o", str(out)])
@@ -328,6 +381,20 @@ class TestSweep:
         rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
         ir_vals = {r[2] for r in rows}
         assert len(ir_vals) == 1
+
+    def test_ir_map_once_per_ir_ground_truth(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "map_at",
+                            lambda preds, gts: calls.append(gts) or 0.5)
+        out = tmp_path / "sweep.csv"
+        assert invoke(["sweep-shift", "--min", "-6", "--max", "6", "--step",
+                       "6", "--scenes", "4", "--boxes", "4",
+                       "-o", str(out)]) == EXIT_OK
+        # the offset moves no IR box: four IR ground truths, and one RGB
+        # mAP per scene of each of the nine cells
+        distinct = {tuple(gts) for gts in calls}
+        assert len(distinct) == 4
+        assert len(calls) == 4 + 9 * 4
 
     def test_empty_grid_usage_error(self, tmp_path):
         rc = invoke(["sweep-shift", "--min", "5", "--max", "-5",

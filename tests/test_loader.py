@@ -1,15 +1,20 @@
 """The columnar scene loader against the per-record loop it stands in for.
 
-cli._load_scenes builds each chunk of records with
+The scene stream cli._scenes builds each chunk of records with
 simulate.scenes_from_records, and record by record with scene_from_record
 when that returns None. With scenes_from_records patched to return None it
 is the per-record loop alone; on any record file the two must give the same
 scenes, value for value and type for type, or the same error.
 """
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import tempfile
+import weakref
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +25,8 @@ from hypothesis import strategies as st
 from crosspair import cli
 from crosspair.cli import EXIT_DATA, EXIT_OK, run
 from crosspair.filtering import PROB_SUM_TOL
-from crosspair.records import read_records
+from crosspair.records import (RecordError, file_digest, iter_records,
+                               read_records)
 
 
 def _flat(value):
@@ -38,13 +44,13 @@ def _flat(value):
 
 
 def _outcome(path, columnar=True, chunk=cli.LOAD_CHUNK):
-    """_load_scenes(path) as flattened scenes, or the error it raises."""
+    """The scenes of cli._scenes(path), flattened, or the error it raises."""
     with mock.patch.object(cli, "LOAD_CHUNK", chunk):
         with mock.patch.object(cli, "scenes_from_records",
                                cli.scenes_from_records if columnar
                                else lambda records: None):
             try:
-                return "ok", _flat(cli._load_scenes(path))
+                return "ok", _flat(list(cli._scenes(path)))
             except Exception as exc:  # any error, as long as both agree
                 return "error", type(exc).__name__, str(exc)
 
@@ -204,6 +210,55 @@ def test_columnar_load_equals_scalar_loop(records, chunk, blank_first):
         path = _write(Path(tmp) / "s.jsonl", records, blank_first)
         assert (_outcome(path, chunk=chunk)
                 == _outcome(path, columnar=False, chunk=chunk))
+
+
+def _command_outcome(path, argv, chunk):
+    """Exit code, standard error and output files but manifests of argv run
+    on path with LOAD_CHUNK patched to chunk."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "LOAD_CHUNK", chunk):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = run(argv + ["--input", str(path),
+                             "-o", str(Path(tmp) / "o.jsonl")])
+        return rc, err.getvalue(), {
+            p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())
+            if not p.name.endswith(".manifest.json")}
+
+
+def test_iter_records_reads_lines_as_open_does(tmp_path):
+    path = tmp_path / "r.jsonl"
+    good = '\n{"a": 1}\r\n\r{"b": 2}\r  \n{"c": "\u00e9"}\n'
+    path.write_bytes((good + 'not json\n{"d": 4}\n').encode())
+    with open(path) as fh:
+        lines = [(n, json.loads(line)) for n, line in enumerate(fh, 1)
+                 if line.strip() and line.strip() != "not json"]
+    records = iter_records(path)
+    # the records before the bad line come out before it raises
+    assert list(islice(records, 3)) == lines[:3]
+    with pytest.raises(RecordError, match=f"^{path}:7: Expecting value"):
+        next(records)
+    path.write_bytes(good.encode())
+    digest = hashlib.sha256()
+    assert list(iter_records(path, digest)) == lines[:3]
+    assert digest.hexdigest() == file_digest(path)
+
+
+# The reference run has a chunk of 10**6: it reads each file whole and
+# filters, tables and matches all of its scenes as one group.
+@settings(max_examples=200, deadline=None)
+@given(record_files(), st.sampled_from([1, 3, 64]),
+       st.sampled_from([1, 5, 16, 100]),
+       st.sampled_from([["filter"], ["match"], ["match", "--no-plf"]]),
+       st.booleans())
+def test_streamed_commands_equal_one_pass(records, chunk, batch, argv,
+                                          blank_first):
+    argv = argv + ["--batch-size", str(batch)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "s.jsonl", records, blank_first)
+        assert (_command_outcome(path, argv, chunk)
+                == _command_outcome(path, argv, 10**6))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +446,52 @@ def test_bad_record_at_chunk_edges(three_chunks, tmp_path, index, corrupt,
     assert fast[2].startswith(f"{path}:{index + 2}: field '{field}':")
 
 
+@pytest.mark.parametrize("chunk,batch", [(1, 16), (3, 5), (64, 5),
+                                         (64, 16), (64, 100)])
+@pytest.mark.parametrize("argv", [["filter"], ["match"]])
+def test_streamed_simulated_file_equals_one_pass(three_chunks, tmp_path, argv,
+                                                 chunk, batch):
+    # spurious candidates make the filter drop some, so a batch split
+    # differently from the one-pass run changes the output
+    path = _write(tmp_path / "s.jsonl", three_chunks)
+    argv = argv + ["--batch-size", str(batch)]
+    outcome = _command_outcome(path, argv, chunk)
+    assert outcome[0] == EXIT_OK
+    assert outcome == _command_outcome(path, argv, 10**6)
+
+
+class _Record(dict):
+    """A record that a weak reference can follow."""
+
+
 def test_chunk_records_are_released(three_chunks, tmp_path):
     path = _write(tmp_path / "s.jsonl", three_chunks)
-    records = read_records(path)
-    seen = []
-    build = cli.scenes_from_records
+    read, seen, held = [], [], []
+    stream, build = cli.iter_records, cli.scenes_from_records
+
+    def tracked(rec):
+        rec = _Record(rec)
+        read.append(weakref.ref(rec))
+        return rec
+
+    def reader(path, digest=None):
+        for line_no, rec in stream(path, digest):
+            yield line_no, tracked(rec)
+
+    def live():
+        return sum(r() is not None for r in read)
 
     def spy(chunk):
-        start = len(seen) * cli.LOAD_CHUNK
-        seen.append(all(r is None for r in records[:start])
-                    and all(r is not None for r in records[start:]))
+        seen.append((len(read), live()))
         return build(chunk)
 
-    with mock.patch.object(cli, "read_records", return_value=records), \
+    with mock.patch.object(cli, "iter_records", reader), \
             mock.patch.object(cli, "scenes_from_records", spy):
-        scenes = cli._load_scenes(path)
-    assert len(scenes) == len(three_chunks)
-    assert seen == [True] * 3
-    assert records == [None] * len(three_chunks)
+        for _ in cli._scenes(path):
+            held.append(live())
+    n, size = len(three_chunks), cli.LOAD_CHUNK
+    # chunk k is built from records k * size on, with no record before it
+    # still held and none after it read; its scenes go out without it
+    assert seen == [(min(n, (k + 1) * size), min(size, n - k * size))
+                    for k in range(3)]
+    assert held == [0] * n
