@@ -72,17 +72,6 @@ def _record_fault(exc) -> str:
     return f"not a scene record: {exc}"
 
 
-def _repeated_id(key, ids):
-    """FieldError for the first of ids that repeats an earlier one, or None."""
-    first = {}
-    for i, ident in enumerate(ids):
-        j = first.setdefault(ident, i)
-        if j != i:
-            return FieldError(f"{key}[{i}].id",
-                              f"duplicate value {ident!r} (first at {key}[{j}])")
-    return None
-
-
 # records per scenes_from_records call, and about the scenes per group of
 # filter batches that match takes through pair_tables at once
 LOAD_CHUNK = 64
@@ -139,12 +128,6 @@ def _chunk_scenes(path, chunk, first_line):
         else:
             try:
                 scene = scene_from_record(rec)
-                ir_ids = [i for i, _, _ in scene.ir_gt]
-                obs_ids = [o.source_id for o in scene.rgb_obs]
-                if (len(set(ir_ids)) != len(ir_ids)
-                        or len(set(obs_ids)) != len(obs_ids)):
-                    raise (_repeated_id("ir_gt", ir_ids)
-                           or _repeated_id("rgb_obs", obs_ids))
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(path, line_no, _record_fault(exc)) from exc
         first = first_line.setdefault(scene.scene_id, line_no)
@@ -157,20 +140,14 @@ def _chunk_scenes(path, chunk, first_line):
     return scenes
 
 
-def _lists(items, size):
-    """Consecutive lists of size items of an iterable; the last may be
-    shorter."""
-    items = iter(items)
-    while chunk := list(islice(items, size)):
-        yield chunk
-
-
 def _run_config(args) -> dict:
-    """The manifest config of a run that reads --input: the parsed arguments
-    with the input made absolute, so verify works from any directory."""
+    """The manifest config of a run: the parsed arguments, with --input, for
+    a command that has one, made absolute so verify works from any
+    directory."""
     config = vars(args).copy()
     config.pop("subcommand", None)
-    config["input"] = os.path.abspath(args.input)
+    if "input" in config:
+        config["input"] = os.path.abspath(args.input)
     return config
 
 
@@ -282,9 +259,7 @@ def cmd_simulate(args):
     cfg = _scene_cfg(args)
     scenes = generate_scenes(cfg)
     write_records(out, [scene_to_record(s) for s in scenes])
-    config = vars(args).copy()
-    config.pop("subcommand", None)
-    write_manifest(out, "simulate", config, args.seed, [out])
+    write_manifest(out, "simulate", _run_config(args), args.seed, [out])
     print(f"wrote {len(scenes)} scenes to {out}")
     return EXIT_OK
 
@@ -296,7 +271,7 @@ def cmd_filter(args):
 
     def records():
         nonlocal count
-        for batch in _lists(_scenes(args.input, digest), args.batch_size):
+        for batch in batches(_scenes(args.input, digest), args.batch_size):
             kept, thr = filter_pools([s.rgb_obs for s in batch],
                                      per_class=args.per_class)
             count += len(batch)
@@ -326,7 +301,7 @@ def cmd_match(args):
     scores = []
 
     def records():
-        for group in _lists(_scenes(args.input, digest), group_size):
+        for group in batches(_scenes(args.input, digest), group_size):
             pools = []
             for batch in batches(group, args.batch_size):
                 batch_pools = [s.rgb_obs for s in batch]
@@ -458,9 +433,7 @@ def cmd_sweep_shift(args):
                          agg.precision if agg.precision is not None else 0.0])
     write_csv(out, ["dx", "dy", "ir_map", "rgb_map",
                     "match_recall", "match_precision"], rows)
-    config = vars(args).copy()
-    config.pop("subcommand", None)
-    write_manifest(out, "sweep-shift", config, args.seed, [out])
+    write_manifest(out, "sweep-shift", _run_config(args), args.seed, [out])
     print(f"wrote {len(rows)} sweep rows to {out}")
     return EXIT_OK
 

@@ -66,28 +66,6 @@ class OrientedBox:
         return OrientedBox(self.cx + dx, self.cy + dy, self.w, self.h, self.theta)
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Counterclockwise-ordered convex polygon."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def area(self) -> float:
-        return abs(shoelace(self.vertices))
-
-    def is_convex(self) -> bool:
-        n = len(self.vertices)
-        if n < 3:
-            return False
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            cx, cy = self.vertices[(i + 2) % n]
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -MERGE_EPS:
-                return False
-        return True
-
-
 def shoelace(vertices) -> float:
     """Signed area; positive for counterclockwise order."""
     n = len(vertices)
@@ -107,14 +85,14 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def corners_of(b: OrientedBox) -> ConvexPolygon:
+def corners_of(b: OrientedBox) -> tuple[tuple[float, float], ...]:
     """The four corners, counterclockwise: center + R(theta) @ (+-w/2, +-h/2)."""
     c, s = math.cos(b.theta), math.sin(b.theta)
     hw, hh = b.w / 2.0, b.h / 2.0
     local = ((hw, hh), (-hw, hh), (-hw, -hh), (hw, -hh))
-    return ConvexPolygon(tuple(
+    return tuple(
         (b.cx + c * x - s * y, b.cy + s * x + c * y) for x, y in local
-    ))
+    )
 
 
 def point_in_obb(p: tuple[float, float], b: OrientedBox) -> bool:
@@ -165,24 +143,26 @@ def _merge_close(vertices):
     return out
 
 
-def intersect_polygon(a: OrientedBox, b: OrientedBox) -> ConvexPolygon:
-    """Convex intersection of two boxes via Sutherland-Hodgman clipping."""
-    verts = list(corners_of(a).vertices)
-    clip = corners_of(b).vertices
+def intersect_polygon(a: OrientedBox,
+                      b: OrientedBox) -> tuple[tuple[float, float], ...]:
+    """Vertices of the convex intersection of two boxes, counterclockwise,
+    via Sutherland-Hodgman clipping."""
+    verts = list(corners_of(a))
+    clip = corners_of(b)
     for i in range(4):
         x1, y1 = clip[i]
         x2, y2 = clip[(i + 1) % 4]
         verts = _clip_halfplane(verts, x1, y1, x2, y2)
         if not verts:
             break
-    return ConvexPolygon(tuple(_merge_close(verts)))
+    return tuple(_merge_close(verts))
 
 
 def intersect_area(a: OrientedBox, b: OrientedBox) -> float:
     poly = intersect_polygon(a, b)
-    if len(poly.vertices) < 3:
+    if len(poly) < 3:
         return 0.0
-    area = abs(shoelace(poly.vertices))
+    area = abs(shoelace(poly))
     if area < AREA_EPS:
         return 0.0
     return min(area, a.area, b.area)
@@ -321,7 +301,7 @@ def raster_iou_oracle(a: OrientedBox, b: OrientedBox, resolution: int = 512) -> 
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
-    pts = corners_of(a).vertices + corners_of(b).vertices
+    pts = corners_of(a) + corners_of(b)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)

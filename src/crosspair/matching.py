@@ -23,12 +23,6 @@ from .geometry import (EDGE_EPS, OrientedBox, box_rows, iou, iou_rows,
 
 
 @dataclass(frozen=True)
-class SearchRegion:
-    region: OrientedBox
-    source_id: int
-
-
-@dataclass(frozen=True)
 class MatchResult:
     pairs: tuple[tuple[int, int, float], ...]  # (ir_id, rgb_id, iou)
     unmatched_ir: tuple[int, ...]
@@ -39,18 +33,19 @@ class MatchResult:
         return {ir_id: (rgb_id, v) for ir_id, rgb_id, v in self.pairs}
 
 
-def search_region(ir: OrientedBox, beta: float, source_id: int = -1) -> SearchRegion:
+def search_region(ir: OrientedBox, beta: float) -> OrientedBox:
+    """The search region of a reference box: the box scaled by beta about
+    its own center and rotation."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    region = OrientedBox(ir.cx, ir.cy, beta * ir.w, beta * ir.h, ir.theta)
-    return SearchRegion(region, source_id)
+    return OrientedBox(ir.cx, ir.cy, beta * ir.w, beta * ir.h, ir.theta)
 
 
 def candidates_for(ir: OrientedBox, rgb_pool, paired, beta: float):
     """Unclaimed candidates whose centers lie in the search region (boundary
     inclusive); input order preserved. The scalar form of pair_tables' gate,
     kept as its reference."""
-    region = search_region(ir, beta).region
+    region = search_region(ir, beta)
     return [
         c for c in rgb_pool
         if c.source_id not in paired and point_in_obb(c.center, region)
@@ -106,7 +101,7 @@ def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
     """mask[k]: the center of candidate chunk.ib[k] lies in the search region
     of reference box chunk.ia[k].
 
-    Bit-identical to point_in_obb(center, search_region(box, beta).region):
+    Bit-identical to point_in_obb(center, search_region(box, beta)):
     the region's w, h and normalized theta, the same scalar
     math.cos/math.sin of that theta and the same elementwise operations,
     over all pairs at once. The operations run in place, because the pair

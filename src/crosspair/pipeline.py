@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import schedule as sched
 from .correction import MATCHED, LabelBag, init_bag, update_bag
@@ -92,10 +93,12 @@ class NumericError(RuntimeError):
 
 
 def batches(items, size):
-    """Consecutive slices of items, size at a time; the last may be shorter."""
+    """An iterator over consecutive lists of size items of an iterable; the
+    last may be shorter."""
     if size < 1:
         raise ValueError(f"batch size must be at least 1, got {size}")
-    return [items[i:i + size] for i in range(0, len(items), size)]
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
 
 
 def filter_pools(pools, per_class: bool = False):

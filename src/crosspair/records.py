@@ -7,7 +7,6 @@ previous file (or none), never a truncated one.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from contextlib import contextmanager
@@ -52,50 +51,32 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-class _Hashed(io.RawIOBase):
-    """A raw binary file that adds every byte read from it to a hash."""
-
-    def __init__(self, raw, digest):
-        self._raw = raw
-        self._digest = digest
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._raw.readinto(buffer)
-        if n:
-            self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self):
-        self._raw.close()
-        super().close()
-
-
 def iter_records(path, digest=None):
     """(line number, record) of each non-blank line of a record file, in
     order, read one line at a time.
 
-    A line that is not JSON raises a RecordError naming it only when the
-    reading reaches it. digest: a hashlib object that every byte of the file
-    is added to as it is read, so that once the records are exhausted it
-    holds the hash of the bytes they were parsed from. Lines are split and
-    decoded as open(path) splits and decodes them.
+    Lines end at LF, CR or CRLF, as open(path) ends them, and each is
+    decoded as UTF-8, the encoding of JSON text. A line that is not UTF-8 or
+    not JSON raises a RecordError naming it only when the reading reaches
+    it. digest: a hashlib object that every byte of the file is added to as
+    it is read, so that once the records are exhausted it holds the hash of
+    the bytes they were parsed from.
     """
-    raw = io.FileIO(path)
-    if digest is not None:
-        raw = _Hashed(raw, digest)
-    with io.TextIOWrapper(io.BufferedReader(raw)) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(path, line_no, str(exc)) from exc
-            yield line_no, record
+    line_no = 0
+    with open(path, "rb") as fh:
+        for piece in fh:
+            if digest is not None:
+                digest.update(piece)
+            for raw in piece.splitlines():
+                line_no += 1
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = json.loads(line)
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise RecordError(path, line_no, str(exc)) from exc
+                yield line_no, record
 
 
 def read_records(path):

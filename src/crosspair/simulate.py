@@ -67,7 +67,6 @@ class SceneConfig:
     class_count: int = 5
     seed: int = 0
     size_range: tuple[float, float] = (8.0, 40.0)
-    min_gap: float | None = None  # default: shift_max + 2*jitter + 1
     confidence_noise: float = 0.1
     offset_override: tuple[float, float] | None = None
 
@@ -103,7 +102,7 @@ def generate_scene(cfg: SceneConfig, index: int) -> Scene:
         offset = (float(cfg.offset_override[0]), float(cfg.offset_override[1]))
     else:
         offset = tuple(float(v) for v in rng.uniform(-cfg.shift_max, cfg.shift_max, 2))
-    gap = cfg.min_gap if cfg.min_gap is not None else cfg.shift_max + 2.0 * cfg.jitter + 1.0
+    gap = cfg.shift_max + 2.0 * cfg.jitter + 1.0
 
     placed = []  # (cx, cy, circumradius)
     ir_gt = []
@@ -493,12 +492,24 @@ def _integer(value, field):
     return value
 
 
+def _repeated_id(key, ids):
+    """FieldError for the first of ids that repeats an earlier one, or None."""
+    first = {}
+    for i, ident in enumerate(ids):
+        j = first.setdefault(ident, i)
+        if j != i:
+            return FieldError(f"{key}[{i}].id",
+                              f"duplicate value {ident!r} (first at {key}[{j}])")
+    return None
+
+
 def scene_from_record(rec: dict) -> Scene:
     """Scene of a record.
 
     A missing or rejected field of an ir_gt or rgb_obs item raises a
     FieldError whose field is its path in the record, e.g. "rgb_obs[3].cx".
-    Scene and item ids must be integers. Every class_probs of a scene must
+    Scene and item ids must be integers, and the ir_gt ids and the rgb_obs
+    ids each unique within the scene. Every class_probs of a scene must
     have the scene's class count of entries, and every ir_gt class must be
     an integer in [0, class count).
     """
@@ -531,6 +542,10 @@ def scene_from_record(rec: dict) -> Scene:
     for i, (_, _, cls) in enumerate(ir_gt):
         if not 0 <= cls < k:
             raise FieldError(f"ir_gt[{i}].class", f"not in [0, {k}): {cls}")
+    repeated = (_repeated_id("ir_gt", [i for i, _, _ in ir_gt])
+                or _repeated_id("rgb_obs", [o.source_id for o in obs]))
+    if repeated is not None:
+        raise repeated
     return scene
 
 
@@ -554,9 +569,8 @@ def _repeats(groups, ids) -> bool:
 
 
 def scenes_from_records(records) -> list[Scene] | None:
-    """The scenes scene_from_record builds of consecutive records, with the
-    duplicate-id checks of a scene's ir_gt and rgb_obs ids, or None when a
-    record is bad or unusual.
+    """The scenes scene_from_record builds of consecutive records, or None
+    when a record is bad or unusual.
 
     The fields of all records are read into numpy columns and checked with
     array masks: finite box fields with w > 0 and h > 0, probabilities in

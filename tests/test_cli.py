@@ -84,6 +84,25 @@ class TestMatch:
         assert (f"{bad}:1: field 'ir_gt': missing"
                 in capsys.readouterr().err)
 
+    def test_bad_byte_names_line(self, scene_file, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        first = scene_file.read_bytes().splitlines()[0]
+        bad.write_bytes(first + b"\n\xff\n")
+        rc = invoke(["match", "--input", str(bad),
+                     "-o", str(tmp_path / "o.jsonl")])
+        assert rc == EXIT_DATA
+        assert (f"{bad}:2: 'utf-8' codec can't decode byte 0xff"
+                in capsys.readouterr().err)
+
+    def test_bad_record_comes_before_a_later_bad_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"scene_id": 0}\n\xff\n')
+        rc = invoke(["match", "--input", str(bad),
+                     "-o", str(tmp_path / "o.jsonl")])
+        assert rc == EXIT_DATA
+        assert (f"{bad}:1: field 'ir_gt': missing"
+                in capsys.readouterr().err)
+
     def test_pair_table_error_comes_before_a_later_bad_record(
             self, scene_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "LOAD_CHUNK", 4)

@@ -113,13 +113,13 @@ class TestMatcher:
         # the corners of every search region sit on its boundary up to
         # rounding, where only the containment slack decides
         corners = [OrientedBox(x, y, 1.0, 1.0, 0.0) for b in irs
-                   for x, y in corners_of(search_region(b, beta).region).vertices]
+                   for x, y in corners_of(search_region(b, beta))]
         pool = [ScoredBox(b, (1.0,), j) for j, b in enumerate(cands + corners)]
         mask = _gate(_Chunk([list(enumerate(irs))], [pool]),
                      beta).reshape(len(irs), len(pool))
         assert mask.shape == (len(irs), len(pool))
         for i, ir_box in enumerate(irs):
-            region = search_region(ir_box, beta).region
+            region = search_region(ir_box, beta)
             assert mask[i].tolist() == [point_in_obb(c.center, region)
                                         for c in pool]
 
@@ -160,7 +160,7 @@ class TestMatcher:
 
 def reference_gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:
     """matching._gate_mask as it was before pair_tables, verbatim."""
-    regions = [search_region(b, beta).region for _, b in ir_boxes]
+    regions = [search_region(b, beta) for _, b in ir_boxes]
 
     def column(values):
         return np.array(values, dtype=float)[:, None]

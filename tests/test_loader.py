@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tempfile
 import weakref
 from itertools import islice
@@ -242,6 +243,24 @@ def test_iter_records_reads_lines_as_open_does(tmp_path):
     path.write_bytes(good.encode())
     digest = hashlib.sha256()
     assert list(iter_records(path, digest)) == lines[:3]
+    assert digest.hexdigest() == file_digest(path)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"],
+                         ids=["LF", "CR", "CRLF"])
+def test_bad_utf8_names_its_line(tmp_path, end):
+    path = tmp_path / "r.jsonl"
+    good = b'{"a": "\xc3\xa9"}' + end
+    path.write_bytes(good + b'{"b": "\xff"}' + end + good)
+    records = iter_records(path)
+    # the record before the bad byte comes out before it raises
+    assert next(records) == (1, {"a": "\u00e9"})
+    with pytest.raises(RecordError, match="^" + re.escape(
+            f"{path}:2: 'utf-8' codec can't decode byte 0xff")):
+        next(records)
+    path.write_bytes(good * 3)
+    digest = hashlib.sha256()
+    assert [n for n, _ in iter_records(path, digest)] == [1, 2, 3]
     assert digest.hexdigest() == file_digest(path)
 
 

@@ -16,16 +16,16 @@ def sb(box, source_id):
 
 class TestSearchRegion:
     def test_identity_scaling(self):
-        r = search_region(OrientedBox(0, 0, 2, 2, 0), 1.0).region
-        assert set(corners_of(r).vertices) == {(1, 1), (-1, 1), (-1, -1), (1, -1)}
+        r = search_region(OrientedBox(0, 0, 2, 2, 0), 1.0)
+        assert set(corners_of(r)) == {(1, 1), (-1, 1), (-1, -1), (1, -1)}
 
     def test_uniform_scaling(self):
-        r = search_region(OrientedBox(0, 0, 2, 2, 0), 2.0).region
-        assert set(corners_of(r).vertices) == {(2, 2), (-2, 2), (-2, -2), (2, -2)}
+        r = search_region(OrientedBox(0, 0, 2, 2, 0), 2.0)
+        assert set(corners_of(r)) == {(2, 2), (-2, 2), (-2, -2), (2, -2)}
 
     def test_copies_center_and_angle(self):
         b = OrientedBox(3, 7, 4, 2, 0.6)
-        r = search_region(b, 1.5).region
+        r = search_region(b, 1.5)
         assert (r.cx, r.cy, r.theta) == (b.cx, b.cy, b.theta)
         assert (r.w, r.h) == (6.0, 3.0)
 
@@ -130,7 +130,7 @@ class TestMatchScene:
                 ir_box = dict(ir)[ir_id]
                 cand = next(c for c in pool if c.source_id == rgb_id)
                 assert point_in_obb(cand.center,
-                                    search_region(ir_box, 2.0).region)
+                                    search_region(ir_box, 2.0))
 
     def test_greedy_replay_oracle(self):
         # independent replay: exhaustive argmax per reference, same order
@@ -148,7 +148,7 @@ class TestMatchScene:
             claimed = set()
             want = []
             for ir_id, ir_box in sorted(ir, key=lambda t: t[0]):
-                region = search_region(ir_box, 1.5).region
+                region = search_region(ir_box, 1.5)
                 best = None
                 for c in pool:
                     if c.source_id in claimed:

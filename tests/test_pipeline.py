@@ -211,8 +211,8 @@ class TestKeyedNoiseWiring:
 
 class TestBatchFiltering:
     def test_batches(self):
-        assert batches(list(range(5)), 2) == [[0, 1], [2, 3], [4]]
-        assert batches([], 3) == []
+        assert list(batches(list(range(5)), 2)) == [[0, 1], [2, 3], [4]]
+        assert list(batches([], 3)) == []
         with pytest.raises(ValueError, match="at least 1"):
             batches([1], 0)
 

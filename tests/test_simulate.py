@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
-from crosspair.geometry import OrientedBox, corners_of
+from crosspair.cli import _record_fault
+from crosspair.geometry import FieldError, OrientedBox, corners_of
 from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
                                 ObservedBox, Scene, SceneConfig,
                                 SimDetectorParams, _uniform, detect,
@@ -37,7 +38,7 @@ class TestGeneration:
             assert len(s.ir_gt) == 6
             for _, box, _ in s.ir_gt:
                 assert box.w >= 4 and box.h >= 4
-                for x, y in corners_of(box).vertices:
+                for x, y in corners_of(box):
                     assert 0 <= x <= W and 0 <= y <= H
 
     def test_offsets_bounded(self):
@@ -119,6 +120,17 @@ class TestRecordRoundtrip:
             rec = scene_to_record(s)
             back = scene_from_record(json.loads(json.dumps(rec)))
             assert back == s
+
+    @pytest.mark.parametrize("key", ["ir_gt", "rgb_obs"])
+    def test_duplicate_id_rejected(self, key):
+        rec = scene_to_record(generate_scenes(SceneConfig(
+            count=1, boxes_per_scene=3, seed=12))[0])
+        rec[key][0]["id"] = rec[key][1]["id"] = 3
+        with pytest.raises(FieldError) as info:
+            scene_from_record(rec)
+        # the message the command line prints for the record's line
+        assert (_record_fault(info.value)
+                == f"field '{key}[1].id': duplicate value 3 (first at {key}[0])")
 
 
 class TestDetect:
