@@ -259,7 +259,7 @@ def cmd_simulate(args):
     cfg = _scene_cfg(args)
     scenes = generate_scenes(cfg)
     write_records(out, [scene_to_record(s) for s in scenes])
-    write_manifest(out, "simulate", _run_config(args), args.seed, [out])
+    write_manifest(out, "simulate", _run_config(args), [out])
     print(f"wrote {len(scenes)} scenes to {out}")
     return EXIT_OK
 
@@ -284,7 +284,7 @@ def cmd_filter(args):
                 }
 
     write_records(out, records())
-    write_manifest(out, "filter", _run_config(args), 0, [out],
+    write_manifest(out, "filter", _run_config(args), [out],
                    digest.hexdigest())
     print(f"filtered {count} scenes to {out}")
     return EXIT_OK
@@ -327,7 +327,7 @@ def cmd_match(args):
              "true_correspondences": agg.true_count}
     stats_path = Path(str(out) + ".stats.json")
     write_json(stats_path, stats)
-    write_manifest(out, "match", _run_config(args), 0, [out, stats_path],
+    write_manifest(out, "match", _run_config(args), [out, stats_path],
                    digest.hexdigest())
     print(json.dumps(stats))
     return EXIT_OK
@@ -364,7 +364,7 @@ def cmd_pipeline(args):
     bag_path = Path(str(out) + ".bags.jsonl")
     write_records(bag_path, [rec for sid in sorted(report.bags)
                              for rec in bag_records(report.bags[sid])])
-    write_manifest(out, "pipeline", _run_config(args), 0,
+    write_manifest(out, "pipeline", _run_config(args),
                    [out, csv_path, bag_path], digest.hexdigest())
     print(json.dumps(report.summary()))
     return EXIT_OK
@@ -433,7 +433,7 @@ def cmd_sweep_shift(args):
                          agg.precision if agg.precision is not None else 0.0])
     write_csv(out, ["dx", "dy", "ir_map", "rgb_map",
                     "match_recall", "match_precision"], rows)
-    write_manifest(out, "sweep-shift", _run_config(args), args.seed, [out])
+    write_manifest(out, "sweep-shift", _run_config(args), [out])
     print(f"wrote {len(rows)} sweep rows to {out}")
     return EXIT_OK
 

@@ -138,16 +138,16 @@ def _sup_loss(student, scenes, ir_noise, salt) -> float:
     return acc / max(n, 1)
 
 
-def _rgb_detect_error(student, scenes) -> float:
-    """Mean distance of aligned RGB detections from their IR partners."""
+def _rgb_detect_error(scenes) -> float:
+    """Mean distance of RGB detections from their IR partners, as seen by
+    the stage-1 student, whose offset belief is (0, 0)."""
     acc, n = 0.0, 0
-    dx, dy = student.offset_estimate
     for scene in scenes:
         centers = {i: b.center for i, b, _ in scene.ir_gt}
         for o in scene.rgb_obs:
             if o.corr_id in centers:
                 cx, cy = centers[o.corr_id]
-                acc += math.hypot(o.box.cx - dx - cx, o.box.cy - dy - cy)
+                acc += math.hypot(o.box.cx - cx, o.box.cy - cy)
                 n += 1
     return acc / n if n else 0.0
 
@@ -216,8 +216,9 @@ def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
     """Run filter + match + bag maintenance for one epoch; returns counters.
 
     Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
-    so with use_sdlm every epoch matches against tables, the pair tables
-    of all scenes by scene id. The scores carry the keyed noise of
+    so every epoch matches against tables, the pair tables of all scenes by
+    scene id. Without use_sdlm the pool matched is empty, so every label is
+    a copy of its IR box. The scores carry the keyed noise of
     _epoch_proposals, keyed by (scene_id, epoch, "rgb"), which neither
     batching nor file order changes and which differs from the IR noise
     _sup_loss draws in the same epoch.
@@ -227,12 +228,9 @@ def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
     for batch, proposals in _epoch_proposals(student, scenes, rgb_noise, pla,
                                              epoch, batch_size):
         for scene, pool in zip(batch, proposals):
-            if pla.use_sdlm:
-                result = match_scene(scene.ir_boxes, pool, pla.beta,
-                                     use_search_region=gated,
-                                     table=tables[scene.scene_id])
-            else:
-                result = match_scene(scene.ir_boxes, [], pla.beta)
+            result = match_scene(scene.ir_boxes, pool if pla.use_sdlm else [],
+                                 pla.beta, use_search_region=gated,
+                                 table=tables[scene.scene_id])
             full_pool = scene.rgb_obs
             if not pla.use_dlc or scene.scene_id not in bags:
                 bags[scene.scene_id] = init_bag(scene.scene_id, scene.ir_boxes,
@@ -277,10 +275,10 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     epoch. Stage 1 still makes the proposal, filter and EMA calls of the
     full schedule, whose counts perfbench/selftest.py pins.
 
-    The pair tables (with use_sdlm), the truth index and the NoiseRows of
-    both modalities change in no epoch, so they are built before epoch 0,
-    the tables first, so that a table's ValueError comes before any noise
-    work. Each epoch then draws the IR rows of all scenes once if it
+    The pair tables (for every flag set), the truth index and the NoiseRows
+    of both modalities change in no epoch, so they are built before epoch
+    0, the tables first, so that a table's ValueError comes before any
+    noise work. Each epoch then draws the IR rows of all scenes once if it
     computes the supervised loss and the RGB rows once if it makes
     proposals.
     """
@@ -297,16 +295,13 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     student = SimDetectorParams()
     ema = EmaState(student.as_vector(), train.ema_decay)
     bags: dict[int, LabelBag] = {}
-    tables = {}
-    if pla.use_sdlm:
-        tables = dict(zip(
-            (s.scene_id for s in scenes),
-            pair_tables([s.ir_boxes for s in scenes],
-                        [s.rgb_obs for s in scenes], pla.beta,
-                        not pla.iou_match_only)))
+    tables = dict(zip(
+        (s.scene_id for s in scenes),
+        pair_tables([s.ir_boxes for s in scenes], [s.rgb_obs for s in scenes],
+                    pla.beta, not pla.iou_match_only)))
     truth = _truth_index(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
-    stage1_rgb_err = _rgb_detect_error(student, scenes)
+    stage1_rgb_err = _rgb_detect_error(scenes)
     records = []
 
     for epoch in range(stage_cfg.total):

@@ -109,10 +109,11 @@ def manifest_path(output_path) -> Path:
     return Path(str(output_path) + ".manifest.json")
 
 
-def write_manifest(output_path, subcommand, config, seed, artifacts,
+def write_manifest(output_path, subcommand, config, artifacts,
                    input_digest=None):
     """Record the resolved run next to its primary output.
 
+    The manifest's seed is config["seed"], or 0 for a run without one.
     artifacts: list of file paths produced by the run; stored with their
     content hashes so a rerun can be verified bit-for-bit. input_digest:
     the file_digest of the run's input file, for runs that read one.
@@ -120,7 +121,7 @@ def write_manifest(output_path, subcommand, config, seed, artifacts,
     manifest = {
         "subcommand": subcommand,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed", 0),
         "artifact_digests": {
             os.path.basename(str(p)): file_digest(p) for p in artifacts
         },

@@ -8,7 +8,6 @@ cross-modality offset.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -204,7 +203,6 @@ def _uniform(h):
     return ((h >> 12).astype(np.float64) + 0.5) * 2.0 ** -52
 
 
-@functools.lru_cache(maxsize=256)
 def _one_hot(k, cls):
     """The one-hot row of class cls of k; IndexError when cls is not in
     [-k, k), as indexing a table of the rows would raise."""

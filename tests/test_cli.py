@@ -372,6 +372,17 @@ class TestPipeline:
                      "-o", str(tmp_path / "r.jsonl")])
         assert rc == EXIT_OK
 
+    def test_no_sdlm_checks_no_search_region(self, scene_file, tmp_path):
+        # a beta whose search regions overflow is never used without SDLM
+        out = tmp_path / "r.jsonl"
+        rc = invoke(["pipeline", "--input", str(scene_file),
+                     "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2",
+                     "--no-sdlm", "--iou-match-only", "--beta", "1e308",
+                     "-o", str(out)])
+        assert rc == EXIT_OK
+        bags = read_records(str(out) + ".bags.jsonl")
+        assert bags and all(r["origin"] == "copied" for r in bags)
+
     def test_skip_flags(self, scene_file, tmp_path):
         out = tmp_path / "r.jsonl"
         rc = invoke(["pipeline", "--input", str(scene_file),

@@ -607,7 +607,7 @@ RECORDED = [
      ("e20dfb52d825cb35bdfc0a831397de9fd4beb6db89550e6b010c5ce665c7a85e",
       "e83dbaf214c394874be5a9c45bbe09cfedeaaaf76c985686de4e9531389076f4",
       "3906239236d548b0338ea17337b87952bf46a389fab2e64970e11872b3583303")),
-    # no pair tables, every label copied
+    # every label copied: the pair tables are built, the pool matched is empty
     (["--no-sdlm"],
      ("e96dde6be843552fd5771379ef6cf53920b40ced17dd4b883c705465c8ab7120",
       "15c00de254be23117063d71e5bd55b175d631a240c4ce3bfd851097bf6d206bf",

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import crosspair.pipeline
 from crosspair.correction import COPIED, MATCHED
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox
+from crosspair.matching import match_scene, pair_tables
 from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
                                 _filtered_proposals, _sup_loss, batches,
                                 filter_pools, run_pipeline)
@@ -118,6 +120,38 @@ class TestPipeline:
             assert all(p.origin == COPIED for p in bag.pairs.values())
         assert report.matched_pair_precision is None
 
+    def test_no_sdlm_matches_an_empty_pool_through_the_tables(
+            self, monkeypatch):
+        calls = []
+
+        def spy(ir_boxes, rgb_pool, *args, **kwargs):
+            calls.append((list(rgb_pool), kwargs.get("table")))
+            return match_scene(ir_boxes, rgb_pool, *args, **kwargs)
+
+        monkeypatch.setattr(crosspair.pipeline, "match_scene", spy)
+        cfg = SceneConfig(count=4, boxes_per_scene=3, shift_max=4.0, seed=9)
+        run(cfg, pla=PlaConfig(use_sdlm=False))
+        assert len(calls) == 4 * (SHORT.k3 + SHORT.k4)
+        assert all(pool == [] and table is not None for pool, table in calls)
+
+    def test_pair_tables_built_once_for_every_flag_set(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return pair_tables(*args, **kwargs)
+
+        monkeypatch.setattr(crosspair.pipeline, "pair_tables", spy)
+        scenes = generate_scenes(SceneConfig(count=3, boxes_per_scene=3,
+                                             seed=4))
+        for plf, sdlm, dlc, iou_only in product([True, False], repeat=4):
+            built.clear()
+            run_pipeline(scenes, StageConfig(1, 1, 1, 1),
+                         PlaConfig(use_plf=plf, use_sdlm=sdlm, use_dlc=dlc,
+                                   iou_match_only=iou_only),
+                         TrainConfig(steps_per_epoch=1))
+            assert len(built) == 1, (plf, sdlm, dlc, iou_only)
+
     def test_deterministic(self):
         cfg = SceneConfig(count=10, boxes_per_scene=5, shift_max=5.0,
                           jitter=0.4, dropout_rate=0.1, seed=10)
@@ -136,8 +170,10 @@ class TestPipeline:
         with pytest.raises(ValueError, match="duplicate scene_id 1"):
             run_pipeline(scenes + [scenes[1]], SHORT)
 
-    def test_duplicate_candidate_ids_rejected(self, monkeypatch):
-        # the pair tables are built, and fail, before the first epoch draws
+    @pytest.mark.parametrize("use_sdlm", [True, False])
+    def test_duplicate_candidate_ids_rejected(self, monkeypatch, use_sdlm):
+        # the pair tables are built, and fail, before the first epoch draws,
+        # whatever the flags
         scenes = generate_scenes(SceneConfig(count=3, boxes_per_scene=3,
                                              seed=4))
         s = scenes[1]
@@ -145,7 +181,7 @@ class TestPipeline:
         drawn = []
         monkeypatch.setattr(NoiseRows, "draw", lambda *a: drawn.append(a))
         with pytest.raises(ValueError, match="duplicate candidate ids"):
-            run_pipeline(scenes, SHORT)
+            run_pipeline(scenes, SHORT, PlaConfig(use_sdlm=use_sdlm))
         assert drawn == []
 
     def test_stage1_never_moves_the_student(self):
