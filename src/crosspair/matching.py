@@ -75,17 +75,16 @@ CHUNK_PAIRS = 2 ** 15
 
 class _Chunk:
     """Consecutive scenes laid out flat: their reference boxes ir as (id,
-    box) with box_rows ir_rows, their candidates cands with center columns
-    cand_x and cand_y, and every (reference, candidate) pair of a scene,
-    scene by scene and reference-major, as index arrays ia into ir and ib
-    into cands."""
+    box) with box_rows ir_rows, their candidates cands with box_rows
+    cand_rows, and every (reference, candidate) pair of a scene, scene by
+    scene and reference-major, as index arrays ia into ir and ib into
+    cands."""
 
     def __init__(self, ir_boxes_list, pools):
         self.ir = [item for ir_boxes in ir_boxes_list for item in ir_boxes]
         self.cands = [c for pool in pools for c in pool]
         self.ir_rows = box_rows([b for _, b in self.ir])
-        self.cand_x = np.array([c.box.cx for c in self.cands], dtype=float)
-        self.cand_y = np.array([c.box.cy for c in self.cands], dtype=float)
+        self.cand_rows = box_rows([c.box for c in self.cands])
         n_ir = np.array([len(b) for b in ir_boxes_list], dtype=np.intp)
         n_cand = np.array([len(p) for p in pools], dtype=np.intp)
         # pairs of reference r: ib runs over its scene's candidates
@@ -114,9 +113,9 @@ def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
     c = np.array([math.cos(t) for t in theta])[ia]
     s = np.array([math.sin(t) for t in theta])[ia]
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        dx = chunk.cand_x[ib]
+        dx = chunk.cand_rows[ib, 0]
         dx -= ir[ia, 0]
-        dy = chunk.cand_y[ib]
+        dy = chunk.cand_rows[ib, 1]
         dy -= ir[ia, 1]
         u = c * dx
         u += s * dy             # u = c * dx + s * dy
@@ -173,8 +172,7 @@ def _chunk_tables(ir_boxes_list, pools, beta, gated):
     if gated:
         mask = _gate(chunk, beta)
         ia, ib = ia[mask], ib[mask]
-    values, scalar = iou_rows(chunk.ir_rows[ia], box_rows(
-        [chunk.cands[j].box for j in ib.tolist()]))
+    values, scalar = iou_rows(chunk.ir_rows[ia], chunk.cand_rows[ib])
     for k in np.flatnonzero(scalar).tolist():
         values[k] = iou(chunk.ir[ia[k]][1], chunk.cands[ib[k]].box)
     hit = values > 0.0

@@ -167,17 +167,25 @@ def _truth_index(scenes):
     return index
 
 
-def _bag_rgb_error(bags, truth) -> float:
-    """Mean distance of bag RGB labels from the true RGB object positions;
-    truth is the _truth_index of the bags' scenes."""
-    acc, n = 0.0, 0
+def _bag_stats(bags, truth, epoch):
+    """(matched, copied, updated, rgb error) of bags after epoch: the
+    counts of MATCHED and COPIED pairs, of MATCHED pairs written in epoch,
+    and the mean distance of the pairs' RGB labels from the true RGB object
+    positions; truth is the _truth_index of the bags' scenes."""
+    matched = copied = updated = 0
+    acc = 0.0
     for scene_id, bag in bags.items():
         scene_truth = truth[scene_id]
         for ir_id, pair in bag.pairs.items():
+            if pair.origin == MATCHED:
+                matched += 1
+                updated += pair.last_update_epoch == epoch
+            else:
+                copied += 1
             tx, ty = scene_truth[ir_id][0]
             acc += math.hypot(pair.rgb_box.cx - tx, pair.rgb_box.cy - ty)
-            n += 1
-    return acc / n if n else 0.0
+    n = matched + copied
+    return matched, copied, updated, acc / n if n else 0.0
 
 
 def _copy_baseline_error(scenes) -> float:
@@ -190,67 +198,46 @@ def _copy_baseline_error(scenes) -> float:
     return acc / n if n else 0.0
 
 
-def _filtered_proposals(student, batch, rows, pla: PlaConfig, salt):
-    """Teacher proposals of each scene of batch, in batch order, after
-    batch-level score filtering; rows holds each scene's RGB probability
-    rows, aligned with batch."""
-    pools = [rgb_proposals(student, s, salt, rows=r)
-             for s, r in zip(batch, rows)]
-    return filter_pools(pools)[0] if pla.use_plf else pools
-
-
-def _epoch_proposals(student, scenes, rgb_noise, pla: PlaConfig, epoch,
-                     batch_size):
-    """(batch, its _filtered_proposals) for each of batches(scenes,
-    batch_size); the RGB rows of all scenes come from one draw of
-    rgb_noise, their "rgb" NoiseRows, keyed by (scene_id, epoch, "rgb")."""
+def _epoch_proposals(student, scenes, rgb_noise, epoch, batch_size):
+    """(batch, its teacher proposals, one pool per scene in batch order)
+    for each of batches(scenes, batch_size); the RGB rows of all scenes
+    come from one draw of rgb_noise, their "rgb" NoiseRows, keyed by
+    (scene_id, epoch, "rgb")."""
     rows = rgb_noise.draw(student.confidence_noise, epoch)
     for batch, batch_rows in zip(batches(scenes, batch_size),
                                  batches(rows, batch_size)):
-        yield batch, _filtered_proposals(student, batch, batch_rows, pla,
-                                         epoch)
+        yield batch, [rgb_proposals(student, s, epoch, rows=r)
+                      for s, r in zip(batch, batch_rows)]
 
 
 def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
                   epoch, batch_size):
-    """Run filter + match + bag maintenance for one epoch; returns counters.
+    """The PLA step of one epoch: filter, match and bag update into bags.
 
-    Proposals keep the boxes of scene.rgb_obs and redraw only their scores,
-    so every epoch matches against tables, the pair tables of all scenes by
-    scene id. Without use_sdlm the pool matched is empty, so every label is
-    a copy of its IR box. The scores carry the keyed noise of
-    _epoch_proposals, keyed by (scene_id, epoch, "rgb"), which neither
-    batching nor file order changes and which differs from the IR noise
-    _sup_loss draws in the same epoch.
+    Each batch of _epoch_proposals is score-filtered as one batch if
+    use_plf. Proposals keep the boxes of scene.rgb_obs and redraw only
+    their scores, so each scene matches against tables[scene_id], its pair
+    table. Without use_sdlm the pool matched is empty, so every label is a
+    copy of its IR box; without use_dlc every epoch starts a fresh bag. The
+    scores carry the keyed noise of _epoch_proposals, keyed by (scene_id,
+    epoch, "rgb"), which neither batching nor file order changes and which
+    differs from the IR noise _sup_loss draws in the same epoch.
     """
-    matched = copied = updated = 0
     gated = not pla.iou_match_only
-    for batch, proposals in _epoch_proposals(student, scenes, rgb_noise, pla,
-                                             epoch, batch_size):
-        for scene, pool in zip(batch, proposals):
+    for batch, pools in _epoch_proposals(student, scenes, rgb_noise, epoch,
+                                         batch_size):
+        if pla.use_plf:
+            pools = filter_pools(pools)[0]
+        for scene, pool in zip(batch, pools):
+            sid = scene.scene_id
             result = match_scene(scene.ir_boxes, pool if pla.use_sdlm else [],
                                  pla.beta, use_search_region=gated,
-                                 table=tables[scene.scene_id])
-            full_pool = scene.rgb_obs
-            if not pla.use_dlc or scene.scene_id not in bags:
-                bags[scene.scene_id] = init_bag(scene.scene_id, scene.ir_boxes,
-                                                result, full_pool, epoch)
-                updated += len(result.pairs)
-            else:
-                bag = bags[scene.scene_id]
-                new = update_bag(bag, result, full_pool, epoch,
-                                 improve_only=pla.dlc_improve_only)
-                updated += sum(
-                    1 for ir_id, p in new.pairs.items()
-                    if p.last_update_epoch == epoch)
-                bags[scene.scene_id] = new
-    for bag in bags.values():
-        for p in bag.pairs.values():
-            if p.origin == MATCHED:
-                matched += 1
-            else:
-                copied += 1
-    return matched, copied, updated
+                                 table=tables[sid])
+            bag = bags.get(sid) if pla.use_dlc else None
+            bags[sid] = (init_bag(sid, scene.ir_boxes, result, scene.rgb_obs,
+                                  epoch) if bag is None else
+                         update_bag(bag, result, scene.rgb_obs, epoch,
+                                    improve_only=pla.dlc_improve_only))
 
 
 def _train_on_bags(student, ema, bags, cfg: TrainConfig):
@@ -272,8 +259,8 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     belief, and so the EMA teacher's, stays (0, 0) until stage 2 trains it
     on the label bags. The mutual epochs' L_unsup is therefore 0, their
     RGB error is the initial student's, and skip_stage1 changes no later
-    epoch. Stage 1 still makes the proposal, filter and EMA calls of the
-    full schedule, whose counts perfbench/selftest.py pins.
+    epoch. Stage 1 still makes the proposal and EMA calls of the full
+    schedule, whose counts perfbench/selftest.py pins; it filters nothing.
 
     The pair tables (for every flag set), the truth index and the NoiseRows
     of both modalities change in no epoch, so they are built before epoch
@@ -314,21 +301,19 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
 
         terms = dict(loss_terms_at(state))
         losses = {}
-        matched = copied = updated = 0
 
         if phase in (Phase.BURN_IN, Phase.MUTUAL):
             losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise, epoch)
             if phase is Phase.MUTUAL:
-                for _ in _epoch_proposals(student, scenes, rgb_noise, pla,
-                                          epoch, train.batch_size):
+                for _ in _epoch_proposals(student, scenes, rgb_noise, epoch,
+                                          train.batch_size):
                     pass
             for _ in range(train.steps_per_epoch):
                 ema = sched.ema_update(ema, student.as_vector())
 
         else:  # STAGE2 / STAGE3
-            matched, copied, updated = _assign_epoch(
-                scenes, student, bags, tables, rgb_noise, pla, epoch,
-                train.batch_size)
+            _assign_epoch(scenes, student, bags, tables, rgb_noise, pla,
+                          epoch, train.batch_size)
             student, ema, centers = _train_on_bags(student, ema, bags, train)
             losses[sched.L_PAIRED] = pair_loss(student, centers)
             if phase is Phase.STAGE2:
@@ -340,10 +325,11 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         if not math.isfinite(total):
             raise NumericError(f"non-finite loss at epoch {epoch} ({phase.value})")
 
-        rgb_err = _bag_rgb_error(bags, truth) if bags else stage1_rgb_err
+        stats = (_bag_stats(bags, truth, epoch) if bags
+                 else (0, 0, 0, stage1_rgb_err))
         records.append(EpochRecord(
             epoch, phase.value, {k: losses.get(k, 0.0) for k in terms},
-            state.lam, matched, copied, updated, rgb_err))
+            state.lam, *stats))
 
     pairs = [p for bag in bags.values() for p in bag.pairs.values()]
     optimum = least_squares_offset(pairs)

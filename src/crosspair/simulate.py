@@ -490,6 +490,27 @@ def _integer(value, field):
     return value
 
 
+def _finite(value) -> bool:
+    """True if value is an int or a float and finite as a float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _frame(rec):
+    """(canvas, true_offset) of a record, which must give the canvas as two
+    integers >= 1 and the true offset as two finite numbers."""
+    for field, ok, what in (("canvas", lambda v: isinstance(v, int) and v >= 1,
+                             "integers >= 1"),
+                            ("true_offset", _finite, "finite numbers")):
+        value = rec[field]
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(map(ok, value))):
+            raise FieldError(field, f"not two {what}: {value!r}")
+    return tuple(rec["canvas"]), tuple(rec["true_offset"])
+
+
 def _repeated_id(key, ids):
     """FieldError for the first of ids that repeats an earlier one, or None."""
     first = {}
@@ -506,10 +527,11 @@ def scene_from_record(rec: dict) -> Scene:
 
     A missing or rejected field of an ir_gt or rgb_obs item raises a
     FieldError whose field is its path in the record, e.g. "rgb_obs[3].cx".
-    Scene and item ids must be integers, and the ir_gt ids and the rgb_obs
-    ids each unique within the scene. Every class_probs of a scene must
-    have the scene's class count of entries, and every ir_gt class must be
-    an integer in [0, class count).
+    Scene and item ids and rgb_obs corr_ids must be integers, and the ir_gt
+    ids and the rgb_obs ids each unique within the scene. Every class_probs
+    of a scene must have the scene's class count of entries, and every
+    ir_gt class must be an integer in [0, class count). The canvas must be
+    two integers >= 1 and the true offset two finite numbers.
     """
     scene_id = _integer(rec["scene_id"], "scene_id")
     ir_gt = []
@@ -527,15 +549,14 @@ def scene_from_record(rec: dict) -> Scene:
             obs.append(ObservedBox(
                 OrientedBox(o["cx"], o["cy"], o["w"], o["h"], o["theta"]),
                 tuple(o["class_probs"]), _integer(o["id"], "id"),
-                corr_id=o["corr_id"]))
+                corr_id=_integer(o["corr_id"], "corr_id")))
             n, k = len(obs[-1].class_probs), len(obs[0].class_probs)
             if n != k:
                 raise FieldError("class_probs",
                                  f"{n} entries, rgb_obs[0] has {k}")
         except (KeyError, TypeError, ValueError) as exc:
             raise _field_error(f"rgb_obs[{i}]", exc) from exc
-    scene = Scene(scene_id, tuple(rec["canvas"]), tuple(rec["true_offset"]),
-                  tuple(ir_gt), tuple(obs))
+    scene = Scene(scene_id, *_frame(rec), tuple(ir_gt), tuple(obs))
     k = scene.class_count
     for i, (_, _, cls) in enumerate(ir_gt):
         if not 0 <= cls < k:
@@ -573,13 +594,15 @@ def scenes_from_records(records) -> list[Scene] | None:
     The fields of all records are read into numpy columns and checked with
     array masks: finite box fields with w > 0 and h > 0, probabilities in
     [0, 1] that add up left to right to at most 1 + PROB_SUM_TOL, integer
-    ids unique within a scene, and integer ir_gt classes in [0, class
-    count). The boxes are then built without re-validation and hold the
-    records' own values, as scene_from_record's do. Columns that numpy
-    cannot hold as plain floats or int64 (strings, None, booleans alone,
-    ids beyond int64) and class counts that differ between scenes give
-    None as well, so that the caller builds those scenes one by one with
-    scene_from_record, whose errors name the record's fault.
+    ids unique within a scene, integer corr_ids, and integer ir_gt classes
+    in [0, class count); each record's canvas and true offset are checked
+    as scene_from_record checks them. The boxes are then built without
+    re-validation and hold the records' own values, as scene_from_record's
+    do. Columns that numpy cannot hold as plain floats or int64 (strings,
+    None, booleans alone, ids beyond int64) and class counts that differ
+    between scenes give None as well, so that the caller builds those
+    scenes one by one with scene_from_record, whose errors name the
+    record's fault.
     """
     try:
         return _scenes_of_columns(records)
@@ -593,8 +616,7 @@ def _scenes_of_columns(records):
         return None
     ir_lists = [rec["ir_gt"] for rec in records]
     obs_lists = [rec["rgb_obs"] for rec in records]
-    frames = [(tuple(rec["canvas"]), tuple(rec["true_offset"]))
-              for rec in records]
+    frames = [_frame(rec) for rec in records]
     ir = [g for items in ir_lists for g in items]
     obs = [o for items in obs_lists for o in items]
     ir_counts = [len(items) for items in ir_lists]
@@ -626,7 +648,8 @@ def _scenes_of_columns(records):
     if obs:
         ids, probs = _array(obs_ids, "i"), _array(
             [o["class_probs"] for o in obs], "fi", 2)
-        if ids is None or probs is None or probs.shape[1] == 0:
+        if (ids is None or probs is None or probs.shape[1] == 0
+                or _array(corr_ids, "i") is None):
             return None
         probs = probs.astype(np.float64, copy=False)
         if (not ((probs >= 0.0) & (probs <= 1.0)).all()

@@ -190,6 +190,18 @@ def _fractional_class(rec):
     rec["ir_gt"][0]["class"] = 1.5
 
 
+def _list_corr_id(rec):
+    rec["rgb_obs"][0]["corr_id"] = [1]
+
+
+def _string_true_offset(rec):
+    rec["true_offset"] = ["a", "b"]
+
+
+def _true_offset_beyond_float(rec):
+    rec["true_offset"] = [10**400, 0]
+
+
 def _short_first_probs(rec):
     rec["rgb_obs"][0]["class_probs"] = rec["rgb_obs"][0]["class_probs"][:2]
 
@@ -216,6 +228,9 @@ def _overfull_probs(rec):
     (_negative_class, "ir_gt[0].class"),
     (_fractional_class, "ir_gt[0].class"),
     (_short_first_probs, "rgb_obs[1].class_probs"),
+    (_list_corr_id, "rgb_obs[0].corr_id"),
+    (_string_true_offset, "true_offset"),
+    (_true_offset_beyond_float, "true_offset"),
 ])
 def test_bad_record_names_file_line_field(scene_file, tmp_path, capsys,
                                           argv, corrupt, field):

@@ -68,7 +68,7 @@ def _write(path, records, blank_first=False):
 coords = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000))
 extents = st.one_of(st.floats(0.5, 100.0), st.integers(1, 100))
 angles = st.one_of(st.floats(-10.0, 10.0), st.integers(-4, 4), st.booleans())
-corr_ids = st.one_of(st.integers(-1, 40), st.sampled_from([None, "x", 1.5]))
+corr_ids = st.integers(-1, 40)
 
 # values a field can be set to, by the field's name: bad ones, unusual ones
 # the scalar path accepts, and ints beyond int64 and beyond float
@@ -357,6 +357,16 @@ REJECTED = {
     "cx beyond float range": _first("ir_gt", "cx", 10**400),
     "prob beyond float range": _first("rgb_obs", "class_probs",
                                       _row(0.5, 10**400)),
+    "list corr_id": _first("rgb_obs", "corr_id", [1]),
+    "float corr_id": _first("rgb_obs", "corr_id", 1.5),
+    "string corr_id": _first("rgb_obs", "corr_id", "x"),
+    "short true_offset": lambda rec: rec.update(true_offset=[1.0]),
+    "string true_offset": lambda rec: rec.update(true_offset=["a", "b"]),
+    "nan true_offset": lambda rec: rec.update(true_offset=[math.nan, 0.0]),
+    "true_offset beyond float range": lambda rec: rec.update(
+        true_offset=[10**400, 0]),
+    "string canvas": lambda rec: rec.update(canvas=["640", "480"]),
+    "zero canvas": lambda rec: rec.update(canvas=[0, 480]),
 }
 
 # changes that scene_from_record accepts and the columns take as they are
@@ -372,7 +382,6 @@ ACCEPTED = {
     "signed zero tie": _first("rgb_obs", "class_probs", _row(-0.0, 0.0)),
     "cx beyond int64": _first("ir_gt", "cx", 2**63),
     "bool theta": _first("rgb_obs", "theta", True),
-    "string corr_id": _first("rgb_obs", "corr_id", "x"),
     "no rgb_obs": lambda rec: rec.update(rgb_obs=[]),
 }
 

@@ -11,9 +11,9 @@ from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox
 from crosspair.matching import match_scene, pair_tables
 from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
-                                _filtered_proposals, _sup_loss, batches,
+                                _epoch_proposals, _sup_loss, batches,
                                 filter_pools, run_pipeline)
-from crosspair.schedule import StageConfig
+from crosspair.schedule import StageConfig, stage_state
 from crosspair.simulate import (NoiseRows, SceneConfig, SimDetectorParams,
                                 generate_scenes, least_squares_offset,
                                 perturbed_rows)
@@ -203,10 +203,10 @@ class TestKeyedNoiseWiring:
     STUDENT = SimDetectorParams((0.5, -0.5), 0.3)
 
     def test_proposals_carry_the_rgb_rows_of_their_epoch(self):
-        pools = _filtered_proposals(
-            self.STUDENT, self.SCENES,
-            NoiseRows(self.SCENES, "rgb").draw(0.3, 4),
-            PlaConfig(use_plf=False), salt=4)
+        [(batch, pools)] = _epoch_proposals(
+            self.STUDENT, self.SCENES, NoiseRows(self.SCENES, "rgb"), 4,
+            len(self.SCENES))
+        assert batch == self.SCENES
         assert [[c.class_probs for c in pool] for pool in pools] == \
             perturbed_rows(self.SCENES, "rgb", 0.3, 4)
 
@@ -246,6 +246,28 @@ class TestKeyedNoiseWiring:
         assert [s for m, s in drawn if m == "rgb"] == list(range(20, 65))
 
 class TestBatchFiltering:
+    def test_only_assigning_epochs_filter(self, monkeypatch):
+        # one filter_pools call per batch of each stage-2/3 epoch, none in
+        # burn-in or mutual epochs
+        epochs, calls = [], []
+
+        def state(epoch, cfg):
+            epochs.append(epoch)
+            return stage_state(epoch, cfg)
+
+        def spy(pools, per_class=False):
+            calls.append((epochs[-1], len(pools)))
+            return filter_pools(pools, per_class)
+
+        monkeypatch.setattr(crosspair.pipeline, "stage_state", state)
+        monkeypatch.setattr(crosspair.pipeline, "filter_pools", spy)
+        scenes = generate_scenes(SceneConfig(count=5, boxes_per_scene=3,
+                                             seed=2))
+        run_pipeline(scenes, StageConfig(1, 1, 1, 1), PlaConfig(),
+                     TrainConfig(steps_per_epoch=1, batch_size=2))
+        assert epochs == [0, 1, 2, 3]
+        assert calls == [(2, 2), (2, 2), (2, 1), (3, 2), (3, 2), (3, 1)]
+
     def test_batches(self):
         assert list(batches(list(range(5)), 2)) == [[0, 1], [2, 3], [4]]
         assert list(batches([], 3)) == []
