@@ -72,8 +72,7 @@ def _record_fault(exc) -> str:
     return f"not a scene record: {exc}"
 
 
-# records per scenes_from_records call, and about the scenes per group of
-# filter batches that match takes through pair_tables at once
+# records per scenes_from_records call
 LOAD_CHUNK = 64
 
 
@@ -275,12 +274,15 @@ def cmd_filter(args):
             kept, thr = filter_pools([s.rgb_obs for s in batch],
                                      per_class=args.per_class)
             count += len(batch)
+            # a batch without candidates has no threshold: null, not NaN
+            mu, sigma, tau = ((thr.mu, thr.sigma, thr.tau) if thr.is_valid
+                              else (None, None, None))
             for s, pool in zip(batch, kept):
                 yield {
                     "scene_id": s.scene_id,
                     "kept_ids": sorted(o.source_id for o in pool),
-                    "batch": {"mu": thr.mu, "sigma": thr.sigma,
-                              "tau": thr.tau, "n": thr.n},
+                    "batch": {"mu": mu, "sigma": sigma, "tau": tau,
+                              "n": thr.n},
                 }
 
     write_records(out, records())
@@ -291,34 +293,33 @@ def cmd_filter(args):
 
 
 def cmd_match(args):
-    """Filter and match the input a group of whole filter batches at a
-    time, about LOAD_CHUNK scenes, and write each scene's pairs as they are
-    made; the correspondence scores are all that is kept to the end."""
+    """Filter the input a batch at a time, stream the filtered scenes
+    through pair_tables and write each scene's pairs as they are made; the
+    correspondence scores are all that is kept to the end."""
     out = _resolve_out(args.output)
     digest = hashlib.sha256()
     gated = not args.iou_match_only
-    group_size = max(1, LOAD_CHUNK // args.batch_size) * args.batch_size
     scores = []
 
+    def filtered():
+        for batch in batches(_scenes(args.input, digest), args.batch_size):
+            pools = [s.rgb_obs for s in batch]
+            if not args.no_plf:
+                pools = filter_pools(pools)[0]
+            for s, pool in zip(batch, pools):
+                yield (s, pool), s.ir_boxes, pool
+
     def records():
-        for group in batches(_scenes(args.input, digest), group_size):
-            pools = []
-            for batch in batches(group, args.batch_size):
-                batch_pools = [s.rgb_obs for s in batch]
-                pools += (batch_pools if args.no_plf
-                          else filter_pools(batch_pools)[0])
-            tables = pair_tables([s.ir_boxes for s in group], pools,
-                                 args.beta, gated)
-            for s, pool, table in zip(group, pools, tables):
-                result = match_scene(s.ir_boxes, pool, args.beta,
-                                     use_search_region=gated, table=table)
-                scores.append(correspondence_score(result, s))
-                yield {
-                    "scene_id": s.scene_id,
-                    "pairs": [[i, j, v] for i, j, v in result.pairs],
-                    "unmatched_ir": list(result.unmatched_ir),
-                    "unmatched_rgb": list(result.unmatched_rgb),
-                }
+        for (s, pool), table in pair_tables(filtered(), args.beta, gated):
+            result = match_scene(s.ir_boxes, pool, args.beta,
+                                 use_search_region=gated, table=table)
+            scores.append(correspondence_score(result, s))
+            yield {
+                "scene_id": s.scene_id,
+                "pairs": [[i, j, v] for i, j, v in result.pairs],
+                "unmatched_ir": list(result.unmatched_ir),
+                "unmatched_rgb": list(result.unmatched_rgb),
+            }
 
     write_records(out, records())
     agg = pooled_correspondence(scores)
@@ -413,11 +414,11 @@ def cmd_sweep_shift(args):
                               offset_override=(dx, dy))
             scenes = generate_scenes(cfg)
             pools = [filter_batch(s.rgb_obs)[0] for s in scenes]
-            tables = pair_tables([s.ir_boxes for s in scenes], pools,
-                                 args.beta)
+            tables = pair_tables(zip(scenes, (s.ir_boxes for s in scenes),
+                                     pools), args.beta)
             scores = []
             ir_maps, rgb_maps = [], []
-            for s, kept, table in zip(scenes, pools, tables):
+            for (s, table), kept in zip(tables, pools):
                 result = match_scene(s.ir_boxes, kept, args.beta, table=table)
                 scores.append(correspondence_score(result, s))
                 gts = [(b, c) for _, b, c in s.ir_gt]
@@ -438,8 +439,34 @@ def cmd_sweep_shift(args):
     return EXIT_OK
 
 
+def _manifest_fault(m):
+    """What is wrong with a manifest that write_manifest could not have
+    written, or None: verify reruns its command on its input and digests
+    its artifacts beside it, so these must be strings and bare file names."""
+    if not isinstance(m, dict):
+        return "not a JSON object"
+    sub, config = m.get("subcommand"), m.get("config")
+    names = m.get("artifact_digests")
+    if not (isinstance(sub, str) and sub in COMMANDS and sub != "verify"):
+        return f"not a writing command: {sub!r}"
+    if not (isinstance(config, dict) and isinstance(config.get("output"), str)
+            and isinstance(config.get("input", ""), str)):
+        return "'config' is not an object with a string output and input"
+    if not (isinstance(names, dict) and all(
+            isinstance(d, str) and n not in ("", ".", "..")
+            and os.path.basename(n) == n for n, d in names.items())):
+        return "'artifact_digests' does not map file names to strings"
+    if "input_digest" in m and not (isinstance(m["input_digest"], str)
+                                    and "input" in config):
+        return "'input_digest' is not a string digest of the config's input"
+    return None
+
+
 def cmd_verify(args):
     manifest = read_manifest(args.manifest)
+    fault = _manifest_fault(manifest)
+    if fault is not None:
+        raise ValueError(f"{args.manifest}: {fault}")
     sub = manifest["subcommand"]
     config = dict(manifest["config"])
     # manifests written before input digests were recorded have none
@@ -464,7 +491,7 @@ def cmd_verify(args):
                 argv.extend(str(v) for v in val)
             else:
                 argv.extend([flag, str(val)])
-        out_name = os.path.basename(str(config["output"]))
+        out_name = os.path.basename(config["output"])
         argv.extend(["-o", os.path.join(tmp, out_name)])
         rc = run(argv)
         if rc != EXIT_OK:

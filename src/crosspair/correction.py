@@ -60,23 +60,25 @@ def update_bag(bag: LabelBag, new_matches: MatchResult, rgb_pool,
                epoch: int, improve_only: bool = False) -> LabelBag:
     """Overwrite the RGB side of freshly matched pairs; freeze the rest.
 
-    With improve_only a rematch is applied only when its IoU against the
-    reference box beats the incumbent's.
+    With improve_only a rematch replaces a MATCHED label only when its IoU
+    against the reference box beats the incumbent's; a COPIED label gives
+    way to any match. The IoU of a match is the one it carries, which must
+    be iou(reference box, candidate box), as match_scene reports it.
     """
     if epoch <= bag.epoch:
         raise ValueError(f"epoch must increase: {epoch} <= {bag.epoch}")
     pool = _pool_index(rgb_pool)
     pairs = dict(bag.pairs)
-    for ir_id, rgb_id, _ in new_matches.pairs:
+    for ir_id, rgb_id, v in new_matches.pairs:
         if ir_id not in pairs:
             raise ValueError(f"match references unknown ir id {ir_id}")
         if rgb_id not in pool:
             raise ValueError(f"match references unknown rgb id {rgb_id}")
         old = pairs[ir_id]
         new_rgb = pool[rgb_id].box
-        if improve_only and iou(old.ir_box, new_rgb) <= iou(old.ir_box, old.rgb_box):
-            continue
-        if new_rgb == old.rgb_box and old.origin == MATCHED:
+        if old.origin == MATCHED and (
+                new_rgb == old.rgb_box
+                or improve_only and v <= iou(old.ir_box, old.rgb_box)):
             continue
         pairs[ir_id] = LabelPair(old.ir_box, new_rgb, ir_id, MATCHED, epoch)
     return LabelBag(bag.scene_id, pairs, epoch)

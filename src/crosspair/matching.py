@@ -68,9 +68,12 @@ class PairTable:
 
 
 # pair_tables builds the tables of consecutive scenes together, in chunks of
-# about this many (reference, candidate) pairs: enough to spread numpy's
-# per-call cost over many scenes, few enough to keep the arrays small.
+# about CHUNK_PAIRS (reference, candidate) pairs: enough to spread numpy's
+# per-call cost over many scenes, few enough to keep the arrays small. A
+# chunk closes at CHUNK_SCENES scenes too, so that a stream of scenes with
+# few pairs does not pile up.
 CHUNK_PAIRS = 2 ** 15
+CHUNK_SCENES = 64
 
 
 class _Chunk:
@@ -129,22 +132,13 @@ def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
     return mask
 
 
-def _chunks(ir_boxes_list, pools):
-    """(start, stop) of consecutive scenes holding about CHUNK_PAIRS pairs."""
-    start, pairs = 0, 0
-    for i, (ir_boxes, pool) in enumerate(zip(ir_boxes_list, pools)):
-        pairs += len(ir_boxes) * len(pool)
-        if pairs >= CHUNK_PAIRS or i == len(pools) - 1:
-            yield start, i + 1
-            start, pairs = i + 1, 0
-
-
 def _by_iou_then_id(hit):
     return (-hit[1], hit[0])
 
 
-def _chunk_tables(ir_boxes_list, pools, beta, gated):
-    """The PairTable of each scene of one chunk."""
+def _chunk_tables(items, beta, gated):
+    """(key, PairTable) of each (key, ir_boxes, pool) item of one chunk."""
+    keys, ir_boxes_list, pools = zip(*items)
     chunk = _Chunk(ir_boxes_list, pools)
     ids = [c.source_id for c in chunk.cands]
     # index of the first reference box whose search region is invalid
@@ -183,7 +177,7 @@ def _chunk_tables(ir_boxes_list, pools, beta, gated):
 
     tables = []
     row = 0
-    for ir_boxes, cand_ids in zip(ir_boxes_list, scene_ids):
+    for key, ir_boxes, cand_ids in zip(keys, ir_boxes_list, scene_ids):
         ranked = {}
         for ir_id, _ in ir_boxes:
             found = hits[bounds[row]:bounds[row + 1]]
@@ -191,14 +185,16 @@ def _chunk_tables(ir_boxes_list, pools, beta, gated):
                 found.sort(key=_by_iou_then_id)
             ranked[ir_id] = tuple(found)
             row += 1
-        tables.append(PairTable(ranked, frozenset(cand_ids), beta, gated))
+        tables.append((key, PairTable(ranked, frozenset(cand_ids), beta,
+                                      gated)))
     return tables
 
 
-def pair_tables(ir_boxes_list, pools, beta: float = 1.0,
-                use_search_region: bool = True) -> Iterator[PairTable]:
-    """Yield the PairTable of each scene, in order: the reference boxes
-    ir_boxes_list[i] ranked against the candidates pools[i].
+def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
+                ) -> Iterator[tuple[object, PairTable]]:
+    """Yield (key, PairTable) for each (key, ir_boxes, pool) item of an
+    iterable, in order: the reference boxes ir_boxes ranked against the
+    candidates pool. The key is the caller's and is passed through.
 
     Each reference box's candidates with IoU > 0 are ranked by descending
     IoU, then ascending id. With use_search_region the IoU is evaluated
@@ -206,22 +202,26 @@ def pair_tables(ir_boxes_list, pools, beta: float = 1.0,
     without it, for all of them. The gate and the IoU of consecutive scenes
     are computed together in numpy (geometry.iou_rows), bit for bit as
     point_in_obb and iou compute them. A scene whose pool repeats an id, or
-    whose search region is invalid, raises ValueError. The tables come a
-    chunk at a time, so a caller that uses each table once and drops it
-    never holds them all.
+    whose search region is invalid, raises ValueError. The items are read
+    lazily and each chunk's tables come as soon as the chunk closes, so a
+    caller that streams its items and drops each table holds one chunk.
     """
-    if len(ir_boxes_list) != len(pools):
-        raise ValueError(f"{len(ir_boxes_list)} reference lists for "
-                         f"{len(pools)} candidate pools")
-    for start, stop in _chunks(ir_boxes_list, pools):
-        yield from _chunk_tables(ir_boxes_list[start:stop], pools[start:stop],
-                                 beta, use_search_region)
+    chunk, pairs = [], 0
+    for item in items:
+        chunk.append(item)
+        pairs += len(item[1]) * len(item[2])
+        if pairs >= CHUNK_PAIRS or len(chunk) >= CHUNK_SCENES:
+            yield from _chunk_tables(chunk, beta, use_search_region)
+            chunk, pairs = [], 0
+    if chunk:
+        yield from _chunk_tables(chunk, beta, use_search_region)
 
 
 def pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
                use_search_region: bool = True) -> PairTable:
     """pair_tables of one scene."""
-    return next(pair_tables([ir_boxes], [rgb_pool], beta, use_search_region))
+    return next(pair_tables([(None, ir_boxes, rgb_pool)], beta,
+                            use_search_region))[1]
 
 
 def match_scene(ir_boxes, rgb_pool, beta: float = 1.0,

@@ -282,10 +282,9 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     student = SimDetectorParams()
     ema = EmaState(student.as_vector(), train.ema_decay)
     bags: dict[int, LabelBag] = {}
-    tables = dict(zip(
-        (s.scene_id for s in scenes),
-        pair_tables([s.ir_boxes for s in scenes], [s.rgb_obs for s in scenes],
-                    pla.beta, not pla.iou_match_only)))
+    tables = dict(pair_tables(((s.scene_id, s.ir_boxes, s.rgb_obs)
+                               for s in scenes),
+                              pla.beta, not pla.iou_match_only))
     truth = _truth_index(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
     stage1_rgb_err = _rgb_detect_error(scenes)

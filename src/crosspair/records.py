@@ -2,7 +2,8 @@
 
 Every writer here writes a temporary file beside its target and then moves
 it into place with os.replace, so a failed or interrupted run leaves the
-previous file (or none), never a truncated one.
+previous file (or none), never a truncated one. The JSON writers raise
+ValueError for a NaN or an infinity, which JSON cannot hold.
 """
 from __future__ import annotations
 
@@ -41,13 +42,13 @@ def _replacing(path):
 def write_records(path, records):
     with _replacing(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def write_json(path, obj):
     """obj as indented JSON with sorted keys and a final newline."""
     with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

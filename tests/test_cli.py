@@ -2,10 +2,13 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from crosspair import cli
+from crosspair import cli, matching
 from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run)
 from crosspair.records import (file_digest, read_records, write_csv,
                                write_json, write_records)
@@ -63,6 +66,23 @@ class TestFilter:
             assert r["batch"]["tau"] <= r["batch"]["mu"]
             assert r["kept_ids"] == sorted(r["kept_ids"])
 
+    def test_batch_without_candidates_writes_strict_json(self, tmp_path):
+        scenes = tmp_path / "s.jsonl"
+        out = tmp_path / "kept.jsonl"
+        assert invoke(["simulate", "--scenes", "3", "--boxes", "0",
+                       "-o", str(scenes)]) == EXIT_OK
+        assert invoke(["filter", "--input", str(scenes),
+                       "-o", str(out)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert json.loads(line, parse_constant=reject)["batch"] == {
+                "mu": None, "sigma": None, "tau": None, "n": 0}
+
 
 class TestMatch:
     def test_match_output_and_stats(self, scene_file, tmp_path):
@@ -105,7 +125,7 @@ class TestMatch:
 
     def test_pair_table_error_comes_before_a_later_bad_record(
             self, scene_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "LOAD_CHUNK", 4)
+        monkeypatch.setattr(matching, "CHUNK_SCENES", 4)
         lines = scene_file.read_text().splitlines()
         lines[10] = "not json"
         bad = tmp_path / "bad.jsonl"
@@ -303,7 +323,7 @@ def test_bad_numeric_flag_is_usage_error(scene_file, tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
 def test_late_bad_record_leaves_the_previous_output(scene_file, tmp_path,
                                                    monkeypatch, capsys, argv):
-    # three chunks and groups of four records; the last holds the bad one,
+    # three chunks and batches of four records; the last holds the bad one,
     # so the lines of the first two are written before it is read
     monkeypatch.setattr(cli, "LOAD_CHUNK", 4)
     argv = argv + ["--batch-size", "4"]
@@ -539,6 +559,55 @@ class TestVerify:
         manifest_file.write_text(json.dumps(manifest))
         assert invoke(["verify", str(manifest_file)]) == EXIT_OK
 
+    @staticmethod
+    def _filter_manifest(scene_file, tmp_path):
+        out = tmp_path / "out.jsonl"
+        assert invoke(["filter", "--input", str(scene_file),
+                       "-o", str(out)]) == EXIT_OK
+        return json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+
+    @pytest.mark.parametrize("malform", [
+        lambda m: [],
+        lambda m: {**m, "subcommand": "verify"},
+        lambda m: {**m, "subcommand": ["filter"]},
+        lambda m: {k: v for k, v in m.items() if k != "config"},
+        lambda m: {**m, "config": {**m["config"], "output": 5}},
+        lambda m: {**m, "artifact_digests": {"/etc/passwd": "0" * 64}},
+        lambda m: {**m, "artifact_digests": {"..": "0" * 64}},
+        lambda m: {**m, "artifact_digests": {"out.jsonl": 5}},
+        lambda m: {**m, "input_digest": 5},
+        lambda m: {**m, "config": {k: v for k, v in m["config"].items()
+                                   if k != "input"}},
+    ], ids=["list", "verify", "list subcommand", "no config", "int output",
+            "absolute artifact", "parent artifact", "int digest",
+            "int input digest", "input digest without input"])
+    def test_malformed_manifest_is_data_error(self, scene_file, tmp_path,
+                                              capsys, malform):
+        manifest = self._filter_manifest(scene_file, tmp_path)
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(json.dumps(malform(manifest)))
+        capsys.readouterr()
+        assert invoke(["verify", str(bad)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: {bad}: ")
+        assert captured.out == ""
+
+    def test_input_that_is_not_a_path_is_data_error(self, scene_file,
+                                                    tmp_path):
+        # in a child process: a descriptor number read as a path would be
+        # opened and closed in this one
+        manifest = self._filter_manifest(scene_file, tmp_path)
+        manifest["config"]["input"] = 5
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(json.dumps(manifest))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "crosspair.cli", "verify", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_DATA
+        assert done.stderr.startswith(f"data error: {bad}: ")
+
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("case,code", [
@@ -602,3 +671,12 @@ class TestAtomicWrites:
         self.WRITERS[kind](path, False)
         assert path.read_text() != "previous\n"
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("write", [
+        lambda p: write_records(p, [{"a": 1.0}, {"a": math.nan}]),
+        lambda p: write_json(p, {"a": math.inf}),
+    ], ids=["records", "json"])
+    def test_non_finite_float_is_not_written(self, tmp_path, write):
+        with pytest.raises(ValueError):
+            write(tmp_path / "out")
+        assert os.listdir(tmp_path) == []

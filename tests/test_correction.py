@@ -93,6 +93,15 @@ class TestUpdateBag:
                          improve_only=True)
         assert new.pairs[0].rgb_box == good[0].box
 
+    def test_improve_only_replaces_a_copy(self):
+        ir = make_ir(1)
+        bag = init_bag(0, ir, MatchResult((), (0,), ()), [])
+        pool = [sb(ir[0][1].translated(3, 0), 2)]
+        new = update_bag(bag, match_scene(ir, pool), pool, epoch=1,
+                         improve_only=True)
+        assert new.pairs[0].origin == MATCHED
+        assert new.pairs[0].rgb_box == pool[0].box
+
     def test_epoch_must_increase(self):
         ir = make_ir(1)
         bag = init_bag(0, ir, MatchResult((), (0,), ()), [])
@@ -159,18 +168,18 @@ small_box = st.builds(OrientedBox, st.floats(0, 60), st.floats(0, 60),
 def bag_histories(draw):
     """(ir boxes, candidate pool, [(epoch, MatchResult)]): epochs increase
     by 1 to 5, and each epoch matches a random subset of the reference
-    boxes to random candidates."""
+    boxes to random candidates, each pair with its IoU."""
     ir = list(enumerate(draw(st.lists(small_box, min_size=1, max_size=5))))
     pool = [sb(b, j) for j, b in enumerate(
         draw(st.lists(small_box, min_size=1, max_size=6)))]
     history, epoch = [], draw(st.integers(0, 3))
     for _ in range(draw(st.integers(1, 8))):
         pairs = []
-        for ir_id, _ in ir:
+        for ir_id, box in ir:
             rgb = draw(st.one_of(st.none(),
                                  st.integers(0, len(pool) - 1)))
             if rgb is not None:
-                pairs.append((ir_id, rgb, 0.5))
+                pairs.append((ir_id, rgb, iou(box, pool[rgb].box)))
         history.append((epoch, MatchResult(tuple(pairs), (), ())))
         epoch += draw(st.integers(1, 5))
     return ir, pool, history
@@ -193,7 +202,7 @@ def test_update_bag_invariants(history, improve_only):
             assert old.last_update_epoch <= p.last_update_epoch <= epoch
             if p.rgb_box != old.rgb_box or p.origin != old.origin:
                 assert p.last_update_epoch == epoch
-            if improve_only:
+            if improve_only and old.origin == MATCHED:
                 assert iou(p.ir_box, p.rgb_box) >= iou(old.ir_box,
                                                        old.rgb_box)
         bag = new

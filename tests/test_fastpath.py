@@ -7,6 +7,7 @@ results bit for bit as the scalar loops and numpy forms kept here as
 references.
 """
 import math
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -290,16 +291,45 @@ def scene_batches(draw):
 class TestPairTables:
     @settings(max_examples=200, deadline=None)
     @given(scene_batches(), st.sampled_from([0.5, 1.0, 2.5]), st.booleans(),
-           st.sampled_from([1, 20, 2 ** 15]))
-    def test_equals_reference_per_scene(self, batch, beta, gated, chunk):
+           st.sampled_from([1, 20, 2 ** 15]), st.sampled_from([1, 3, 64]))
+    def test_equals_reference_per_scene(self, batch, beta, gated, chunk,
+                                        chunk_scenes):
         ir_list, pools = batch
         want = [_table_bits(reference_pair_table(ir, pool, beta, gated))
                 for ir, pool in zip(ir_list, pools)]
         # small chunks put chunk boundaries between and after scenes
-        with mock.patch.object(matching, "CHUNK_PAIRS", chunk):
-            got = [_table_bits(t)
-                   for t in pair_tables(ir_list, pools, beta, gated)]
-        assert got == want
+        with mock.patch.object(matching, "CHUNK_PAIRS", chunk), \
+                mock.patch.object(matching, "CHUNK_SCENES", chunk_scenes):
+            got = [(key, _table_bits(t)) for key, t in pair_tables(
+                zip(range(len(pools)), ir_list, pools), beta, gated)]
+        assert got == list(enumerate(want))
+
+    def test_scenes_without_pairs_come_in_bounded_chunks(self, monkeypatch):
+        sizes = []
+        chunk_tables = matching._chunk_tables
+
+        def spy(items, beta, gated):
+            sizes.append(len(items))
+            return chunk_tables(items, beta, gated)
+
+        monkeypatch.setattr(matching, "_chunk_tables", spy)
+        items = [(k, [(0, self.BOX)], []) for k in range(200)]
+        got = [key for key, _ in pair_tables(iter(items))]
+        assert got == list(range(200))
+        assert sum(sizes) == 200
+        assert max(sizes) <= matching.CHUNK_SCENES
+
+    def test_reads_its_items_lazily(self):
+        def items():
+            for k in range(matching.CHUNK_SCENES + 1):
+                yield k, *self.OK
+            raise RuntimeError("read past the first chunk")
+
+        tables = pair_tables(items())
+        got = [key for key, _ in islice(tables, matching.CHUNK_SCENES)]
+        assert got == list(range(matching.CHUNK_SCENES))
+        with pytest.raises(RuntimeError, match="read past the first chunk"):
+            next(tables)
 
     @staticmethod
     def _error(fn):
@@ -331,13 +361,13 @@ class TestPairTables:
                 reference_pair_table(ir, pool, beta, gated)
 
         want = self._error(reference)
-        got = self._error(lambda: list(pair_tables(ir_list, pools, beta,
-                                                   gated)))
+        got = self._error(lambda: list(pair_tables(
+            zip(range(len(pools)), ir_list, pools), beta, gated)))
         assert got == want
 
     def test_errors_name_the_fault(self):
         def tables(scene, beta, gated=True):
-            return list(pair_tables([scene[0]], [scene[1]], beta, gated))
+            return list(pair_tables([(0, *scene)], beta, gated))
 
         with pytest.raises(ValueError, match="beta must be positive"):
             tables(self.OK, 0.0)
