@@ -17,17 +17,17 @@ import math
 import os
 import sys
 import tempfile
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 
 from .correction import bag_records
-from .filtering import filter_batch
+from .filtering import filter_batch, filter_masks
 from .geometry import FieldError
-from .matching import match_scene, pair_tables
+from .matching import match_ids, match_scene, pair_tables
 from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
 from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
-                       filter_pools, run_pipeline)
+                       run_pipeline)
 # read_records is not called here: perfbench/tracer.py patches the name in
 # this module and fails when it is not bound
 from .records import (RecordError, file_digest, iter_records, read_manifest,
@@ -35,8 +35,8 @@ from .records import (RecordError, file_digest, iter_records, read_manifest,
                       write_records)
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
-                       generate_scenes, scene_from_record, scene_to_record,
-                       scenes_from_records)
+                       generate_scenes, scene_columns, scene_from_record,
+                       scene_to_record, scenes_from_records)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,10 +76,11 @@ def _record_fault(exc) -> str:
 LOAD_CHUNK = 64
 
 
-def _scenes(path, digest=None):
+def _scenes(path, digest=None, columns=False):
     """The scenes of a record file, in order, read LOAD_CHUNK records at a
     time; digest, if given, takes the file's bytes as iter_records reads
-    them.
+    them. With columns each scene comes as its SceneColumns, else as its
+    Scene.
 
     Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
     within each scene. A bad record fails with a RecordError naming the
@@ -102,7 +103,7 @@ def _scenes(path, digest=None):
             unread = exc
         if not chunk:
             break
-        scenes = _chunk_scenes(path, chunk, first_line)
+        scenes = _chunk_scenes(path, chunk, first_line, columns)
         del chunk
         yield from scenes
         del scenes
@@ -110,16 +111,20 @@ def _scenes(path, digest=None):
         raise unread
 
 
-def _chunk_scenes(path, chunk, first_line):
-    """Scenes of a chunk of (line number, record) pairs.
+def _chunk_scenes(path, chunk, first_line, columns):
+    """Scenes of a chunk of (line number, record) pairs, as SceneColumns if
+    columns.
 
-    The chunk is checked and built as columns by scenes_from_records. A
-    chunk that it does not vouch for is built record by record with
-    scene_from_record, so the chunk's first bad record raises, with the
-    same message either way. first_line maps the scene ids of earlier
-    chunks to their lines and takes this chunk's.
+    The chunk is checked as columns by scenes_from_records. A chunk that
+    it does not vouch for is built record by record with scene_from_record,
+    so the chunk's first bad record raises, with the same message either
+    way, and each Scene is turned into its SceneColumns if columns.
+    first_line maps the scene ids of earlier chunks to their lines and
+    takes this chunk's.
     """
     built = scenes_from_records([rec for _, rec in chunk])
+    if built is not None:
+        built = built.columns() if columns else built.scenes()
     scenes = []
     for index, (line_no, rec) in enumerate(chunk):
         if built is not None:
@@ -129,6 +134,8 @@ def _chunk_scenes(path, chunk, first_line):
                 scene = scene_from_record(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(path, line_no, _record_fault(exc)) from exc
+            if columns:
+                scene = scene_columns(scene)
         first = first_line.setdefault(scene.scene_id, line_no)
         if first != line_no:
             raise RecordError(
@@ -263,6 +270,13 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _kept(batch, per_class=False):
+    """(each scene's keep mask, threshold) of one score filter over the RGB
+    observations of a batch of SceneColumns."""
+    return filter_masks([s.scores for s in batch],
+                        [s.class_ids for s in batch], per_class)
+
+
 def cmd_filter(args):
     out = _resolve_out(args.output)
     digest = hashlib.sha256()
@@ -270,17 +284,17 @@ def cmd_filter(args):
 
     def records():
         nonlocal count
-        for batch in batches(_scenes(args.input, digest), args.batch_size):
-            kept, thr = filter_pools([s.rgb_obs for s in batch],
-                                     per_class=args.per_class)
+        for batch in batches(_scenes(args.input, digest, columns=True),
+                             args.batch_size):
+            kept, thr = _kept(batch, args.per_class)
             count += len(batch)
             # a batch without candidates has no threshold: null, not NaN
             mu, sigma, tau = ((thr.mu, thr.sigma, thr.tau) if thr.is_valid
                               else (None, None, None))
-            for s, pool in zip(batch, kept):
+            for s, mask in zip(batch, kept):
                 yield {
                     "scene_id": s.scene_id,
-                    "kept_ids": sorted(o.source_id for o in pool),
+                    "kept_ids": sorted(compress(s.rgb.ids, mask.tolist())),
                     "batch": {"mu": mu, "sigma": sigma, "tau": tau,
                               "n": thr.n},
                 }
@@ -302,17 +316,19 @@ def cmd_match(args):
     scores = []
 
     def filtered():
-        for batch in batches(_scenes(args.input, digest), args.batch_size):
-            pools = [s.rgb_obs for s in batch]
+        for batch in batches(_scenes(args.input, digest, columns=True),
+                             args.batch_size):
+            pools = [s.rgb for s in batch]
             if not args.no_plf:
-                pools = filter_pools(pools)[0]
+                pools = [pool.select(mask) for pool, mask
+                         in zip(pools, _kept(batch)[0])]
             for s, pool in zip(batch, pools):
-                yield (s, pool), s.ir_boxes, pool
+                yield (s, pool.ids), s.ir, pool
 
     def records():
-        for (s, pool), table in pair_tables(filtered(), args.beta, gated):
-            result = match_scene(s.ir_boxes, pool, args.beta,
-                                 use_search_region=gated, table=table)
+        for (s, pool_ids), table in pair_tables(filtered(), args.beta,
+                                                gated):
+            result = match_ids(table, s.ir.ids, pool_ids)
             scores.append(correspondence_score(result, s))
             yield {
                 "scene_id": s.scene_id,

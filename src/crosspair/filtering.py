@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -26,6 +27,13 @@ def score_of(probs) -> float:
     return max(probs)
 
 
+def _probability(p) -> float:
+    """p as a float. A string is not a number, though float() reads one."""
+    if isinstance(p, str):
+        raise FieldError("class_probs", f"not a number: {p!r}")
+    return float(p)
+
+
 @dataclass(frozen=True)
 class ScoredBox:
     box: OrientedBox
@@ -35,8 +43,11 @@ class ScoredBox:
     class_id: int = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.class_probs, str):
+            raise FieldError("class_probs",
+                             f"not a list: {self.class_probs!r}")
         try:
-            probs = tuple(map(float, self.class_probs))
+            probs = tuple(map(_probability, self.class_probs))
         except OverflowError:  # an int beyond the float range
             raise FieldError("class_probs",
                              "probability out of float range") from None
@@ -108,6 +119,24 @@ def batch_threshold(scores) -> BatchThreshold:
                           math.ldexp(mu - sigma, exp), len(scores))
 
 
+def keep_mask(scores, class_ids=None, per_class: bool = False):
+    """The filter of filter_batch on columns: scores, a float64 array, and
+    with per_class class_ids, an integer array. Returns (mask, threshold):
+    mask[k] is True if candidate k is kept."""
+    if not len(scores):
+        return np.zeros(0, dtype=bool), INVALID_THRESHOLD
+    threshold = batch_threshold(scores)
+    if not per_class:
+        return scores >= threshold.tau, threshold
+    mask = np.empty(len(scores), dtype=bool)
+    # not np.unique: in numpy 2.x its first call imports numpy.ma
+    for cid in set(class_ids.tolist()):
+        group = class_ids == cid
+        part = scores[group]
+        mask[group] = part >= batch_threshold(part).tau
+    return mask, threshold
+
+
 def filter_batch(candidates, per_class: bool = False):
     """Drop candidates scoring below the batch threshold.
 
@@ -116,16 +145,19 @@ def filter_batch(candidates, per_class: bool = False):
     threshold is computed independently for each class_id group and the
     returned threshold is the global one.
     """
-    if not candidates:
-        return [], INVALID_THRESHOLD
-    threshold = batch_threshold([c.score for c in candidates])
-    if per_class:
-        taus = {}
-        for cid in {c.class_id for c in candidates}:
-            taus[cid] = batch_threshold(
-                [c.score for c in candidates if c.class_id == cid]
-            ).tau
-        kept = [c for c in candidates if c.score >= taus[c.class_id]]
-    else:
-        kept = [c for c in candidates if c.score >= threshold.tau]
-    return kept, threshold
+    scores = np.array([c.score for c in candidates], dtype=np.float64)
+    class_ids = (np.array([c.class_id for c in candidates], dtype=np.intp)
+                 if per_class else None)
+    mask, threshold = keep_mask(scores, class_ids, per_class)
+    return list(compress(candidates, mask.tolist())), threshold
+
+
+def filter_masks(scores, class_ids, per_class: bool = False):
+    """filter_batch of the candidates of several pools as one batch, on
+    columns: scores[i] and class_ids[i] are the float64 scores and the class
+    ids of pool i. Returns (masks, threshold): masks[i][k] is True if
+    candidate k of pool i is kept."""
+    mask, threshold = keep_mask(
+        np.concatenate(scores),
+        np.concatenate(class_ids) if per_class else None, per_class)
+    return np.split(mask, np.cumsum([len(s) for s in scores])[:-1]), threshold

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,6 +30,12 @@ class FieldError(ValueError):
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to [-pi/2, pi/2); rectangles are pi-periodic."""
+    return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
+
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """normalize_angle of each angle of a float64 array, bit for bit:
+    np.remainder takes fmod and the divisor's sign as float % does."""
     return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
 
 
@@ -189,6 +196,54 @@ def box_rows(boxes) -> np.ndarray:
     return np.array([(b.cx, b.cy, b.w, b.h, math.cos(b.theta),
                       math.sin(b.theta)) for b in boxes],
                     dtype=float).reshape(-1, 6)
+
+
+@dataclass(frozen=True)
+class BoxColumns:
+    """Boxes with ids, as the columns a pair table reads.
+
+    Box k has id ids[k], box_rows row rows[k], theta theta[k], normalized,
+    and cx, cy, w and h values[k][:4], as its record or its OrientedBox
+    gives them.
+    """
+    ids: list
+    rows: np.ndarray
+    theta: list
+    values: list
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def box(self, k) -> OrientedBox:
+        """The OrientedBox of box k, with these field values: theta is not
+        normalized again."""
+        b = object.__new__(OrientedBox)
+        for name, v in zip(("cx", "cy", "w", "h"), self.values[k]):
+            object.__setattr__(b, name, v)
+        object.__setattr__(b, "theta", self.theta[k])
+        return b
+
+    def select(self, mask) -> "BoxColumns":
+        """The columns of the boxes where mask, a boolean array, is True."""
+        keep = mask.tolist()
+        return BoxColumns(list(compress(self.ids, keep)), self.rows[mask],
+                          list(compress(self.theta, keep)),
+                          list(compress(self.values, keep)))
+
+
+def box_columns(ids, boxes) -> BoxColumns:
+    """The BoxColumns of boxes, OrientedBoxes, with the ids ids."""
+    values = [(b.cx, b.cy, b.w, b.h) for b in boxes]
+    return BoxColumns(list(ids), box_rows(boxes), [b.theta for b in boxes],
+                      values)
+
+
+def concat_columns(parts) -> BoxColumns:
+    """The BoxColumns of the boxes of parts, one after another."""
+    return BoxColumns([i for p in parts for i in p.ids],
+                      np.concatenate([p.rows for p in parts]),
+                      [t for p in parts for t in p.theta],
+                      [v for p in parts for v in p.values])
 
 
 def _corner_arrays(rows):

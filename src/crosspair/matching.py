@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (EDGE_EPS, OrientedBox, box_rows, iou, iou_rows,
-                       normalize_angle, point_in_obb)
+from .geometry import (EDGE_EPS, BoxColumns, OrientedBox, box_columns,
+                       concat_columns, iou, iou_rows, normalize_angles,
+                       point_in_obb)
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,34 @@ CHUNK_PAIRS = 2 ** 15
 CHUNK_SCENES = 64
 
 
+def _ir_columns(ir_boxes) -> BoxColumns:
+    """Reference boxes as BoxColumns; (id, box) pairs are converted."""
+    if isinstance(ir_boxes, BoxColumns):
+        return ir_boxes
+    return box_columns([i for i, _ in ir_boxes], [b for _, b in ir_boxes])
+
+
+def _pool_columns(pool) -> BoxColumns:
+    """Candidates as BoxColumns; objects with a source_id and a box are
+    converted."""
+    if isinstance(pool, BoxColumns):
+        return pool
+    return box_columns([c.source_id for c in pool], [c.box for c in pool])
+
+
 class _Chunk:
-    """Consecutive scenes laid out flat: their reference boxes ir as (id,
-    box) with box_rows ir_rows, their candidates cands with box_rows
-    cand_rows, and every (reference, candidate) pair of a scene, scene by
-    scene and reference-major, as index arrays ia into ir and ib into
-    cands."""
+    """Consecutive scenes: their reference boxes irs and candidates pools
+    as BoxColumns, the same laid out flat as ir and cands, and every
+    (reference, candidate) pair of a scene, scene by scene and
+    reference-major, as index arrays ia into ir and ib into cands."""
 
     def __init__(self, ir_boxes_list, pools):
-        self.ir = [item for ir_boxes in ir_boxes_list for item in ir_boxes]
-        self.cands = [c for pool in pools for c in pool]
-        self.ir_rows = box_rows([b for _, b in self.ir])
-        self.cand_rows = box_rows([c.box for c in self.cands])
-        n_ir = np.array([len(b) for b in ir_boxes_list], dtype=np.intp)
-        n_cand = np.array([len(p) for p in pools], dtype=np.intp)
+        self.irs = [_ir_columns(ir) for ir in ir_boxes_list]
+        self.pools = [_pool_columns(pool) for pool in pools]
+        self.ir = concat_columns(self.irs)
+        self.cands = concat_columns(self.pools)
+        n_ir = np.array([len(b) for b in self.irs], dtype=np.intp)
+        n_cand = np.array([len(p) for p in self.pools], dtype=np.intp)
         # pairs of reference r: ib runs over its scene's candidates
         per_ir = np.repeat(n_cand, n_ir)
         first_pair = np.cumsum(per_ir) - per_ir
@@ -109,16 +124,16 @@ def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
     over all pairs at once. The operations run in place, because the pair
     arrays are the largest the table build holds.
     """
-    ia, ib, ir = chunk.ia, chunk.ib, chunk.ir_rows
+    ia, ib, ir = chunk.ia, chunk.ib, chunk.ir.rows
     if not len(ia):
         return np.zeros(0, dtype=bool)
-    theta = [normalize_angle(b.theta) for _, b in chunk.ir]
-    c = np.array([math.cos(t) for t in theta])[ia]
-    s = np.array([math.sin(t) for t in theta])[ia]
+    theta = normalize_angles(np.array(chunk.ir.theta, dtype=float)).tolist()
+    c = np.array(list(map(math.cos, theta)))[ia]
+    s = np.array(list(map(math.sin, theta)))[ia]
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        dx = chunk.cand_rows[ib, 0]
+        dx = chunk.cands.rows[ib, 0]
         dx -= ir[ia, 0]
-        dy = chunk.cand_rows[ib, 1]
+        dy = chunk.cands.rows[ib, 1]
         dy -= ir[ia, 1]
         u = c * dx
         u += s * dy             # u = c * dx + s * dy
@@ -140,35 +155,32 @@ def _chunk_tables(items, beta, gated):
     """(key, PairTable) of each (key, ir_boxes, pool) item of one chunk."""
     keys, ir_boxes_list, pools = zip(*items)
     chunk = _Chunk(ir_boxes_list, pools)
-    ids = [c.source_id for c in chunk.cands]
+    ids = chunk.cands.ids
     # index of the first reference box whose search region is invalid
     first_bad = len(chunk.ir)
     if gated:
         with np.errstate(over="ignore"):
-            w, h = beta * chunk.ir_rows[:, 2], beta * chunk.ir_rows[:, 3]
+            w, h = beta * chunk.ir.rows[:, 2], beta * chunk.ir.rows[:, 3]
         ok = (beta > 0) & np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0)
         if not ok.all():
             first_bad = int(np.argmin(ok))
     # the errors of pair_table, raised for the first scene that has one
-    scene_ids = []
-    ir_end = cand_end = 0
-    for ir_boxes, pool in zip(ir_boxes_list, pools):
-        ir_end += len(ir_boxes)
-        cand_end += len(pool)
-        scene_ids.append(ids[cand_end - len(pool):cand_end])
-        if len(set(scene_ids[-1])) != len(pool):
+    ir_end = 0
+    for ir, pool in zip(chunk.irs, chunk.pools):
+        ir_end += len(ir)
+        if len(set(pool.ids)) != len(pool):
             raise ValueError("duplicate candidate ids")
         if first_bad < ir_end:
             # raises the error the region of this box raised before
-            search_region(chunk.ir[first_bad][1], beta)
+            search_region(chunk.ir.box(first_bad), beta)
 
     ia, ib = chunk.ia, chunk.ib
     if gated:
         mask = _gate(chunk, beta)
         ia, ib = ia[mask], ib[mask]
-    values, scalar = iou_rows(chunk.ir_rows[ia], chunk.cand_rows[ib])
+    values, scalar = iou_rows(chunk.ir.rows[ia], chunk.cands.rows[ib])
     for k in np.flatnonzero(scalar).tolist():
-        values[k] = iou(chunk.ir[ia[k]][1], chunk.cands[ib[k]].box)
+        values[k] = iou(chunk.ir.box(ia[k]), chunk.cands.box(ib[k]))
     hit = values > 0.0
     ia, ib, values = ia[hit], ib[hit], values[hit]
     hits = list(zip([ids[j] for j in ib.tolist()], values.tolist()))
@@ -177,15 +189,15 @@ def _chunk_tables(items, beta, gated):
 
     tables = []
     row = 0
-    for key, ir_boxes, cand_ids in zip(keys, ir_boxes_list, scene_ids):
+    for key, ir, pool in zip(keys, chunk.irs, chunk.pools):
         ranked = {}
-        for ir_id, _ in ir_boxes:
+        for ir_id in ir.ids:
             found = hits[bounds[row]:bounds[row + 1]]
             if len(found) > 1:
                 found.sort(key=_by_iou_then_id)
             ranked[ir_id] = tuple(found)
             row += 1
-        tables.append((key, PairTable(ranked, frozenset(cand_ids), beta,
+        tables.append((key, PairTable(ranked, frozenset(pool.ids), beta,
                                       gated)))
     return tables
 
@@ -195,6 +207,9 @@ def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
     """Yield (key, PairTable) for each (key, ir_boxes, pool) item of an
     iterable, in order: the reference boxes ir_boxes ranked against the
     candidates pool. The key is the caller's and is passed through.
+    ir_boxes is a BoxColumns or a sequence of (id, OrientedBox) pairs, and
+    pool a BoxColumns or a sequence of candidates with a source_id and a
+    box.
 
     Each reference box's candidates with IoU > 0 are ranked by descending
     IoU, then ascending id. With use_search_region the IoU is evaluated
@@ -257,6 +272,14 @@ def match_scene(ir_boxes, rgb_pool, beta: float = 1.0,
                 raise ValueError(
                     f"{kind} ids not covered by the pair table: {missing}")
 
+    return match_ids(table, ir_ids, rgb_ids)
+
+
+def match_ids(table: PairTable, ir_ids, rgb_ids) -> MatchResult:
+    """The greedy matching of match_scene on a pair table: each reference
+    id of ir_ids, in ascending order, takes the best ranked of the
+    candidate ids rgb_ids that no reference took before it. The table must
+    rank every id of ir_ids, and rgb_ids must not repeat an id."""
     available = set(rgb_ids)
     pairs = []
     unmatched_ir = []

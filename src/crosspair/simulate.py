@@ -15,7 +15,8 @@ from operator import itemgetter
 import numpy as np
 
 from .filtering import PROB_SUM_TOL, ScoredBox
-from .geometry import FieldError, OrientedBox
+from .geometry import (BoxColumns, FieldError, OrientedBox, box_columns,
+                       normalize_angles)
 
 SPURIOUS = -1
 
@@ -511,6 +512,15 @@ def _frame(rec):
     return tuple(rec["canvas"]), tuple(rec["true_offset"])
 
 
+def _items(rec, field):
+    """The items of a record's list field; a string, a number or an object
+    is not a list."""
+    value = rec[field]
+    if not isinstance(value, (list, tuple)):
+        raise FieldError(field, f"not a list: {value!r}")
+    return value
+
+
 def _repeated_id(key, ids):
     """FieldError for the first of ids that repeats an earlier one, or None."""
     first = {}
@@ -535,7 +545,7 @@ def scene_from_record(rec: dict) -> Scene:
     """
     scene_id = _integer(rec["scene_id"], "scene_id")
     ir_gt = []
-    for i, g in enumerate(rec["ir_gt"]):
+    for i, g in enumerate(_items(rec, "ir_gt")):
         try:
             ir_gt.append((_integer(g["id"], "id"),
                           OrientedBox(g["cx"], g["cy"], g["w"], g["h"],
@@ -544,11 +554,11 @@ def scene_from_record(rec: dict) -> Scene:
         except (KeyError, TypeError, ValueError) as exc:
             raise _field_error(f"ir_gt[{i}]", exc) from exc
     obs = []
-    for i, o in enumerate(rec["rgb_obs"]):
+    for i, o in enumerate(_items(rec, "rgb_obs")):
         try:
             obs.append(ObservedBox(
                 OrientedBox(o["cx"], o["cy"], o["w"], o["h"], o["theta"]),
-                tuple(o["class_probs"]), _integer(o["id"], "id"),
+                o["class_probs"], _integer(o["id"], "id"),
                 corr_id=_integer(o["corr_id"], "corr_id")))
             n, k = len(obs[-1].class_probs), len(obs[0].class_probs)
             if n != k:
@@ -587,8 +597,8 @@ def _repeats(groups, ids) -> bool:
     return bool(((g[1:] == g[:-1]) & (i[1:] == i[:-1])).any())
 
 
-def scenes_from_records(records) -> list[Scene] | None:
-    """The scenes scene_from_record builds of consecutive records, or None
+def scenes_from_records(records) -> SceneChunk | None:
+    """The scenes of consecutive records as one checked SceneChunk, or None
     when a record is bad or unusual.
 
     The fields of all records are read into numpy columns and checked with
@@ -596,48 +606,49 @@ def scenes_from_records(records) -> list[Scene] | None:
     [0, 1] that add up left to right to at most 1 + PROB_SUM_TOL, integer
     ids unique within a scene, integer corr_ids, and integer ir_gt classes
     in [0, class count); each record's canvas and true offset are checked
-    as scene_from_record checks them. The boxes are then built without
-    re-validation and hold the records' own values, as scene_from_record's
-    do. Columns that numpy cannot hold as plain floats or int64 (strings,
-    None, booleans alone, ids beyond int64) and class counts that differ
-    between scenes give None as well, so that the caller builds those
-    scenes one by one with scene_from_record, whose errors name the
+    as scene_from_record checks them. Columns that numpy cannot hold as
+    plain floats or int64 (strings, None, booleans alone, ids beyond
+    int64), ir_gt and rgb_obs that are not lists, and class counts that
+    differ between scenes give None as well, so that the caller builds
+    those scenes one by one with scene_from_record, whose errors name the
     record's fault.
     """
     try:
-        return _scenes_of_columns(records)
+        return _checked_chunk(records)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
-def _scenes_of_columns(records):
+def _checked_chunk(records):
     scene_ids = [rec["scene_id"] for rec in records]
     if not all(isinstance(s, int) for s in scene_ids):
         return None
     ir_lists = [rec["ir_gt"] for rec in records]
     obs_lists = [rec["rgb_obs"] for rec in records]
+    if not all(isinstance(items, (list, tuple))
+               for items in ir_lists + obs_lists):
+        return None
     frames = [_frame(rec) for rec in records]
     ir = [g for items in ir_lists for g in items]
     obs = [o for items in obs_lists for o in items]
     ir_counts = [len(items) for items in ir_lists]
     obs_counts = [len(items) for items in obs_lists]
-    rows = list(map(_BOX_FIELDS, ir)) + list(map(_BOX_FIELDS, obs))
+    values = list(map(_BOX_FIELDS, ir)) + list(map(_BOX_FIELDS, obs))
     ir_ids = [g["id"] for g in ir]
     classes = [g["class"] for g in ir]
     obs_ids = [o["id"] for o in obs]
     corr_ids = [o["corr_id"] for o in obs]
 
     scene_of = np.arange(len(records))
-    probs = class_ids = thetas = ()
-    if rows:
-        box = _array(rows, "fi", 2)
+    box = np.zeros((0, 5))
+    thetas = []
+    probs = np.zeros((0, 1))
+    if values:
+        box = _array(values, "fi", 2)
         if (box is None or not np.isfinite(box).all()
                 or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
             return None
-        # normalize_angle of the column: np.remainder takes fmod and the
-        # divisor's sign as float % does, so the bits are the same
-        thetas = ((box[:, 4] + math.pi / 2.0) % math.pi
-                  - math.pi / 2.0).tolist()
+        thetas = normalize_angles(box[:, 4]).tolist()
     if ir:
         ids, cls = _array(ir_ids, "i"), _array(classes, "i")
         if ids is None or cls is None:
@@ -662,45 +673,142 @@ def _scenes_of_columns(records):
             with_obs = np.repeat(np.array(obs_counts) > 0, ir_counts)
             if (with_obs & (cls >= probs.shape[1])).any():
                 return None
+    return SceneChunk(scene_ids, frames, ir_counts, obs_counts, values, box,
+                      thetas, ir_ids, classes, obs_ids, corr_ids, probs)
+
+
+@dataclass
+class SceneChunk:
+    """Consecutive scene records that scenes_from_records checked, held as
+    the columns it read: scenes() builds their Scene objects, and columns()
+    their SceneColumns, without a box object.
+
+    values holds each box's (cx, cy, w, h, theta) as its record gives them,
+    the ir_gt boxes of all scenes first, box the same as a numpy array and
+    thetas each theta normalized. The record dicts are not kept.
+    """
+    scene_ids: list
+    frames: list            # (canvas, true_offset) per scene
+    ir_counts: list
+    obs_counts: list
+    values: list
+    box: np.ndarray
+    thetas: list
+    ir_ids: list
+    classes: list
+    obs_ids: list
+    corr_ids: list
+    probs: np.ndarray       # float64, a row per observation
+    class_ids: np.ndarray = field(init=False)
+
+    def __post_init__(self):
         # the first maximum, as probs.index(max(probs)) finds it
-        class_ids = probs.argmax(axis=1).tolist()
-        probs = probs.tolist()
+        self.class_ids = self.probs.argmax(axis=1)
 
-    # Boxes are filled with object.__setattr__, observations through their
-    # instance dicts in __init__'s order, as ScoredBox.trusted does. On
-    # CPython 3.11 reading __dict__ gives an instance a dict of its own,
-    # which slows every later attribute read: a training run reads each
-    # box's fields many times, an observation's a few times per epoch.
-    new, put = object.__new__, object.__setattr__
-    boxes = []
-    for (cx, cy, w, h, _), theta in zip(rows, thetas):
-        b = new(OrientedBox)
-        put(b, "cx", cx)
-        put(b, "cy", cy)
-        put(b, "w", w)
-        put(b, "h", h)
-        put(b, "theta", theta)
-        boxes.append(b)
-    gt = list(zip(ir_ids, boxes, classes))
-    observed = []
-    for b, row, sid, corr, cid in zip(boxes[len(ir):], probs, obs_ids,
-                                      corr_ids, class_ids):
-        o = new(ObservedBox)
-        d = o.__dict__
-        d["box"] = b
-        d["class_probs"] = tuple(row)
-        d["source_id"] = sid
-        d["corr_id"] = corr
-        d["score"] = row[cid]
-        d["class_id"] = cid
-        observed.append(o)
+    def scenes(self) -> list[Scene]:
+        """The Scenes scene_from_record builds of the records: the boxes
+        are built without re-validation and hold the records' own values."""
+        # Boxes are filled with object.__setattr__, observations through
+        # their instance dicts in __init__'s order, as ScoredBox.trusted
+        # does. On CPython 3.11 reading __dict__ gives an instance a dict of
+        # its own, which slows every later attribute read: a training run
+        # reads each box's fields many times, an observation's a few times
+        # per epoch.
+        new, put = object.__new__, object.__setattr__
+        boxes = []
+        for (cx, cy, w, h, _), theta in zip(self.values, self.thetas):
+            b = new(OrientedBox)
+            put(b, "cx", cx)
+            put(b, "cy", cy)
+            put(b, "w", w)
+            put(b, "h", h)
+            put(b, "theta", theta)
+            boxes.append(b)
+        gt = list(zip(self.ir_ids, boxes, self.classes))
+        observed = []
+        for b, row, sid, corr, cid in zip(boxes[len(gt):],
+                                          self.probs.tolist(), self.obs_ids,
+                                          self.corr_ids,
+                                          self.class_ids.tolist()):
+            o = new(ObservedBox)
+            d = o.__dict__
+            d["box"] = b
+            d["class_probs"] = tuple(row)
+            d["source_id"] = sid
+            d["corr_id"] = corr
+            d["score"] = row[cid]
+            d["class_id"] = cid
+            observed.append(o)
 
-    scenes = []
-    i = j = 0
-    for sid, (canvas, offset), n_ir, n_obs in zip(scene_ids, frames,
-                                                  ir_counts, obs_counts):
-        scenes.append(Scene(sid, canvas, offset, tuple(gt[i:i + n_ir]),
-                            tuple(observed[j:j + n_obs])))
-        i += n_ir
-        j += n_obs
-    return scenes
+        scenes = []
+        i = j = 0
+        for sid, (canvas, offset), n_ir, n_obs in zip(
+                self.scene_ids, self.frames, self.ir_counts, self.obs_counts):
+            scenes.append(Scene(sid, canvas, offset, tuple(gt[i:i + n_ir]),
+                                tuple(observed[j:j + n_obs])))
+            i += n_ir
+            j += n_obs
+        return scenes
+
+    def columns(self) -> list[SceneColumns]:
+        """The SceneColumns of the records, with the values of the Scenes
+        that scenes() builds: box rows of the boxes' fields as floats and
+        math.cos/math.sin of their thetas, as box_rows has them, scores
+        that are probabilities picked by the first maximum, and the
+        records' own ids."""
+        rows = np.empty((len(self.values), 6))
+        rows[:, :4] = self.box[:, :4]
+        rows[:, 4] = list(map(math.cos, self.thetas))
+        rows[:, 5] = list(map(math.sin, self.thetas))
+        scores = self.probs[np.arange(len(self.probs)), self.class_ids]
+        values, thetas = self.values, self.thetas
+        out = []
+        i = j = 0
+        for sid, n_ir, n_obs in zip(self.scene_ids, self.ir_counts,
+                                    self.obs_counts):
+            # the scene's observations are boxes b to e, after all ir_gt
+            b = len(self.ir_ids) + j
+            e = b + n_obs
+            ir = BoxColumns(self.ir_ids[i:i + n_ir], rows[i:i + n_ir],
+                            thetas[i:i + n_ir], values[i:i + n_ir])
+            rgb = BoxColumns(self.obs_ids[j:j + n_obs], rows[b:e],
+                             thetas[b:e], values[b:e])
+            out.append(SceneColumns(sid, ir, rgb, scores[j:j + n_obs],
+                                    self.class_ids[j:j + n_obs],
+                                    self.corr_ids[j:j + n_obs]))
+            i += n_ir
+            j += n_obs
+        return out
+
+
+@dataclass(frozen=True)
+class SceneColumns:
+    """What match and filter read of a scene, as columns: its IR ground
+    truth and RGB observations as BoxColumns, and per observation its
+    score, the first maximum of its class probabilities, as float64, the
+    index of that maximum, and its corr_id."""
+    scene_id: int
+    ir: BoxColumns
+    rgb: BoxColumns
+    scores: np.ndarray
+    class_ids: np.ndarray
+    corr_ids: list
+
+    @property
+    def corr_map(self) -> dict[int, int]:
+        """rgb observation id -> ir id (spurious entries excluded)."""
+        return {i: c for i, c in zip(self.rgb.ids, self.corr_ids)
+                if c != SPURIOUS}
+
+
+def scene_columns(scene: Scene) -> SceneColumns:
+    """The SceneColumns of a Scene."""
+    obs = scene.rgb_obs
+    return SceneColumns(
+        scene.scene_id,
+        box_columns([i for i, _, _ in scene.ir_gt],
+                    [b for _, b, _ in scene.ir_gt]),
+        box_columns([o.source_id for o in obs], [o.box for o in obs]),
+        np.array([o.score for o in obs], dtype=np.float64),
+        np.array([o.class_id for o in obs], dtype=np.intp),
+        [o.corr_id for o in obs])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crosspair.filtering import (INVALID_THRESHOLD, PROB_SUM_TOL,
                                  BatchThreshold, ScoredBox, batch_threshold,
-                                 filter_batch, score_of)
+                                 filter_batch, filter_masks, score_of)
 from crosspair.geometry import OrientedBox
 
 BOX = OrientedBox(0, 0, 10, 10, 0)
@@ -207,3 +207,58 @@ def test_threshold_bits_of_plain_mean_and_std(scores):
     t = batch_threshold(scores)
     assert (t.mu, t.sigma) == (float(arr.mean()), float(arr.std()))
     assert t.tau == t.mu - t.sigma
+
+
+def _reference_filter(candidates, per_class):
+    """filter_batch as it was before keep_mask, on Python lists."""
+    if not candidates:
+        return [], INVALID_THRESHOLD
+    threshold = batch_threshold([c.score for c in candidates])
+    if per_class:
+        taus = {cid: batch_threshold([c.score for c in candidates
+                                      if c.class_id == cid]).tau
+                for cid in {c.class_id for c in candidates}}
+        return [c for c in candidates if c.score >= taus[c.class_id]], threshold
+    return [c for c in candidates if c.score >= threshold.tau], threshold
+
+
+def _threshold_bits(t):
+    return [float(v).hex() for v in (t.mu, t.sigma, t.tau)], t.n
+
+
+# scores from a small set tie with each other and, with sigma 0 or two
+# equal halves, with tau; subnormal ones test the threshold's scaling
+scores = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 5e-324,
+                                    2.2250738585e-313]),
+                   st.floats(0.0, 1.0), st.floats(0.0, 1e-300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.tuples(scores, st.integers(0, 2)), max_size=8),
+                min_size=1, max_size=5), st.booleans())
+@example([[(0.5, 0), (0.5, 1)], [(0.5, 0)]], False)
+@example([[(0.25, 0), (0.75, 0)], [], [(0.25, 1), (0.75, 1)]], True)
+@example([[(5e-324, 0), (1e-320, 0)], [(5e-324, 1)]], True)
+def test_filter_masks_equal_filter_batch(pools, per_class):
+    boxes = []
+    for pool in pools:
+        boxes.append([])
+        for score, cls in pool:
+            probs = [0.0, 0.0, 0.0]
+            probs[cls] = score
+            boxes[-1].append(ScoredBox(BOX, tuple(probs), len(boxes[-1])))
+    masks, threshold = filter_masks(
+        [np.array([c.score for c in pool], dtype=np.float64)
+         for pool in boxes],
+        [np.array([c.class_id for c in pool], dtype=np.intp)
+         for pool in boxes], per_class)
+    kept = [(i, c.source_id) for i, (pool, mask) in enumerate(zip(boxes, masks))
+            for c, keep in zip(pool, mask.tolist()) if keep]
+    flat = [(i, c) for i, pool in enumerate(boxes) for c in pool]
+    for want_kept, want in (filter_batch([c for _, c in flat], per_class),
+                            _reference_filter([c for _, c in flat],
+                                              per_class)):
+        assert _threshold_bits(threshold) == _threshold_bits(want)
+        want_ids = {id(c) for c in want_kept}
+        assert kept == [(i, c.source_id) for i, c in flat
+                        if id(c) in want_ids]

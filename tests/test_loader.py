@@ -367,6 +367,9 @@ REJECTED = {
         true_offset=[10**400, 0]),
     "string canvas": lambda rec: rec.update(canvas=["640", "480"]),
     "zero canvas": lambda rec: rec.update(canvas=[0, 480]),
+    "string prob": _first("rgb_obs", "class_probs", _row("0.5")),
+    "string class_probs": _first("rgb_obs", "class_probs", "00000"),
+    "empty string rgb_obs": lambda rec: rec.update(rgb_obs=""),
 }
 
 # changes that scene_from_record accepts and the columns take as they are
@@ -387,10 +390,8 @@ ACCEPTED = {
 
 # changes that scene_from_record accepts and the columns leave to it
 UNUSUAL = {
-    "string prob": _first("rgb_obs", "class_probs", _row("0.5")),
     "id beyond int64": _first("rgb_obs", "id", 2**63),
     "bool class only": _every("ir_gt", "class", False),
-    "empty string rgb_obs": lambda rec: rec.update(rgb_obs=""),
 }
 
 
@@ -486,6 +487,50 @@ def test_streamed_simulated_file_equals_one_pass(three_chunks, tmp_path, argv,
     outcome = _command_outcome(path, argv, chunk)
     assert outcome[0] == EXIT_OK
     assert outcome == _command_outcome(path, argv, 10**6)
+
+
+def _record_path_outcome(path, argv):
+    """_command_outcome of argv with every chunk built record by record
+    with scene_from_record and turned into columns by scene_columns."""
+    with mock.patch.object(cli, "scenes_from_records", lambda records: None):
+        return _command_outcome(path, argv, cli.LOAD_CHUNK)
+
+
+def _odd_values(records):
+    """records with integer box fields, boolean ids, a boolean probability
+    and a signed zero tie, which the columns take as they are."""
+    for rec, change in zip(records[::7], [_int_boxes, _ir_ids, ACCEPTED[
+            "bool prob"], ACCEPTED["signed zero tie"]] * len(records)):
+        change(rec)
+    return records
+
+
+COMMANDS = [["match"], ["match", "--no-plf"], ["match", "--iou-match-only"],
+            ["match", "--batch-size", "5"], ["filter"],
+            ["filter", "--per-class"]]
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["plain", "odd values"])
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_column_and_record_paths_write_the_same_bytes(three_chunks, tmp_path,
+                                                      argv, odd):
+    records = json.loads(json.dumps(three_chunks))
+    path = _write(tmp_path / "s.jsonl", _odd_values(records) if odd
+                  else records)
+    with mock.patch.object(cli, "scene_from_record",
+                           side_effect=AssertionError("scalar path")):
+        columnar = _command_outcome(path, argv, cli.LOAD_CHUNK)
+    assert columnar[0] == EXIT_OK
+    assert columnar == _record_path_outcome(path, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_files(), st.sampled_from(COMMANDS))
+def test_random_files_give_the_same_bytes_on_both_paths(records, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "s.jsonl", records)
+        assert (_command_outcome(path, argv, cli.LOAD_CHUNK)
+                == _record_path_outcome(path, argv))
 
 
 class _Record(dict):
