@@ -79,8 +79,8 @@ LOAD_CHUNK = 64
 def _scenes(path, digest=None, columns=False):
     """The scenes of a record file, in order, read LOAD_CHUNK records at a
     time; digest, if given, takes the file's bytes as iter_records reads
-    them. With columns each scene comes as its SceneColumns, else as its
-    Scene.
+    them. With columns each scene comes as its SceneColumns, else as the
+    Scene scene_from_record builds.
 
     Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
     within each scene. A bad record fails with a RecordError naming the
@@ -112,19 +112,18 @@ def _scenes(path, digest=None, columns=False):
 
 
 def _chunk_scenes(path, chunk, first_line, columns):
-    """Scenes of a chunk of (line number, record) pairs, as SceneColumns if
-    columns.
+    """Scenes of a chunk of (line number, record) pairs: SceneColumns if
+    columns, else Scenes.
 
-    The chunk is checked as columns by scenes_from_records. A chunk that
-    it does not vouch for is built record by record with scene_from_record,
-    so the chunk's first bad record raises, with the same message either
-    way, and each Scene is turned into its SceneColumns if columns.
-    first_line maps the scene ids of earlier chunks to their lines and
-    takes this chunk's.
+    Columns come from scenes_from_records, which checks the whole chunk as
+    arrays. A chunk that it does not vouch for, and every chunk of Scenes,
+    is built record by record with scene_from_record, so the chunk's first
+    bad record raises, with the same message either way; each of its Scenes
+    is turned into its SceneColumns if columns. first_line maps the scene
+    ids of earlier chunks to their lines and takes this chunk's.
     """
-    built = scenes_from_records([rec for _, rec in chunk])
-    if built is not None:
-        built = built.columns() if columns else built.scenes()
+    built = (scenes_from_records([rec for _, rec in chunk]) if columns
+             else None)
     scenes = []
     for index, (line_no, rec) in enumerate(chunk):
         if built is not None:

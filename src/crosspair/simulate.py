@@ -9,7 +9,7 @@ cross-modality offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -597,9 +597,10 @@ def _repeats(groups, ids) -> bool:
     return bool(((g[1:] == g[:-1]) & (i[1:] == i[:-1])).any())
 
 
-def scenes_from_records(records) -> SceneChunk | None:
-    """The scenes of consecutive records as one checked SceneChunk, or None
-    when a record is bad or unusual.
+def scenes_from_records(records) -> list[SceneColumns] | None:
+    """The SceneColumns of consecutive records, one per record, with the
+    values scene_columns gives of the Scenes scene_from_record builds, or
+    None when a record is bad or unusual.
 
     The fields of all records are read into numpy columns and checked with
     array masks: finite box fields with w > 0 and h > 0, probabilities in
@@ -614,12 +615,19 @@ def scenes_from_records(records) -> SceneChunk | None:
     record's fault.
     """
     try:
-        return _checked_chunk(records)
+        checked = _checked_chunk(records)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    return None if checked is None else _chunk_columns(*checked)
 
 
 def _checked_chunk(records):
+    """What _chunk_columns reads of records once they pass the checks of
+    scenes_from_records, or None: per scene its id and its ir_gt and
+    rgb_obs counts; per box, the ir_gt boxes of all scenes first, its
+    (cx, cy, w, h, theta) as the record gives them and as a float array
+    and its normalized theta; the ir_gt ids, the rgb_obs ids and corr_ids,
+    and the class probabilities as a float64 array."""
     scene_ids = [rec["scene_id"] for rec in records]
     if not all(isinstance(s, int) for s in scene_ids):
         return None
@@ -628,14 +636,14 @@ def _checked_chunk(records):
     if not all(isinstance(items, (list, tuple))
                for items in ir_lists + obs_lists):
         return None
-    frames = [_frame(rec) for rec in records]
+    for rec in records:
+        _frame(rec)
     ir = [g for items in ir_lists for g in items]
     obs = [o for items in obs_lists for o in items]
     ir_counts = [len(items) for items in ir_lists]
     obs_counts = [len(items) for items in obs_lists]
     values = list(map(_BOX_FIELDS, ir)) + list(map(_BOX_FIELDS, obs))
     ir_ids = [g["id"] for g in ir]
-    classes = [g["class"] for g in ir]
     obs_ids = [o["id"] for o in obs]
     corr_ids = [o["corr_id"] for o in obs]
 
@@ -650,7 +658,7 @@ def _checked_chunk(records):
             return None
         thetas = normalize_angles(box[:, 4]).tolist()
     if ir:
-        ids, cls = _array(ir_ids, "i"), _array(classes, "i")
+        ids, cls = _array(ir_ids, "i"), _array([g["class"] for g in ir], "i")
         if ids is None or cls is None:
             return None
         groups = np.repeat(scene_of, ir_counts)
@@ -673,112 +681,39 @@ def _checked_chunk(records):
             with_obs = np.repeat(np.array(obs_counts) > 0, ir_counts)
             if (with_obs & (cls >= probs.shape[1])).any():
                 return None
-    return SceneChunk(scene_ids, frames, ir_counts, obs_counts, values, box,
-                      thetas, ir_ids, classes, obs_ids, corr_ids, probs)
+    return (scene_ids, ir_counts, obs_counts, values, box, thetas, ir_ids,
+            obs_ids, corr_ids, probs)
 
 
-@dataclass
-class SceneChunk:
-    """Consecutive scene records that scenes_from_records checked, held as
-    the columns it read: scenes() builds their Scene objects, and columns()
-    their SceneColumns, without a box object.
-
-    values holds each box's (cx, cy, w, h, theta) as its record gives them,
-    the ir_gt boxes of all scenes first, box the same as a numpy array and
-    thetas each theta normalized. The record dicts are not kept.
-    """
-    scene_ids: list
-    frames: list            # (canvas, true_offset) per scene
-    ir_counts: list
-    obs_counts: list
-    values: list
-    box: np.ndarray
-    thetas: list
-    ir_ids: list
-    classes: list
-    obs_ids: list
-    corr_ids: list
-    probs: np.ndarray       # float64, a row per observation
-    class_ids: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # the first maximum, as probs.index(max(probs)) finds it
-        self.class_ids = self.probs.argmax(axis=1)
-
-    def scenes(self) -> list[Scene]:
-        """The Scenes scene_from_record builds of the records: the boxes
-        are built without re-validation and hold the records' own values."""
-        # Boxes are filled with object.__setattr__, observations through
-        # their instance dicts in __init__'s order, as ScoredBox.trusted
-        # does. On CPython 3.11 reading __dict__ gives an instance a dict of
-        # its own, which slows every later attribute read: a training run
-        # reads each box's fields many times, an observation's a few times
-        # per epoch.
-        new, put = object.__new__, object.__setattr__
-        boxes = []
-        for (cx, cy, w, h, _), theta in zip(self.values, self.thetas):
-            b = new(OrientedBox)
-            put(b, "cx", cx)
-            put(b, "cy", cy)
-            put(b, "w", w)
-            put(b, "h", h)
-            put(b, "theta", theta)
-            boxes.append(b)
-        gt = list(zip(self.ir_ids, boxes, self.classes))
-        observed = []
-        for b, row, sid, corr, cid in zip(boxes[len(gt):],
-                                          self.probs.tolist(), self.obs_ids,
-                                          self.corr_ids,
-                                          self.class_ids.tolist()):
-            o = new(ObservedBox)
-            d = o.__dict__
-            d["box"] = b
-            d["class_probs"] = tuple(row)
-            d["source_id"] = sid
-            d["corr_id"] = corr
-            d["score"] = row[cid]
-            d["class_id"] = cid
-            observed.append(o)
-
-        scenes = []
-        i = j = 0
-        for sid, (canvas, offset), n_ir, n_obs in zip(
-                self.scene_ids, self.frames, self.ir_counts, self.obs_counts):
-            scenes.append(Scene(sid, canvas, offset, tuple(gt[i:i + n_ir]),
-                                tuple(observed[j:j + n_obs])))
-            i += n_ir
-            j += n_obs
-        return scenes
-
-    def columns(self) -> list[SceneColumns]:
-        """The SceneColumns of the records, with the values of the Scenes
-        that scenes() builds: box rows of the boxes' fields as floats and
-        math.cos/math.sin of their thetas, as box_rows has them, scores
-        that are probabilities picked by the first maximum, and the
-        records' own ids."""
-        rows = np.empty((len(self.values), 6))
-        rows[:, :4] = self.box[:, :4]
-        rows[:, 4] = list(map(math.cos, self.thetas))
-        rows[:, 5] = list(map(math.sin, self.thetas))
-        scores = self.probs[np.arange(len(self.probs)), self.class_ids]
-        values, thetas = self.values, self.thetas
-        out = []
-        i = j = 0
-        for sid, n_ir, n_obs in zip(self.scene_ids, self.ir_counts,
-                                    self.obs_counts):
-            # the scene's observations are boxes b to e, after all ir_gt
-            b = len(self.ir_ids) + j
-            e = b + n_obs
-            ir = BoxColumns(self.ir_ids[i:i + n_ir], rows[i:i + n_ir],
-                            thetas[i:i + n_ir], values[i:i + n_ir])
-            rgb = BoxColumns(self.obs_ids[j:j + n_obs], rows[b:e],
-                             thetas[b:e], values[b:e])
-            out.append(SceneColumns(sid, ir, rgb, scores[j:j + n_obs],
-                                    self.class_ids[j:j + n_obs],
-                                    self.corr_ids[j:j + n_obs]))
-            i += n_ir
-            j += n_obs
-        return out
+def _chunk_columns(scene_ids, ir_counts, obs_counts, values, box, thetas,
+                   ir_ids, obs_ids, corr_ids, probs) -> list[SceneColumns]:
+    """The SceneColumns of a chunk that _checked_chunk passed: box rows of
+    the boxes' fields as floats and math.cos/math.sin of their thetas, as
+    box_rows has them, scores that are probabilities picked by the first
+    maximum, as probs.index(max(probs)) finds it, and the records' own
+    ids."""
+    rows = np.empty((len(values), 6))
+    rows[:, :4] = box[:, :4]
+    rows[:, 4] = list(map(math.cos, thetas))
+    rows[:, 5] = list(map(math.sin, thetas))
+    class_ids = probs.argmax(axis=1)
+    scores = probs[np.arange(len(probs)), class_ids]
+    out = []
+    i = j = 0
+    for sid, n_ir, n_obs in zip(scene_ids, ir_counts, obs_counts):
+        # the scene's observations are boxes b to e, after all ir_gt
+        b = len(ir_ids) + j
+        e = b + n_obs
+        ir = BoxColumns(ir_ids[i:i + n_ir], rows[i:i + n_ir],
+                        thetas[i:i + n_ir], values[i:i + n_ir])
+        rgb = BoxColumns(obs_ids[j:j + n_obs], rows[b:e], thetas[b:e],
+                         values[b:e])
+        out.append(SceneColumns(sid, ir, rgb, scores[j:j + n_obs],
+                                class_ids[j:j + n_obs],
+                                corr_ids[j:j + n_obs]))
+        i += n_ir
+        j += n_obs
+    return out
 
 
 @dataclass(frozen=True)

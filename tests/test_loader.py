@@ -1,10 +1,12 @@
 """The columnar scene loader against the per-record loop it stands in for.
 
-The scene stream cli._scenes builds each chunk of records with
-simulate.scenes_from_records, and record by record with scene_from_record
-when that returns None. With scenes_from_records patched to return None it
-is the per-record loop alone; on any record file the two must give the same
-scenes, value for value and type for type, or the same error.
+The column stream cli._scenes(path, columns=True), which match and filter
+read, builds each chunk of records with simulate.scenes_from_records, and
+record by record with scene_from_record and scene_columns when that returns
+None. With scenes_from_records patched to return None it is the per-record
+loop alone; on any record file the two must give the same SceneColumns,
+value for value and type for type, or the same error. pipeline's Scenes
+come from scene_from_record alone.
 """
 import contextlib
 import dataclasses
@@ -19,6 +21,7 @@ from itertools import islice
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,16 +29,24 @@ from hypothesis import strategies as st
 from crosspair import cli
 from crosspair.cli import EXIT_DATA, EXIT_OK, run
 from crosspair.filtering import PROB_SUM_TOL
+from crosspair.geometry import BoxColumns
 from crosspair.records import (RecordError, file_digest, iter_records,
                                read_records)
 
 
 def _flat(value):
     """value as nested (type name, contents) pairs. Floats compare by
-    float.hex, so 0.0 and -0.0, or 1 and 1.0, differ."""
+    float.hex, so 0.0 and -0.0, or 1 and 1.0, differ, and arrays by dtype,
+    shape and items. Of BoxColumns.values only the cx, cy, w and h that
+    the class documents count."""
     kind = type(value).__name__
     if isinstance(value, float):
         return kind, value.hex()
+    if isinstance(value, np.ndarray):
+        return kind, str(value.dtype), value.shape, _flat(value.tolist())
+    if isinstance(value, BoxColumns):
+        value = dataclasses.replace(value,
+                                    values=[v[:4] for v in value.values])
     if isinstance(value, (tuple, list)):
         return kind, tuple(_flat(v) for v in value)
     if dataclasses.is_dataclass(value):
@@ -45,13 +56,14 @@ def _flat(value):
 
 
 def _outcome(path, columnar=True, chunk=cli.LOAD_CHUNK):
-    """The scenes of cli._scenes(path), flattened, or the error it raises."""
+    """The SceneColumns of cli._scenes(path, columns=True), flattened, or
+    the error it raises."""
     with mock.patch.object(cli, "LOAD_CHUNK", chunk):
         with mock.patch.object(cli, "scenes_from_records",
                                cli.scenes_from_records if columnar
                                else lambda records: None):
             try:
-                return "ok", _flat(list(cli._scenes(path)))
+                return "ok", _flat(list(cli._scenes(path, columns=True)))
             except Exception as exc:  # any error, as long as both agree
                 return "error", type(exc).__name__, str(exc)
 
@@ -524,6 +536,29 @@ def test_column_and_record_paths_write_the_same_bytes(three_chunks, tmp_path,
     assert columnar == _record_path_outcome(path, argv)
 
 
+# sha256 of pipeline's report, .csv and .bags.jsonl on the odd-values file,
+# recorded when pipeline's Scenes of a checked chunk came from its columns
+# (Python 3.11, numpy 2.4, x86-64 Linux). The bags write the boxes' own
+# values, so a type change, say an int cx written as 3.0, shows here.
+ODD_PIPELINE = (
+    "af68b24db61802c451180ddd4d25497cf0fbff90bc8dc5aabe6ec6c706d3d452",
+    "dfcafa4aaef5826eace119b7a12c38e52bfbead16300eff6274ef6b586b8049e",
+    "74092e7c48cc0ccf7cfc5e4409aad7111bc4f5f53b41e6a2c714f2de6ed6368c")
+
+
+def test_pipeline_on_odd_values_writes_the_recorded_bytes(three_chunks,
+                                                          tmp_path):
+    records = json.loads(json.dumps(three_chunks))
+    path = _write(tmp_path / "s.jsonl", _odd_values(records))
+    rc, _, outputs = _command_outcome(
+        path, ["pipeline", "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2"],
+        cli.LOAD_CHUNK)
+    assert rc == EXIT_OK
+    assert b"[3, 4, 5, 6, 1.0]" in outputs["o.jsonl.bags.jsonl"]
+    assert tuple(hashlib.sha256(outputs["o.jsonl" + s]).hexdigest()
+                 for s in ("", ".csv", ".bags.jsonl")) == ODD_PIPELINE
+
+
 @settings(max_examples=100, deadline=None)
 @given(record_files(), st.sampled_from(COMMANDS))
 def test_random_files_give_the_same_bytes_on_both_paths(records, argv):
@@ -560,7 +595,7 @@ def test_chunk_records_are_released(three_chunks, tmp_path):
 
     with mock.patch.object(cli, "iter_records", reader), \
             mock.patch.object(cli, "scenes_from_records", spy):
-        for _ in cli._scenes(path):
+        for _ in cli._scenes(path, columns=True):
             held.append(live())
     n, size = len(three_chunks), cli.LOAD_CHUNK
     # chunk k is built from records k * size on, with no record before it
