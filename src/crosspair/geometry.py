@@ -203,8 +203,8 @@ class BoxColumns:
     """Boxes with ids, as the columns a pair table reads.
 
     Box k has id ids[k], box_rows row rows[k], theta theta[k], normalized,
-    and cx, cy, w and h values[k][:4], as its record or its OrientedBox
-    gives them.
+    and values[k], the tuple (cx, cy, w, h) as its record or its
+    OrientedBox gives them, ints included.
     """
     ids: list
     rows: np.ndarray

@@ -8,7 +8,10 @@ strictly positive IoU.
 
 The gate and the IoU depend only on the boxes, so they are computed once
 into a PairTable; a caller whose candidate boxes repeat (the training loop
-redraws only their scores) can build the table once and reuse it.
+redraws only their scores) can build the table once and reuse it. The
+tables test only the candidates near each reference box: those whose
+center x lies within a reach that every candidate the gate or the IoU
+could accept lies within (see _reach).
 """
 from __future__ import annotations
 
@@ -69,12 +72,22 @@ class PairTable:
 
 
 # pair_tables builds the tables of consecutive scenes together, in chunks of
-# about CHUNK_PAIRS (reference, candidate) pairs: enough to spread numpy's
+# about CHUNK_PAIRS (reference, candidate) pairs, counted as the product of
+# each scene's reference and candidate counts: enough to spread numpy's
 # per-call cost over many scenes, few enough to keep the arrays small. A
 # chunk closes at CHUNK_SCENES scenes too, so that a stream of scenes with
 # few pairs does not pile up.
 CHUNK_PAIRS = 2 ** 15
 CHUNK_SCENES = 64
+
+# Relative and absolute widening of every reach, far above the rounding of
+# the gate, the clipping and the window bounds, so that no pair they could
+# accept falls outside its window.
+REACH_SLACK = 1e-9
+# A candidate whose smaller extent is below THIN times |cx| + |cy| has
+# corners that rounding can merge, and clipping by it may keep a box far
+# away: iou of a unit box at the origin and one at (1e16, 1e16) is 1.0.
+THIN = 2.0 ** -40
 
 
 def _ir_columns(ir_boxes) -> BoxColumns:
@@ -94,29 +107,81 @@ def _pool_columns(pool) -> BoxColumns:
 
 class _Chunk:
     """Consecutive scenes: their reference boxes irs and candidates pools
-    as BoxColumns, the same laid out flat as ir and cands, and every
-    (reference, candidate) pair of a scene, scene by scene and
-    reference-major, as index arrays ia into ir and ib into cands."""
+    as BoxColumns, and the same laid out flat as ir and cands."""
 
     def __init__(self, ir_boxes_list, pools):
         self.irs = [_ir_columns(ir) for ir in ir_boxes_list]
         self.pools = [_pool_columns(pool) for pool in pools]
         self.ir = concat_columns(self.irs)
         self.cands = concat_columns(self.pools)
-        n_ir = np.array([len(b) for b in self.irs], dtype=np.intp)
-        n_cand = np.array([len(p) for p in self.pools], dtype=np.intp)
-        # pairs of reference r: ib runs over its scene's candidates
-        per_ir = np.repeat(n_cand, n_ir)
-        first_pair = np.cumsum(per_ir) - per_ir
-        first_cand = np.repeat(np.cumsum(n_cand) - n_cand, n_ir)
-        self.ia = np.repeat(np.arange(len(per_ir)), per_ir)
-        self.ib = (np.arange(per_ir.sum())
-                   + np.repeat(first_cand - first_pair, per_ir))
 
 
-def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
-    """mask[k]: the center of candidate chunk.ib[k] lies in the search region
-    of reference box chunk.ia[k].
+def _reach(chunk: _Chunk, beta: float, gated: bool) -> np.ndarray:
+    """reach[r]: how far in x from reference box r a candidate's center can
+    lie and still pass the gate (gated) or have IoU > 0 with it (ungated).
+
+    The gate takes |u| <= beta*w/2 + EDGE_EPS and |v| <= beta*h/2 + EDGE_EPS
+    for (u, v), the offset (dx, dy) rotated, so |dx| <= |u| + |v|. IoU > 0
+    needs the two boxes' circumcircles to overlap, so |dx| is at most the
+    sum of their radii; the chunk's largest candidate stands for every
+    candidate, and a THIN candidate makes it inf. Each reach is widened by
+    REACH_SLACK of itself and of |cx| + |cy|, and one that is not finite is
+    inf: every candidate of the scene.
+    """
+    ir, cands = chunk.ir.rows, chunk.cands.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gated:
+            reach = beta * (ir[:, 2] + ir[:, 3]) / 2.0 + 2.0 * EDGE_EPS
+        else:
+            widest = np.hypot(cands[:, 2], cands[:, 3]).max(initial=0.0)
+            if (np.minimum(cands[:, 2], cands[:, 3])
+                    < THIN * (np.abs(cands[:, 0]) + np.abs(cands[:, 1]))).any():
+                widest = np.inf
+            reach = (np.hypot(ir[:, 2], ir[:, 3]) + widest) / 2.0
+        reach = (reach * (1.0 + REACH_SLACK)
+                 + REACH_SLACK * (np.abs(ir[:, 0]) + np.abs(ir[:, 1])))
+    reach[~np.isfinite(reach)] = np.inf
+    return reach
+
+
+def _keys(scene: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scene + x*1j, which numpy orders by scene, then x; built by parts,
+    because 1j * inf has a NaN real part."""
+    keys = np.empty(len(x), dtype=complex)
+    keys.real = scene
+    keys.imag = x
+    return keys
+
+
+def _window(chunk: _Chunk, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ia, ib): every pair of a reference box and a candidate of its scene
+    whose center's x lies within reach of the reference box's, as index
+    arrays ia into chunk.ir and ib into chunk.cands, reference-major.
+
+    The candidates are sorted by (scene, cx) once; two searchsorted calls
+    find each reference box's window of them.
+    """
+    n_ir = [len(b) for b in chunk.irs]
+    scene = np.arange(len(n_ir), dtype=float)
+    cand_keys = _keys(np.repeat(scene, [len(p) for p in chunk.pools]),
+                      chunk.cands.rows[:, 0])
+    order = np.argsort(cand_keys)
+    cand_keys = cand_keys[order]
+    ir_scene, cx = np.repeat(scene, n_ir), chunk.ir.rows[:, 0]
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(cand_keys, _keys(ir_scene, cx - reach), "left")
+        hi = np.searchsorted(cand_keys, _keys(ir_scene, cx + reach), "right")
+    count = hi - lo
+    first = np.cumsum(count) - count
+    ia = np.repeat(np.arange(len(count)), count)
+    ib = order[np.arange(count.sum()) + np.repeat(lo - first, count)]
+    return ia, ib
+
+
+def _gate(chunk: _Chunk, ia: np.ndarray, ib: np.ndarray,
+          beta: float) -> np.ndarray:
+    """mask[k]: the center of candidate ib[k] lies in the search region of
+    reference box ia[k].
 
     Bit-identical to point_in_obb(center, search_region(box, beta)):
     the region's w, h and normalized theta, the same scalar
@@ -124,7 +189,7 @@ def _gate(chunk: _Chunk, beta: float) -> np.ndarray:
     over all pairs at once. The operations run in place, because the pair
     arrays are the largest the table build holds.
     """
-    ia, ib, ir = chunk.ia, chunk.ib, chunk.ir.rows
+    ir = chunk.ir.rows
     if not len(ia):
         return np.zeros(0, dtype=bool)
     theta = normalize_angles(np.array(chunk.ir.theta, dtype=float)).tolist()
@@ -174,9 +239,9 @@ def _chunk_tables(items, beta, gated):
             # raises the error the region of this box raised before
             search_region(chunk.ir.box(first_bad), beta)
 
-    ia, ib = chunk.ia, chunk.ib
+    ia, ib = _window(chunk, _reach(chunk, beta, gated))
     if gated:
-        mask = _gate(chunk, beta)
+        mask = _gate(chunk, ia, ib, beta)
         ia, ib = ia[mask], ib[mask]
     values, scalar = iou_rows(chunk.ir.rows[ia], chunk.cands.rows[ib])
     for k in np.flatnonzero(scalar).tolist():
@@ -217,9 +282,19 @@ def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
     without it, for all of them. The gate and the IoU of consecutive scenes
     are computed together in numpy (geometry.iou_rows), bit for bit as
     point_in_obb and iou compute them. A scene whose pool repeats an id, or
-    whose search region is invalid, raises ValueError. The items are read
-    lazily and each chunk's tables come as soon as the chunk closes, so a
-    caller that streams its items and drops each table holds one chunk.
+    whose search region is invalid, raises ValueError.
+
+    The scenes go in chunks that close at CHUNK_PAIRS pairs, the products
+    of each scene's reference and candidate counts added up, or at
+    CHUNK_SCENES scenes. In a chunk, the candidates are sorted by (scene,
+    center x) once, and each reference box's window is the run of its
+    scene's candidates whose center x lies within its reach (_reach): with
+    the gate beta*(w+h)/2 + 2*EDGE_EPS, without it half the sum of its
+    diagonal and the chunk's longest candidate diagonal. Only the window's
+    pairs are gated, and only the gated ones clipped, so the tables equal
+    those of every pair tested. The items are read lazily and each chunk's
+    tables come as soon as the chunk closes, so a caller that streams its
+    items and drops each table holds one chunk.
     """
     chunk, pairs = [], 0
     for item in items:
@@ -250,7 +325,11 @@ def match_scene(ir_boxes, rgb_pool, beta: float = 1.0,
 
     table: a pair_table built with the same beta and gate mode from these
     reference boxes and a superset of the pool, whose candidates carry the
-    same boxes; without it one is built from the pool.
+    same boxes; without it a one-scene table is built from the pool, with
+    the numpy calls of a whole chunk: about 0.7 ms for 6 reference boxes
+    and 5 candidates, against about 9 us with a table, on a shared 2-vCPU
+    Xeon. Callers that match many scenes should build their tables with
+    pair_tables.
     """
     ir_ids = [i for i, _ in ir_boxes]
     rgb_ids = [c.source_id for c in rgb_pool]

@@ -578,12 +578,13 @@ def scene_from_record(rec: dict) -> Scene:
     return scene
 
 
-_BOX_FIELDS = itemgetter("cx", "cy", "w", "h", "theta")
+_BOX_FIELDS = itemgetter("cx", "cy", "w", "h")
+_THETA = itemgetter("theta")
 
 
 def _array(values, kinds, ndim=1):
     """np.array(values) if it has ndim dimensions and a dtype of one of
-    kinds ("f" float, "i" signed integer), else None."""
+    kinds ("f" float, "i" signed integer, "b" boolean), else None."""
     arr = np.array(values)
     if arr.ndim != ndim or arr.dtype.kind not in kinds:
         return None
@@ -625,8 +626,8 @@ def _checked_chunk(records):
     """What _chunk_columns reads of records once they pass the checks of
     scenes_from_records, or None: per scene its id and its ir_gt and
     rgb_obs counts; per box, the ir_gt boxes of all scenes first, its
-    (cx, cy, w, h, theta) as the record gives them and as a float array
-    and its normalized theta; the ir_gt ids, the rgb_obs ids and corr_ids,
+    (cx, cy, w, h) as the record gives them and as a numeric array and its
+    normalized theta; the ir_gt ids, the rgb_obs ids and corr_ids,
     and the class probabilities as a float64 array."""
     scene_ids = [rec["scene_id"] for rec in records]
     if not all(isinstance(s, int) for s in scene_ids):
@@ -643,20 +644,22 @@ def _checked_chunk(records):
     ir_counts = [len(items) for items in ir_lists]
     obs_counts = [len(items) for items in obs_lists]
     values = list(map(_BOX_FIELDS, ir)) + list(map(_BOX_FIELDS, obs))
+    raw_thetas = list(map(_THETA, ir)) + list(map(_THETA, obs))
     ir_ids = [g["id"] for g in ir]
     obs_ids = [o["id"] for o in obs]
     corr_ids = [o["corr_id"] for o in obs]
 
     scene_of = np.arange(len(records))
-    box = np.zeros((0, 5))
+    box = np.zeros((0, 4))
     thetas = []
     probs = np.zeros((0, 1))
     if values:
-        box = _array(values, "fi", 2)
-        if (box is None or not np.isfinite(box).all()
+        box, theta = _array(values, "fi", 2), _array(raw_thetas, "bfi")
+        if (box is None or theta is None or not np.isfinite(box).all()
+                or not np.isfinite(theta).all()
                 or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
             return None
-        thetas = normalize_angles(box[:, 4]).tolist()
+        thetas = normalize_angles(theta.astype(np.float64)).tolist()
     if ir:
         ids, cls = _array(ir_ids, "i"), _array([g["class"] for g in ir], "i")
         if ids is None or cls is None:
@@ -693,7 +696,7 @@ def _chunk_columns(scene_ids, ir_counts, obs_counts, values, box, thetas,
     maximum, as probs.index(max(probs)) finds it, and the records' own
     ids."""
     rows = np.empty((len(values), 6))
-    rows[:, :4] = box[:, :4]
+    rows[:, :4] = box
     rows[:, 4] = list(map(math.cos, thetas))
     rows[:, 5] = list(map(math.sin, thetas))
     class_ids = probs.argmax(axis=1)

@@ -23,8 +23,8 @@ from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox, box_rows,
                                 corners_of, iou, iou_batch, iou_rows,
                                 point_in_obb)
 from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
-                                candidates_for, match_scene, pair_table,
-                                pair_tables, search_region)
+                                _reach, _window, candidates_for, match_scene,
+                                pair_table, pair_tables, search_region)
 from crosspair.metrics import ordered_sum
 from crosspair.records import file_digest
 from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
@@ -116,13 +116,16 @@ class TestMatcher:
         corners = [OrientedBox(x, y, 1.0, 1.0, 0.0) for b in irs
                    for x, y in corners_of(search_region(b, beta))]
         pool = [ScoredBox(b, (1.0,), j) for j, b in enumerate(cands + corners)]
-        mask = _gate(_Chunk([list(enumerate(irs))], [pool]),
-                     beta).reshape(len(irs), len(pool))
-        assert mask.shape == (len(irs), len(pool))
-        for i, ir_box in enumerate(irs):
-            region = search_region(ir_box, beta)
-            assert mask[i].tolist() == [point_in_obb(c.center, region)
-                                        for c in pool]
+        chunk = _Chunk([list(enumerate(irs))], [pool])
+        ia, ib = _window(chunk, _reach(chunk, beta, True))
+        window = list(zip(ia.tolist(), ib.tolist()))
+        inside = {(i, j): point_in_obb(c.center, search_region(b, beta))
+                  for i, b in enumerate(irs) for j, c in enumerate(pool)}
+        assert len(set(window)) == len(window)
+        assert ia.tolist() == sorted(ia.tolist())
+        assert _gate(chunk, ia, ib, beta).tolist() == [inside[k]
+                                                       for k in window]
+        assert not any(inside[k] for k in inside.keys() - set(window))
 
     def test_table_ranks_by_iou_then_id(self):
         ir = [(0, OrientedBox(0, 0, 10, 10, 0))]
@@ -376,6 +379,99 @@ class TestPairTables:
         with pytest.raises(ValueError, match="duplicate candidate ids"):
             tables(self.DUP, 1.0, gated=False)
         assert tables(self.OVERFLOW, 1e10, gated=False)
+
+
+# rotated boxes around a center up to 1e12 from the origin; extents of 1e8
+# overflow beta*(w+h) at beta=1e300 and extents of 1e308 the ungated reach
+far_extent = st.one_of(st.floats(0.5, 30.0), st.sampled_from([1e6, 1e8, 1e308]))
+
+
+@st.composite
+def far_scenes(draw):
+    """(ir_list, pools, beta): 1-3 scenes of boxes near a center up to 1e12
+    from the origin; the candidates are boxes of their own, copies of the
+    reference boxes and small boxes on the corners of the search regions."""
+    beta = draw(st.sampled_from([0.5, 1.0, 2.5, 1e300]))
+    scale = draw(st.sampled_from([1.0, 1e6, 1e9, 1e12]))
+    ir_list, pools = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0 = draw(st.floats(-scale, scale)), draw(st.floats(-scale, scale))
+
+        def near():
+            return OrientedBox(x0 + draw(st.floats(-80.0, 80.0)),
+                               y0 + draw(st.floats(-80.0, 80.0)),
+                               draw(far_extent), draw(far_extent), draw(angle))
+
+        irs = [near() for _ in range(draw(st.integers(0, 4)))]
+        cands = [near() for _ in range(draw(st.integers(0, 6)))]
+        cands += draw(st.lists(st.sampled_from(irs), max_size=2)) if irs else []
+        for b in irs:
+            if math.isfinite(beta * b.w) and math.isfinite(beta * b.h):
+                cands += [OrientedBox(x, y, 1.0, 1.0, 0.0) for x, y in
+                          corners_of(search_region(b, beta))]
+        ir_list.append(list(enumerate(irs)))
+        pools.append([ScoredBox(b, (1.0,), j) for j, b in enumerate(cands)])
+    return ir_list, pools, beta
+
+
+class TestWindow:
+    """The window of each reference box keeps every candidate that the gate
+    (gated) or the IoU (ungated) could accept."""
+
+    @staticmethod
+    def _every_pair(ir_list, pools):
+        """(a, b, ir box, candidate) of every pair of a scene, with a and b
+        the indexes _window gives them."""
+        a = b = 0
+        for ir, pool in zip(ir_list, pools):
+            for i, (_, ir_box) in enumerate(ir):
+                for j, c in enumerate(pool):
+                    yield a + i, b + j, ir_box, c
+            a += len(ir)
+            b += len(pool)
+
+    @settings(max_examples=300, deadline=None)
+    @given(far_scenes())
+    def test_keeps_every_gated_pair(self, scenes_):
+        ir_list, pools, beta = scenes_
+        chunk = _Chunk(ir_list, pools)
+        ia, ib = _window(chunk, _reach(chunk, beta, True))
+        window = set(zip(ia.tolist(), ib.tolist()))
+        for a, b, ir_box, c in self._every_pair(ir_list, pools):
+            try:
+                region = search_region(ir_box, beta)
+            except FieldError:  # pair_tables raises before its window
+                continue
+            if point_in_obb(c.center, region):
+                assert (a, b) in window
+
+    @settings(max_examples=300, deadline=None)
+    @given(far_scenes())
+    def test_keeps_every_overlapping_pair(self, scenes_):
+        ir_list, pools, _ = scenes_
+        chunk = _Chunk(ir_list, pools)
+        ia, ib = _window(chunk, _reach(chunk, 1.0, False))
+        window = set(zip(ia.tolist(), ib.tolist()))
+        for a, b, ir_box, c in self._every_pair(ir_list, pools):
+            if iou(ir_box, c.box) > 0.0:
+                assert (a, b) in window
+
+    def test_thin_candidate_reaches_every_reference(self):
+        # rounding merges the far box's corners, and iou calls it a match
+        ir = [(0, OrientedBox(0.0, 0.0, 1.0, 1.0, 0.0))]
+        pool = [ScoredBox(OrientedBox(1e16, 1e16, 1.0, 1.0, 0.0), (1.0,), 1)]
+        want = _table_bits(reference_pair_table(ir, pool, 1.0, False))
+        assert want[0] == {0: [(1, (1.0).hex())]}
+        assert _table_bits(pair_table(ir, pool, 1.0, False)) == want
+
+    def test_pairs_stay_within_their_scene(self):
+        box = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
+        ir_list = [[(0, box)], [], [(0, box), (1, box)]]
+        pools = [[ScoredBox(box, (1.0,), 5)], [ScoredBox(box, (1.0,), 6)],
+                 [ScoredBox(box, (1.0,), 7)]]
+        chunk = _Chunk(ir_list, pools)
+        ia, ib = _window(chunk, np.full(3, np.inf))
+        assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 2), (2, 2)]
 
 
 U64 = (1 << 64) - 1

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from crosspair import cli
 from crosspair.cli import EXIT_DATA, EXIT_OK, run
 from crosspair.filtering import PROB_SUM_TOL
-from crosspair.geometry import BoxColumns
 from crosspair.records import (RecordError, file_digest, iter_records,
                                read_records)
 
@@ -37,16 +36,12 @@ from crosspair.records import (RecordError, file_digest, iter_records,
 def _flat(value):
     """value as nested (type name, contents) pairs. Floats compare by
     float.hex, so 0.0 and -0.0, or 1 and 1.0, differ, and arrays by dtype,
-    shape and items. Of BoxColumns.values only the cx, cy, w and h that
-    the class documents count."""
+    shape and items."""
     kind = type(value).__name__
     if isinstance(value, float):
         return kind, value.hex()
     if isinstance(value, np.ndarray):
         return kind, str(value.dtype), value.shape, _flat(value.tolist())
-    if isinstance(value, BoxColumns):
-        value = dataclasses.replace(value,
-                                    values=[v[:4] for v in value.values])
     if isinstance(value, (tuple, list)):
         return kind, tuple(_flat(v) for v in value)
     if dataclasses.is_dataclass(value):
