@@ -3,15 +3,23 @@
 Per scene, one label pair per reference (IR) ground-truth box. Matched
 boxes carry the matched candidate on the RGB side; unmatched ones fall
 back to a copy of the reference box. Later epochs overwrite the RGB side
-whenever a fresh match appears, and leave it untouched otherwise.
+whenever a fresh match appears, and leave it untouched otherwise;
+keeps_label is that rule. init_bag and update_bag apply it to one scene's
+LabelBag; LabelTable holds the bags of all of a run's scenes as flat
+columns and applies the same rule to them, epoch after epoch, and builds
+their LabelBags only when asked.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .filtering import ScoredBox
 from .geometry import OrientedBox, iou
 from .matching import MatchResult
+from .simulate import PairCenters
 
 MATCHED = "matched"
 COPIED = "copied"
@@ -31,6 +39,19 @@ class LabelBag:
     scene_id: int
     pairs: dict[int, LabelPair]  # keyed by ir_id
     epoch: int
+
+
+def keeps_label(ir_box, old_rgb, new_rgb, v, improve_only: bool) -> bool:
+    """Whether the MATCHED label old_rgb of the reference box ir_box stays
+    when a fresh match offers the box new_rgb at IoU v.
+
+    It stays against an equal box (two observations can have equal boxes)
+    and, with improve_only, against a match whose IoU does not beat its
+    own. The IoU of a match is the one it carries, which must be
+    iou(reference box, candidate box), as match_scene reports it. A COPIED
+    label gives way to any match.
+    """
+    return new_rgb == old_rgb or improve_only and v <= iou(ir_box, old_rgb)
 
 
 def _pool_index(rgb_pool) -> dict[int, ScoredBox]:
@@ -58,13 +79,8 @@ def init_bag(scene_id, ir_gt, matches: MatchResult, rgb_pool,
 
 def update_bag(bag: LabelBag, new_matches: MatchResult, rgb_pool,
                epoch: int, improve_only: bool = False) -> LabelBag:
-    """Overwrite the RGB side of freshly matched pairs; freeze the rest.
-
-    With improve_only a rematch replaces a MATCHED label only when its IoU
-    against the reference box beats the incumbent's; a COPIED label gives
-    way to any match. The IoU of a match is the one it carries, which must
-    be iou(reference box, candidate box), as match_scene reports it.
-    """
+    """Overwrite the RGB side of freshly matched pairs unless keeps_label
+    keeps it; freeze the rest."""
     if epoch <= bag.epoch:
         raise ValueError(f"epoch must increase: {epoch} <= {bag.epoch}")
     pool = _pool_index(rgb_pool)
@@ -76,12 +92,173 @@ def update_bag(bag: LabelBag, new_matches: MatchResult, rgb_pool,
             raise ValueError(f"match references unknown rgb id {rgb_id}")
         old = pairs[ir_id]
         new_rgb = pool[rgb_id].box
-        if old.origin == MATCHED and (
-                new_rgb == old.rgb_box
-                or improve_only and v <= iou(old.ir_box, old.rgb_box)):
+        if old.origin == MATCHED and keeps_label(old.ir_box, old.rgb_box,
+                                                 new_rgb, v, improve_only):
             continue
         pairs[ir_id] = LabelPair(old.ir_box, new_rgb, ir_id, MATCHED, epoch)
     return LabelBag(bag.scene_id, pairs, epoch)
+
+
+class LabelTable:
+    """The label bags of many scenes as flat columns, one entry per
+    reference box, in scene order and each scene's ir_gt order.
+
+    An entry holds the flat RGB row of its label (-1 while the label is a
+    copy of the reference box), the epoch of its last update, its label's
+    center and that center's distance from the true RGB center of its
+    object, and, fixed for the run, its reference box and center, that true
+    RGB center and the flat RGB row of its object's live RGB partner (-1 if
+    dropout removed it). Flat RGB rows number the rgb_obs of all scenes in
+    scene order.
+
+    Each scene keeps its pair order, the order of init_bag's pairs: matched
+    pairs in match order, then copied ones in ir_gt order. centers(),
+    stats() and scores() go through the scenes in the order given and
+    through each scene's entries in its pair order, so their sums add in
+    the order of the pairs of bags().
+    """
+
+    def __init__(self, scenes):
+        self._scene_ids = [s.scene_id for s in scenes]
+        self._index = {sid: k for k, sid in enumerate(self._scene_ids)}
+        self._entries, self._rgb_rows = [], []
+        ir_ids, ir_boxes, rgb_boxes, truth, partner = [], [], [], [], []
+        for scene in scenes:
+            first = len(ir_boxes)
+            rgb_rows = {o.source_id: len(rgb_boxes) + j
+                        for j, o in enumerate(scene.rgb_obs)}
+            rgb_boxes.extend(o.box for o in scene.rgb_obs)
+            live = {corr: rgb for rgb, corr in scene.corr_map.items()}
+            dx, dy = scene.true_offset
+            for i, b, _ in scene.ir_gt:
+                ir_ids.append(i)
+                ir_boxes.append(b)
+                truth.append((b.cx + dx, b.cy + dy))
+                partner.append(rgb_rows[live[i]] if i in live else -1)
+            self._entries.append({i: first + k
+                                  for k, (i, _, _) in enumerate(scene.ir_gt)})
+            self._rgb_rows.append(rgb_rows)
+        self._ir_ids, self._ir_boxes, self._rgb_boxes = (ir_ids, ir_boxes,
+                                                         rgb_boxes)
+        self._truth, self._partner = truth, partner
+        self._ir_cx = np.array([b.cx for b in ir_boxes], dtype=float)
+        self._ir_cy = np.array([b.cy for b in ir_boxes], dtype=float)
+        n = len(ir_boxes)
+        self._label, self._updated = [-1] * n, [0] * n
+        self._cx, self._cy, self._error = [0.0] * n, [0.0] * n, [0.0] * n
+        self._order = [[] for _ in scenes]
+        self._epoch = [None] * len(scenes)  # None: no bag yet
+        self._rows = []  # the pair orders of all scenes, None when stale
+
+    def assign(self, scene_id, matches: MatchResult, epoch: int, *,
+               fresh: bool = False, improve_only: bool = False):
+        """Write a match result of one scene's reference boxes against its
+        rgb_obs: init_bag if fresh or the scene has no bag yet, else
+        update_bag."""
+        k = self._index[scene_id]
+        last = self._epoch[k]
+        if fresh or last is None:
+            self._init(k, matches, epoch)
+        elif epoch <= last:
+            raise ValueError(f"epoch must increase: {epoch} <= {last}")
+        else:
+            entries, rgb_rows = self._entries[k], self._rgb_rows[k]
+            labels, boxes = self._label, self._rgb_boxes
+            for ir_id, rgb_id, v in matches.pairs:
+                r, new = entries[ir_id], rgb_rows[rgb_id]
+                old = labels[r]
+                # a label rematched to its own row keeps its (equal) box
+                if old < 0 or old != new and not keeps_label(
+                        self._ir_boxes[r], boxes[old], boxes[new], v,
+                        improve_only):
+                    self._write(r, new, epoch)
+        self._epoch[k] = epoch
+
+    def _init(self, k, matches, epoch):
+        entries, rgb_rows = self._entries[k], self._rgb_rows[k]
+        matched = {entries[i]: rgb_rows[j] for i, j, _ in matches.pairs}
+        for r in entries.values():
+            self._write(r, matched.get(r, -1), epoch)
+        self._order[k] = list(matched) + [r for r in entries.values()
+                                          if r not in matched]
+        self._rows = None
+
+    def _pair_rows(self):
+        """The entries of all scenes, each scene in its pair order."""
+        if self._rows is None:
+            self._rows = [r for order in self._order for r in order]
+        return self._rows
+
+    def _write(self, r, row, epoch):
+        box = self._rgb_boxes[row] if row >= 0 else self._ir_boxes[r]
+        tx, ty = self._truth[r]
+        self._label[r] = row
+        self._updated[r] = epoch
+        self._cx[r], self._cy[r] = box.cx, box.cy
+        self._error[r] = math.hypot(box.cx - tx, box.cy - ty)
+
+    def centers(self) -> PairCenters:
+        """The PairCenters of the pairs of all bags, as pair_centers gives
+        them for the pairs of bags()."""
+        rows = np.array(self._pair_rows(), dtype=np.intp)
+        return PairCenters(self._ir_cx[rows], self._ir_cy[rows],
+                           np.array(self._cx, dtype=float)[rows],
+                           np.array(self._cy, dtype=float)[rows])
+
+    def stats(self, epoch: int):
+        """(matched, copied, updated, rgb error) of the pairs of all bags:
+        the counts of MATCHED and COPIED pairs, of MATCHED pairs written in
+        epoch, and the mean distance of the pairs' labels from the true RGB
+        centers of their objects, added left to right."""
+        labels, written, error = self._label, self._updated, self._error
+        rows = self._pair_rows()
+        matched = updated = 0
+        acc = 0.0
+        for r in rows:
+            if labels[r] >= 0:
+                matched += 1
+                updated += written[r] == epoch
+            acc += error[r]
+        n = len(rows)
+        return matched, n - matched, updated, acc / n if n else 0.0
+
+    def scores(self):
+        """(matched pair precision, pair accuracy) of all bags: the share of
+        MATCHED labels equal to their object's live RGB partner (None without
+        one), and the share of pairs that are right, a MATCHED label equal to
+        its partner or a COPIED one without a partner (0.0 without pairs)."""
+        boxes, partner = self._rgb_boxes, self._partner
+        rows = self._pair_rows()
+        correct = matched = accurate = 0
+        for r in rows:
+            row, live = self._label[r], partner[r]
+            if row >= 0:
+                matched += 1
+                ok = live >= 0 and boxes[row] == boxes[live]
+                correct += ok
+                accurate += ok
+            else:
+                accurate += live < 0
+        n = len(rows)
+        return (correct / matched if matched else None,
+                accurate / n if n else 0.0)
+
+    def bags(self) -> dict[int, LabelBag]:
+        """The LabelBag of every scene that has one, by scene id."""
+        out = {}
+        for sid, order, epoch in zip(self._scene_ids, self._order,
+                                     self._epoch):
+            if epoch is None:
+                continue
+            pairs = {}
+            for r in order:
+                row, ir_box = self._label[r], self._ir_boxes[r]
+                pairs[self._ir_ids[r]] = LabelPair(
+                    ir_box, self._rgb_boxes[row] if row >= 0 else ir_box,
+                    self._ir_ids[r], MATCHED if row >= 0 else COPIED,
+                    self._updated[r])
+            out[sid] = LabelBag(sid, pairs, epoch)
+        return out
 
 
 def bag_records(bag: LabelBag):

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import schedule as sched
-from .correction import MATCHED, LabelBag, init_bag, update_bag
+# init_bag and update_bag are perfbench/tracer.py patch points of this module
+from .correction import LabelBag, LabelTable, init_bag, update_bag  # noqa: F401
 from .filtering import filter_batch
 from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (NoiseRows, SimDetectorParams, detect,
-                       least_squares_offset, pair_centers, pair_loss,
-                       rgb_proposals, student_step)
+                       least_squares_offset, pair_loss, rgb_proposals,
+                       student_step)
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,21 @@ def filter_pools(pools, per_class: bool = False):
     Returns (kept, threshold): kept[i] holds the candidates of pools[i]
     that survive one filter_batch call over all the pools, in their order.
     """
-    flat = [c for pool in pools for c in pool]
-    survivors, threshold = filter_batch(flat, per_class=per_class)
-    kept_ids = {id(c) for c in survivors}
-    return [[c for c in pool if id(c) in kept_ids] for pool in pools], threshold
-
-
-def _cross_entropy(pred_probs, true_class) -> float:
-    p = max(pred_probs[true_class], 1e-12)
-    return -math.log(p)
+    survivors, threshold = filter_batch([c for pool in pools for c in pool],
+                                        per_class=per_class)
+    # survivors is a subsequence of the flat batch: one ordered walk
+    # splits it by pool
+    rest = iter(survivors)
+    head = next(rest, None)
+    kept = []
+    for pool in pools:
+        part = []
+        for c in pool:
+            if c is head:
+                part.append(c)
+                head = next(rest, None)
+        kept.append(part)
+    return kept, threshold
 
 
 def _sup_loss(student, scenes, ir_noise, salt) -> float:
@@ -133,7 +140,7 @@ def _sup_loss(student, scenes, ir_noise, salt) -> float:
     for scene, scene_rows in zip(scenes, rows):
         dets = detect(student, scene, "ir", salt, rows=scene_rows)
         for d, (_, _, cls) in zip(dets, scene.ir_gt):
-            acc += _cross_entropy(d.class_probs, cls)
+            acc -= math.log(max(d.class_probs[cls], 1e-12))
             n += 1
     return acc / max(n, 1)
 
@@ -150,42 +157,6 @@ def _rgb_detect_error(scenes) -> float:
                 acc += math.hypot(o.box.cx - cx, o.box.cy - cy)
                 n += 1
     return acc / n if n else 0.0
-
-
-def _truth_index(scenes):
-    """Per scene id, each IR id -> (the true RGB center of its object, the
-    box of its live RGB partner, or None if dropout removed it)."""
-    index = {}
-    for scene in scenes:
-        live = {corr: rgb for rgb, corr in scene.corr_map.items()}
-        boxes = {o.source_id: o.box for o in scene.rgb_obs}
-        dx, dy = scene.true_offset
-        index[scene.scene_id] = {
-            i: ((b.cx + dx, b.cy + dy),
-                boxes[live[i]] if i in live else None)
-            for i, b, _ in scene.ir_gt}
-    return index
-
-
-def _bag_stats(bags, truth, epoch):
-    """(matched, copied, updated, rgb error) of bags after epoch: the
-    counts of MATCHED and COPIED pairs, of MATCHED pairs written in epoch,
-    and the mean distance of the pairs' RGB labels from the true RGB object
-    positions; truth is the _truth_index of the bags' scenes."""
-    matched = copied = updated = 0
-    acc = 0.0
-    for scene_id, bag in bags.items():
-        scene_truth = truth[scene_id]
-        for ir_id, pair in bag.pairs.items():
-            if pair.origin == MATCHED:
-                matched += 1
-                updated += pair.last_update_epoch == epoch
-            else:
-                copied += 1
-            tx, ty = scene_truth[ir_id][0]
-            acc += math.hypot(pair.rgb_box.cx - tx, pair.rgb_box.cy - ty)
-    n = matched + copied
-    return matched, copied, updated, acc / n if n else 0.0
 
 
 def _copy_baseline_error(scenes) -> float:
@@ -210,9 +181,10 @@ def _epoch_proposals(student, scenes, rgb_noise, epoch, batch_size):
                       for s, r in zip(batch, batch_rows)]
 
 
-def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
-                  epoch, batch_size):
-    """The PLA step of one epoch: filter, match and bag update into bags.
+def _assign_epoch(scenes, student, labels, tables, rgb_noise,
+                  pla: PlaConfig, epoch, batch_size):
+    """The PLA step of one epoch: filter, match and bag update into labels,
+    the run's LabelTable.
 
     Each batch of _epoch_proposals is score-filtered as one batch if
     use_plf. Proposals keep the boxes of scene.rgb_obs and redraw only
@@ -233,18 +205,15 @@ def _assign_epoch(scenes, student, bags, tables, rgb_noise, pla: PlaConfig,
             result = match_scene(scene.ir_boxes, pool if pla.use_sdlm else [],
                                  pla.beta, use_search_region=gated,
                                  table=tables[sid])
-            bag = bags.get(sid) if pla.use_dlc else None
-            bags[sid] = (init_bag(sid, scene.ir_boxes, result, scene.rgb_obs,
-                                  epoch) if bag is None else
-                         update_bag(bag, result, scene.rgb_obs, epoch,
-                                    improve_only=pla.dlc_improve_only))
+            labels.assign(sid, result, epoch, fresh=not pla.use_dlc,
+                          improve_only=pla.dlc_improve_only)
 
 
-def _train_on_bags(student, ema, bags, cfg: TrainConfig):
-    """steps_per_epoch student steps on the pairs of bags, each followed by
-    an EMA update; returns (student, ema, the pairs' PairCenters)."""
-    centers = pair_centers([p for bag in bags.values()
-                            for p in bag.pairs.values()])
+def _train_on_bags(student, ema, labels, cfg: TrainConfig):
+    """steps_per_epoch student steps on the pairs of labels, a LabelTable,
+    each followed by an EMA update; returns (student, ema, the pairs'
+    PairCenters)."""
+    centers = labels.centers()
     for _ in range(cfg.steps_per_epoch):
         student = student_step(student, centers, cfg.learning_rate)
         ema = sched.ema_update(ema, student.as_vector())
@@ -262,12 +231,17 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     epoch. Stage 1 still makes the proposal and EMA calls of the full
     schedule, whose counts perfbench/selftest.py pins; it filters nothing.
 
-    The pair tables (for every flag set), the truth index and the NoiseRows
-    of both modalities change in no epoch, so they are built before epoch
-    0, the tables first, so that a table's ValueError comes before any
-    noise work. Each epoch then draws the IR rows of all scenes once if it
-    computes the supervised loss and the RGB rows once if it makes
-    proposals.
+    The pair tables (for every flag set) and the NoiseRows of both
+    modalities change in no epoch, so they are built before epoch 0, the
+    tables first, so that a table's ValueError comes before any noise work.
+    Each epoch then draws the IR rows of all scenes once if it computes the
+    supervised loss and the RGB rows once if it makes proposals.
+
+    The label bags of all scenes live in one LabelTable, built before epoch
+    0 with each reference box's true RGB center and live partner. Each
+    stage-2/3 epoch writes its match results into it, trains on its
+    PairCenters and reads its counts and RGB error from it; the report's
+    LabelBags are built from it once, after the last epoch.
     """
     if not scenes:
         raise ValueError("empty scene stream")
@@ -281,11 +255,10 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
 
     student = SimDetectorParams()
     ema = EmaState(student.as_vector(), train.ema_decay)
-    bags: dict[int, LabelBag] = {}
     tables = dict(pair_tables(((s.scene_id, s.ir_boxes, s.rgb_obs)
                                for s in scenes),
                               pla.beta, not pla.iou_match_only))
-    truth = _truth_index(scenes)
+    labels = LabelTable(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
     stage1_rgb_err = _rgb_detect_error(scenes)
     records = []
@@ -309,53 +282,38 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                     pass
             for _ in range(train.steps_per_epoch):
                 ema = sched.ema_update(ema, student.as_vector())
+            stats = (0, 0, 0, stage1_rgb_err)
 
         else:  # STAGE2 / STAGE3
-            _assign_epoch(scenes, student, bags, tables, rgb_noise, pla,
+            _assign_epoch(scenes, student, labels, tables, rgb_noise, pla,
                           epoch, train.batch_size)
-            student, ema, centers = _train_on_bags(student, ema, bags, train)
+            student, ema, centers = _train_on_bags(student, ema, labels,
+                                                   train)
             losses[sched.L_PAIRED] = pair_loss(student, centers)
             if phase is Phase.STAGE2:
                 losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise,
                                                 epoch)
                 losses[sched.L_UNSUP] = losses[sched.L_PAIRED]
+            stats = labels.stats(epoch)
 
         total = sum(terms[k] * losses.get(k, 0.0) for k in terms)
         if not math.isfinite(total):
             raise NumericError(f"non-finite loss at epoch {epoch} ({phase.value})")
 
-        stats = (_bag_stats(bags, truth, epoch) if bags
-                 else (0, 0, 0, stage1_rgb_err))
         records.append(EpochRecord(
             epoch, phase.value, {k: losses.get(k, 0.0) for k in terms},
             state.lam, *stats))
 
-    pairs = [p for bag in bags.values() for p in bag.pairs.values()]
-    optimum = least_squares_offset(pairs)
-    corr_correct = corr_total_matched = corr_total = 0
-    acc_correct = 0
-    for scene_id, bag in bags.items():
-        partners = truth[scene_id]
-        for ir_id, p in bag.pairs.items():
-            corr_total += 1
-            partner = partners[ir_id][1]
-            if p.origin == MATCHED:
-                corr_total_matched += 1
-                ok = partner is not None and p.rgb_box == partner
-                corr_correct += ok
-                acc_correct += ok
-            else:
-                acc_correct += partner is None
-
+    precision, accuracy = labels.scores()
     return PipelineReport(
         tuple(records),
         student.offset_estimate,
         tuple(float(v) for v in ema.teacher_params),
-        optimum,
+        least_squares_offset(labels.centers()),
         records[-1].mean_center_error_rgb,
         _copy_baseline_error(scenes),
-        corr_correct / corr_total_matched if corr_total_matched else None,
-        acc_correct / corr_total if corr_total else 0.0,
+        precision,
+        accuracy,
         not train.skip_stage1,
-        bags,
+        labels.bags(),
     )

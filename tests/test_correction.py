@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosspair.correction import (COPIED, MATCHED, LabelBag, bag_records,
-                                  init_bag, update_bag)
+from crosspair.correction import (COPIED, MATCHED, LabelBag, LabelTable,
+                                  bag_records, init_bag, update_bag)
 from crosspair.filtering import ScoredBox
 from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import MatchResult, match_scene
+from crosspair.simulate import SPURIOUS, ObservedBox, Scene, pair_centers
 
 
 def sb(box, source_id):
@@ -206,3 +209,138 @@ def test_update_bag_invariants(history, improve_only):
                 assert iou(p.ir_box, p.rgb_box) >= iou(old.ir_box,
                                                        old.rgb_box)
         bag = new
+
+
+# ---------------------------------------------------------------------------
+# LabelTable against an init_bag/update_bag replay
+
+
+@st.composite
+def table_histories(draw):
+    """(scenes, [(epoch, {scene_id: MatchResult})]): a few scenes whose RGB
+    observations lie near their reference boxes or anywhere and repeat box
+    values under other ids, and per epoch a
+    one-to-one match of a random subset of each scene's reference boxes,
+    in random order, each pair with its IoU."""
+    scenes = []
+    for sid in draw(st.lists(st.integers(0, 50), min_size=1, max_size=3,
+                             unique=True)):
+        ir_boxes = draw(st.lists(small_box, max_size=5))
+        ir_ids = draw(st.permutations(range(10, 10 + len(ir_boxes))))
+        # observations near the reference boxes, so that IoUs differ
+        boxes = [b.translated(draw(st.floats(-4, 4)), draw(st.floats(-4, 4)))
+                 for b in ir_boxes if draw(st.booleans())]
+        boxes += draw(st.lists(small_box, max_size=2))
+        boxes += draw(st.lists(st.sampled_from(boxes), max_size=3)
+                      if boxes else st.just([]))
+        rgb_ids = draw(st.permutations(range(len(boxes))))
+        corr = draw(st.lists(st.sampled_from([SPURIOUS] + list(ir_ids)),
+                             min_size=len(boxes), max_size=len(boxes)))
+        offset = (draw(st.floats(-5, 5)), draw(st.floats(-5, 5)))
+        scenes.append(Scene(
+            sid, (64, 64), offset,
+            tuple((i, b, 0) for i, b in zip(ir_ids, ir_boxes)),
+            tuple(ObservedBox(b, (1.0,), j, c)
+                  for b, j, c in zip(boxes, rgb_ids, corr))))
+    scenes.sort(key=lambda s: s.scene_id)
+    history, epoch = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 6))):
+        results = {}
+        for scene in scenes:
+            obs = list(scene.rgb_obs)
+            pairs = []
+            for ir_id, box, _ in draw(st.permutations(scene.ir_gt)):
+                if obs and draw(st.booleans()):
+                    o = obs.pop(draw(st.integers(0, len(obs) - 1)))
+                    pairs.append((ir_id, o.source_id, iou(box, o.box)))
+            results[scene.scene_id] = MatchResult(tuple(pairs), (), ())
+        history.append((epoch, results))
+        epoch += draw(st.integers(1, 3))
+    return scenes, history
+
+
+def reference_stats(bags, scenes, epoch):
+    """(matched, copied, updated, rgb error) of bags, as run_pipeline
+    computed them on LabelBags."""
+    truth = {s.scene_id: {i: (b.cx + s.true_offset[0], b.cy + s.true_offset[1])
+                          for i, b, _ in s.ir_gt} for s in scenes}
+    matched = copied = updated = 0
+    acc = 0.0
+    for sid, bag in bags.items():
+        for ir_id, p in bag.pairs.items():
+            if p.origin == MATCHED:
+                matched += 1
+                updated += p.last_update_epoch == epoch
+            else:
+                copied += 1
+            tx, ty = truth[sid][ir_id]
+            acc += math.hypot(p.rgb_box.cx - tx, p.rgb_box.cy - ty)
+    n = matched + copied
+    return matched, copied, updated, acc / n if n else 0.0
+
+
+def reference_scores(bags, scenes):
+    """(matched pair precision, pair accuracy) of bags, as run_pipeline
+    computed them on LabelBags."""
+    correct = matched = accurate = total = 0
+    for scene in scenes:
+        live = {corr: rgb for rgb, corr in scene.corr_map.items()}
+        boxes = {o.source_id: o.box for o in scene.rgb_obs}
+        for ir_id, p in bags[scene.scene_id].pairs.items():
+            total += 1
+            partner = boxes[live[ir_id]] if ir_id in live else None
+            if p.origin == MATCHED:
+                matched += 1
+                ok = partner is not None and p.rgb_box == partner
+                correct += ok
+                accurate += ok
+            else:
+                accurate += partner is None
+    return (correct / matched if matched else None,
+            accurate / total if total else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_histories(), st.booleans(), st.booleans())
+def test_label_table_equals_bag_replay(history, improve_only, use_dlc):
+    scenes, epochs = history
+    table = LabelTable(scenes)
+    bags = {}
+    for epoch, results in epochs:
+        for scene in scenes:
+            sid, matches = scene.scene_id, results[scene.scene_id]
+            table.assign(sid, matches, epoch, fresh=not use_dlc,
+                         improve_only=improve_only)
+            bag = bags.get(sid) if use_dlc else None
+            bags[sid] = (init_bag(sid, scene.ir_boxes, matches, scene.rgb_obs,
+                                  epoch) if bag is None else
+                         update_bag(bag, matches, scene.rgb_obs, epoch,
+                                    improve_only=improve_only))
+        got = table.bags()
+        assert got == bags
+        assert [list(b.pairs.items()) for b in got.values()] == \
+            [list(b.pairs.items()) for b in bags.values()]
+        want = pair_centers([p for b in bags.values()
+                             for p in b.pairs.values()])
+        centers = table.centers()
+        for field in ("ir_cx", "ir_cy", "rgb_cx", "rgb_cy"):
+            assert getattr(centers, field).tobytes() == \
+                getattr(want, field).tobytes()
+        assert table.stats(epoch) == reference_stats(bags, scenes, epoch)
+        assert table.scores() == reference_scores(bags, scenes)
+
+
+def test_label_table_keeps_an_equal_box_under_another_id():
+    ir = make_ir(1)
+    box = ir[0][1].translated(1, 0)
+    scene = Scene(0, (64, 64), (1.0, 0.0), tuple((i, b, 0) for i, b in ir),
+                  (ObservedBox(box, (1.0,), 3, 0),
+                   ObservedBox(box, (1.0,), 4, SPURIOUS)))
+    table = LabelTable([scene])
+    table.assign(0, MatchResult(((0, 3, 0.5),), (), ()), 1)
+    table.assign(0, MatchResult(((0, 4, 0.5),), (), ()), 2)
+    assert table.stats(2) == (1, 0, 0, 0.0)
+    assert table.scores() == (1.0, 1.0)
+    with pytest.raises(ValueError, match="epoch must increase"):
+        table.assign(0, MatchResult((), (0,), ()), 2)
+    assert table.bags()[0].pairs[0].last_update_epoch == 1

@@ -786,13 +786,38 @@ def test_filtered_outputs_unchanged(tmp_path, argv, digests):
     assert tuple(file_digest(str(out) + s) for s in suffixes) == digests
 
 
-@pytest.mark.parametrize("flags,digests", RECORDED)
-def test_pipeline_outputs_unchanged(tmp_path, flags, digests):
+# As many spurious observations as objects, on a smaller canvas: the first
+# input found where --dlc-improve-only keeps an older label, so its bags
+# differ from those of --iou-match-only alone (digests recorded with the
+# per-scene LabelBags that correction.LabelTable replaces).
+SIMULATE_CROWDED = SIMULATE + ["--spurious", "1.0", "--canvas", "320", "320"]
+RECORDED_CROWDED = [
+    (["--iou-match-only", "--dlc-improve-only"],
+     ("76e6e9f9afe0e80ad327c0935f937468be9b7e9b3fb6e339839997becdbf559c",
+      "173b94319b85810663061bc4d698d032ada5df9e4a8bb49fd8a3321b3c6bdcb3",
+      "32f4c3e402183243bf2da1e66f8ee87b9b3c0d73cbf60e4f4bffc9712c796838")),
+    (["--iou-match-only"],
+     ("9a33e06f5a7404aaac6792ecbbc3ddd9d142cc1eb534e63af3f8edf24b16b95b",
+      "8b9efa97c47147049f8f03377d5527ca9a50ac330dea860f5d1952d6bbbb421b",
+      "a8fbbfa8c60285ee21e9fc87ec6404ebbf38c21f16158748d4a6c8fe2af7c223")),
+]
+
+
+def _pipeline_digests(tmp_path, simulate, flags):
     scenes = tmp_path / "s.jsonl"
     out = tmp_path / "r.jsonl"
-    assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
+    assert run(simulate + ["-o", str(scenes)]) == EXIT_OK
     assert run(["pipeline", "--input", str(scenes)] + SCHEDULE + flags
                + ["-o", str(out)]) == EXIT_OK
-    got = tuple(file_digest(str(out) + suffix)
-                for suffix in ("", ".csv", ".bags.jsonl"))
-    assert got == digests
+    return tuple(file_digest(str(out) + suffix)
+                 for suffix in ("", ".csv", ".bags.jsonl"))
+
+
+@pytest.mark.parametrize("flags,digests", RECORDED)
+def test_pipeline_outputs_unchanged(tmp_path, flags, digests):
+    assert _pipeline_digests(tmp_path, SIMULATE, flags) == digests
+
+
+@pytest.mark.parametrize("flags,digests", RECORDED_CROWDED)
+def test_crowded_pipeline_outputs_unchanged(tmp_path, flags, digests):
+    assert _pipeline_digests(tmp_path, SIMULATE_CROWDED, flags) == digests
