@@ -103,13 +103,12 @@ class LabelTable:
     """The label bags of many scenes as flat columns, one entry per
     reference box, in scene order and each scene's ir_gt order.
 
-    An entry holds the flat RGB row of its label (-1 while the label is a
-    copy of the reference box), the epoch of its last update, its label's
-    center and that center's distance from the true RGB center of its
-    object, and, fixed for the run, its reference box and center, that true
-    RGB center and the flat RGB row of its object's live RGB partner (-1 if
-    dropout removed it). Flat RGB rows number the rgb_obs of all scenes in
-    scene order.
+    An entry holds the row in its scene's rgb_obs of its label (-1 while
+    the label is a copy of the reference box), the epoch of its last
+    update, its label's center and that center's distance from the true RGB
+    center of its object (reference center plus the scene's true_offset),
+    and, fixed for the run, its reference box and center and the row of its
+    object's live RGB partner (-1 if dropout removed it).
 
     Each scene keeps its pair order, the order of init_bag's pairs: matched
     pairs in match order, then copied ones in ir_gt order. centers(),
@@ -119,35 +118,28 @@ class LabelTable:
     """
 
     def __init__(self, scenes):
-        self._scene_ids = [s.scene_id for s in scenes]
-        self._index = {sid: k for k, sid in enumerate(self._scene_ids)}
+        self._scenes = list(scenes)
+        self._index = {s.scene_id: k for k, s in enumerate(self._scenes)}
         self._entries, self._rgb_rows = [], []
-        ir_ids, ir_boxes, rgb_boxes, truth, partner = [], [], [], [], []
-        for scene in scenes:
-            first = len(ir_boxes)
-            rgb_rows = {o.source_id: len(rgb_boxes) + j
-                        for j, o in enumerate(scene.rgb_obs)}
-            rgb_boxes.extend(o.box for o in scene.rgb_obs)
+        ir_ids, ir_boxes, partner = [], [], []
+        for scene in self._scenes:
+            rgb_rows = {o.source_id: j for j, o in enumerate(scene.rgb_obs)}
             live = {corr: rgb for rgb, corr in scene.corr_map.items()}
-            dx, dy = scene.true_offset
+            self._entries.append({i: len(ir_ids) + k
+                                  for k, (i, _, _) in enumerate(scene.ir_gt)})
+            self._rgb_rows.append(rgb_rows)
             for i, b, _ in scene.ir_gt:
                 ir_ids.append(i)
                 ir_boxes.append(b)
-                truth.append((b.cx + dx, b.cy + dy))
                 partner.append(rgb_rows[live[i]] if i in live else -1)
-            self._entries.append({i: first + k
-                                  for k, (i, _, _) in enumerate(scene.ir_gt)})
-            self._rgb_rows.append(rgb_rows)
-        self._ir_ids, self._ir_boxes, self._rgb_boxes = (ir_ids, ir_boxes,
-                                                         rgb_boxes)
-        self._truth, self._partner = truth, partner
+        self._ir_ids, self._ir_boxes, self._partner = ir_ids, ir_boxes, partner
         self._ir_cx = np.array([b.cx for b in ir_boxes], dtype=float)
         self._ir_cy = np.array([b.cy for b in ir_boxes], dtype=float)
         n = len(ir_boxes)
         self._label, self._updated = [-1] * n, [0] * n
         self._cx, self._cy, self._error = [0.0] * n, [0.0] * n, [0.0] * n
-        self._order = [[] for _ in scenes]
-        self._epoch = [None] * len(scenes)  # None: no bag yet
+        self._order = [[] for _ in self._scenes]
+        self._epoch = [None] * len(self._scenes)  # None: no bag yet
         self._rows = []  # the pair orders of all scenes, None when stale
 
     def assign(self, scene_id, matches: MatchResult, epoch: int, *,
@@ -163,39 +155,41 @@ class LabelTable:
             raise ValueError(f"epoch must increase: {epoch} <= {last}")
         else:
             entries, rgb_rows = self._entries[k], self._rgb_rows[k]
-            labels, boxes = self._label, self._rgb_boxes
+            labels, obs = self._label, self._scenes[k].rgb_obs
             for ir_id, rgb_id, v in matches.pairs:
                 r, new = entries[ir_id], rgb_rows[rgb_id]
                 old = labels[r]
                 # a label rematched to its own row keeps its (equal) box
                 if old < 0 or old != new and not keeps_label(
-                        self._ir_boxes[r], boxes[old], boxes[new], v,
+                        self._ir_boxes[r], obs[old].box, obs[new].box, v,
                         improve_only):
-                    self._write(r, new, epoch)
+                    self._write(k, r, new, epoch)
         self._epoch[k] = epoch
 
     def _init(self, k, matches, epoch):
         entries, rgb_rows = self._entries[k], self._rgb_rows[k]
         matched = {entries[i]: rgb_rows[j] for i, j, _ in matches.pairs}
         for r in entries.values():
-            self._write(r, matched.get(r, -1), epoch)
+            self._write(k, r, matched.get(r, -1), epoch)
         self._order[k] = list(matched) + [r for r in entries.values()
                                           if r not in matched]
         self._rows = None
+
+    def _write(self, k, r, row, epoch):
+        scene, ir = self._scenes[k], self._ir_boxes[r]
+        box = scene.rgb_obs[row].box if row >= 0 else ir
+        dx, dy = scene.true_offset
+        self._label[r] = row
+        self._updated[r] = epoch
+        self._cx[r], self._cy[r] = box.cx, box.cy
+        self._error[r] = math.hypot(box.cx - (ir.cx + dx),
+                                    box.cy - (ir.cy + dy))
 
     def _pair_rows(self):
         """The entries of all scenes, each scene in its pair order."""
         if self._rows is None:
             self._rows = [r for order in self._order for r in order]
         return self._rows
-
-    def _write(self, r, row, epoch):
-        box = self._rgb_boxes[row] if row >= 0 else self._ir_boxes[r]
-        tx, ty = self._truth[r]
-        self._label[r] = row
-        self._updated[r] = epoch
-        self._cx[r], self._cy[r] = box.cx, box.cy
-        self._error[r] = math.hypot(box.cx - tx, box.cy - ty)
 
     def centers(self) -> PairCenters:
         """The PairCenters of the pairs of all bags, as pair_centers gives
@@ -227,37 +221,37 @@ class LabelTable:
         MATCHED labels equal to their object's live RGB partner (None without
         one), and the share of pairs that are right, a MATCHED label equal to
         its partner or a COPIED one without a partner (0.0 without pairs)."""
-        boxes, partner = self._rgb_boxes, self._partner
-        rows = self._pair_rows()
         correct = matched = accurate = 0
-        for r in rows:
-            row, live = self._label[r], partner[r]
-            if row >= 0:
-                matched += 1
-                ok = live >= 0 and boxes[row] == boxes[live]
-                correct += ok
-                accurate += ok
-            else:
-                accurate += live < 0
-        n = len(rows)
+        for scene, order in zip(self._scenes, self._order):
+            obs = scene.rgb_obs
+            for r in order:
+                row, live = self._label[r], self._partner[r]
+                if row >= 0:
+                    matched += 1
+                    ok = live >= 0 and obs[row].box == obs[live].box
+                    correct += ok
+                    accurate += ok
+                else:
+                    accurate += live < 0
+        n = len(self._pair_rows())
         return (correct / matched if matched else None,
                 accurate / n if n else 0.0)
 
     def bags(self) -> dict[int, LabelBag]:
         """The LabelBag of every scene that has one, by scene id."""
         out = {}
-        for sid, order, epoch in zip(self._scene_ids, self._order,
-                                     self._epoch):
+        for scene, order, epoch in zip(self._scenes, self._order,
+                                       self._epoch):
             if epoch is None:
                 continue
             pairs = {}
             for r in order:
                 row, ir_box = self._label[r], self._ir_boxes[r]
                 pairs[self._ir_ids[r]] = LabelPair(
-                    ir_box, self._rgb_boxes[row] if row >= 0 else ir_box,
+                    ir_box, scene.rgb_obs[row].box if row >= 0 else ir_box,
                     self._ir_ids[r], MATCHED if row >= 0 else COPIED,
                     self._updated[r])
-            out[sid] = LabelBag(sid, pairs, epoch)
+            out[scene.scene_id] = LabelBag(scene.scene_id, pairs, epoch)
         return out
 
 
