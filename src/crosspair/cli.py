@@ -378,8 +378,9 @@ def cmd_pipeline(args):
                      r.copied_count, r.updated_count, r.mean_center_error_rgb])
     write_csv(csv_path, header, rows)
     bag_path = Path(str(out) + ".bags.jsonl")
-    write_records(bag_path, [rec for sid in sorted(report.bags)
-                             for rec in bag_records(report.bags[sid])])
+    # streamed: the records of every bag at once would set the peak memory
+    write_records(bag_path, (rec for sid in sorted(report.bags)
+                             for rec in bag_records(report.bags[sid])))
     write_manifest(out, "pipeline", _run_config(args),
                    [out, csv_path, bag_path], digest.hexdigest())
     print(json.dumps(report.summary()))

@@ -25,7 +25,7 @@ MATCHED = "matched"
 COPIED = "copied"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelPair:
     ir_box: OrientedBox
     rgb_box: OrientedBox
@@ -34,7 +34,7 @@ class LabelPair:
     last_update_epoch: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelBag:
     scene_id: int
     pairs: dict[int, LabelPair]  # keyed by ir_id
@@ -115,24 +115,28 @@ class LabelTable:
     stats() and scores() go through the scenes in the order given and
     through each scene's entries in its pair order, so their sums add in
     the order of the pairs of bags().
+
+    The ids of a scene's ir_gt, and those of its rgb_obs, must not repeat,
+    as pair_tables requires: an id's entry and row are its position in the
+    tuple of its scene's ids (tuple.index), so the table holds no dict per
+    scene.
     """
 
     def __init__(self, scenes):
         self._scenes = list(scenes)
         self._index = {s.scene_id: k for k, s in enumerate(self._scenes)}
-        self._entries, self._rgb_rows = [], []
-        ir_ids, ir_boxes, partner = [], [], []
+        self._first, self._ir_ids, self._rgb_ids = [], [], []
+        ir_boxes, partner = [], []
         for scene in self._scenes:
-            rgb_rows = {o.source_id: j for j, o in enumerate(scene.rgb_obs)}
+            self._first.append(len(ir_boxes))
+            self._ir_ids.append(tuple(i for i, _, _ in scene.ir_gt))
+            rgb_ids = tuple(o.source_id for o in scene.rgb_obs)
+            self._rgb_ids.append(rgb_ids)
             live = {corr: rgb for rgb, corr in scene.corr_map.items()}
-            self._entries.append({i: len(ir_ids) + k
-                                  for k, (i, _, _) in enumerate(scene.ir_gt)})
-            self._rgb_rows.append(rgb_rows)
             for i, b, _ in scene.ir_gt:
-                ir_ids.append(i)
                 ir_boxes.append(b)
-                partner.append(rgb_rows[live[i]] if i in live else -1)
-        self._ir_ids, self._ir_boxes, self._partner = ir_ids, ir_boxes, partner
+                partner.append(rgb_ids.index(live[i]) if i in live else -1)
+        self._ir_boxes, self._partner = ir_boxes, partner
         self._ir_cx = np.array([b.cx for b in ir_boxes], dtype=float)
         self._ir_cy = np.array([b.cy for b in ir_boxes], dtype=float)
         n = len(ir_boxes)
@@ -154,10 +158,11 @@ class LabelTable:
         elif epoch <= last:
             raise ValueError(f"epoch must increase: {epoch} <= {last}")
         else:
-            entries, rgb_rows = self._entries[k], self._rgb_rows[k]
-            labels, obs = self._label, self._scenes[k].rgb_obs
+            first, ir_ids = self._first[k], self._ir_ids[k]
+            rgb_ids, obs = self._rgb_ids[k], self._scenes[k].rgb_obs
+            labels = self._label
             for ir_id, rgb_id, v in matches.pairs:
-                r, new = entries[ir_id], rgb_rows[rgb_id]
+                r, new = first + ir_ids.index(ir_id), rgb_ids.index(rgb_id)
                 old = labels[r]
                 # a label rematched to its own row keeps its (equal) box
                 if old < 0 or old != new and not keeps_label(
@@ -167,11 +172,14 @@ class LabelTable:
         self._epoch[k] = epoch
 
     def _init(self, k, matches, epoch):
-        entries, rgb_rows = self._entries[k], self._rgb_rows[k]
-        matched = {entries[i]: rgb_rows[j] for i, j, _ in matches.pairs}
-        for r in entries.values():
+        first, ir_ids = self._first[k], self._ir_ids[k]
+        rgb_ids = self._rgb_ids[k]
+        matched = {first + ir_ids.index(i): rgb_ids.index(j)
+                   for i, j, _ in matches.pairs}
+        entries = range(first, first + len(ir_ids))
+        for r in entries:
             self._write(k, r, matched.get(r, -1), epoch)
-        self._order[k] = list(matched) + [r for r in entries.values()
+        self._order[k] = list(matched) + [r for r in entries
                                           if r not in matched]
         self._rows = None
 
@@ -240,17 +248,17 @@ class LabelTable:
     def bags(self) -> dict[int, LabelBag]:
         """The LabelBag of every scene that has one, by scene id."""
         out = {}
-        for scene, order, epoch in zip(self._scenes, self._order,
-                                       self._epoch):
+        for scene, first, order, epoch in zip(self._scenes, self._first,
+                                              self._order, self._epoch):
             if epoch is None:
                 continue
             pairs = {}
             for r in order:
                 row, ir_box = self._label[r], self._ir_boxes[r]
-                pairs[self._ir_ids[r]] = LabelPair(
+                ir_id = scene.ir_gt[r - first][0]
+                pairs[ir_id] = LabelPair(
                     ir_box, scene.rgb_obs[row].box if row >= 0 else ir_box,
-                    self._ir_ids[r], MATCHED if row >= 0 else COPIED,
-                    self._updated[r])
+                    ir_id, MATCHED if row >= 0 else COPIED, self._updated[r])
             out[scene.scene_id] = LabelBag(scene.scene_id, pairs, epoch)
         return out
 
