@@ -329,11 +329,12 @@ def cmd_match(args):
                                                 gated):
             result = match_ids(table, s.ir.ids, pool_ids)
             scores.append(correspondence_score(result, s))
+            # the JSON encoder writes tuples as lists
             yield {
                 "scene_id": s.scene_id,
-                "pairs": [[i, j, v] for i, j, v in result.pairs],
-                "unmatched_ir": list(result.unmatched_ir),
-                "unmatched_rgb": list(result.unmatched_rgb),
+                "pairs": result.pairs,
+                "unmatched_ir": result.unmatched_ir,
+                "unmatched_rgb": result.unmatched_rgb,
             }
 
     write_records(out, records())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -203,12 +203,12 @@ class BoxColumns:
     """Boxes with ids, as the columns a pair table reads.
 
     Box k has id ids[k], box_rows row rows[k], theta theta[k], normalized,
-    and values[k], the tuple (cx, cy, w, h) as its record or its
-    OrientedBox gives them, ints included.
+    in a float64 array, and values[k], the tuple (cx, cy, w, h) as its
+    record or its OrientedBox gives them, ints included.
     """
     ids: list
     rows: np.ndarray
-    theta: list
+    theta: np.ndarray
     values: list
 
     def __len__(self) -> int:
@@ -220,72 +220,95 @@ class BoxColumns:
         b = object.__new__(OrientedBox)
         for name, v in zip(("cx", "cy", "w", "h"), self.values[k]):
             object.__setattr__(b, name, v)
-        object.__setattr__(b, "theta", self.theta[k])
+        object.__setattr__(b, "theta", float(self.theta[k]))
         return b
 
     def select(self, mask) -> "BoxColumns":
         """The columns of the boxes where mask, a boolean array, is True."""
         keep = mask.tolist()
         return BoxColumns(list(compress(self.ids, keep)), self.rows[mask],
-                          list(compress(self.theta, keep)),
-                          list(compress(self.values, keep)))
+                          self.theta[mask], list(compress(self.values, keep)))
 
 
 def box_columns(ids, boxes) -> BoxColumns:
     """The BoxColumns of boxes, OrientedBoxes, with the ids ids."""
     values = [(b.cx, b.cy, b.w, b.h) for b in boxes]
-    return BoxColumns(list(ids), box_rows(boxes), [b.theta for b in boxes],
-                      values)
+    return BoxColumns(list(ids), box_rows(boxes),
+                      np.array([b.theta for b in boxes], dtype=float), values)
 
 
 def concat_columns(parts) -> BoxColumns:
     """The BoxColumns of the boxes of parts, one after another."""
-    return BoxColumns([i for p in parts for i in p.ids],
+    return BoxColumns(list(chain.from_iterable(p.ids for p in parts)),
                       np.concatenate([p.rows for p in parts]),
-                      [t for p in parts for t in p.theta],
-                      [v for p in parts for v in p.values])
+                      np.concatenate([p.theta for p in parts]),
+                      list(chain.from_iterable(p.values for p in parts)))
 
 
 def _corner_arrays(rows):
-    """(xs, ys), each (n, 4): corners_of of every box row, same operations."""
-    cx, cy, w, h, c, s = (rows[:, k, None] for k in range(6))
+    """(xs, ys), each (n, 4): corners_of of every box row. corners_of's
+    products with -w/2 and -h/2 are the negated products with w/2 and h/2,
+    and adding a negated term is subtracting it, so each product is taken
+    once and each corner has corners_of's value bit for bit."""
+    cx, cy, w, h, c, s = rows.T
     hw, hh = w / 2.0, h / 2.0
-    x = np.hstack([hw, -hw, -hw, hw])
-    y = np.hstack([hh, hh, -hh, -hh])
-    return (cx + c * x) - s * y, (cy + s * x) + c * y
+    cw, sw, ch, sh = c * hw, s * hw, c * hh, s * hh
+    xp, xm, yp, ym = cx + cw, cx - cw, cy + sw, cy - sw
+    xs, ys = np.empty((len(rows), 4)), np.empty((len(rows), 4))
+    for k, (x, dx, y, dy) in enumerate(((xp, -sh, yp, ch), (xm, -sh, ym, ch),
+                                         (xm, sh, ym, -ch), (xp, sh, yp, -ch))):
+        np.add(x, dx, out=xs[:, k])
+        np.add(y, dy, out=ys[:, k])
+    return xs, ys
 
 
 def _clip_rows(xs, ys, n, ex1, ey1, ex2, ey2):
     """_clip_halfplane of every row polygon against its own edge.
 
-    xs, ys: (rows, width) vertices, of which the first n[r] are row r's;
-    e*: (rows, 1) edge ends. Each vertex emits, in order, the crossing into
-    it (where its side differs from its predecessor's and the denominator
-    is nonzero) and then itself if inside. Boolean indexing reads and fills
-    in row-major order, so the emitted points keep that order.
+    xs, ys: (rows, width) vertices, of which the first n[r] are row r's and
+    the rest repeat its last one; e*: (rows,) edge ends. Returns the
+    clipped polygons in the same layout, and their vertex counts.
+
+    Each vertex emits, in order, the crossing into it (where its side
+    differs from its predecessor's and the denominator is nonzero) and then
+    itself if inside. The side test runs on every vertex; the denominator
+    and the crossing point only where the side changes, which the repeated
+    last vertex never does, and which column 0 finds against the last
+    column. The emitted points are gathered in row-major order.
     """
     rows, width = xs.shape
     edx, edy = ex2 - ex1, ey2 - ey1
-    inside = edx * (ys - ey1) - edy * (xs - ex1) >= 0.0
-    last = np.maximum(n - 1, 0)
-    sx, sy, s_in = (np.hstack([a[np.arange(rows), last, None], a[:, :-1]])
-                    for a in (xs, ys, inside))
-    valid = np.arange(width) < n[:, None]
-    denom = edx * (ys - sy) - edy * (xs - sx)
-    t = (edx * (ey1 - sy) - edy * (ex1 - sx)) / denom
-    emit = np.empty((rows, width, 2), dtype=bool)
-    emit[:, :, 0] = valid & (inside != s_in) & (denom != 0.0)
-    emit[:, :, 1] = valid & inside
-    count = emit.sum(axis=(1, 2))
-    kept = np.arange(max(int(count.max(initial=0)), 1)) < count[:, None]
+    inside = (edx[:, None] * (ys - ey1[:, None])
+              - edy[:, None] * (xs - ex1[:, None]) >= 0.0)
+    s_in = np.empty_like(inside)
+    s_in[:, 1:] = inside[:, :-1]
+    s_in[:, 0] = inside[:, -1]
+    # the vertices whose side changes, as flat indices, and their predecessors
+    f = np.flatnonzero(inside != s_in)
+    r, i = np.divmod(f, width)
+    fs = np.where(i > 0, f - 1, f + (width - 1))
+    px, py, sx, sy = xs.take(f), ys.take(f), xs.take(fs), ys.take(fs)
+    dx, dy, x1, y1 = edx[r], edy[r], ex1[r], ey1[r]
+    denom = dx * (py - sy) - dy * (px - sx)
+    t = (dx * (y1 - sy) - dy * (x1 - sx)) / denom
+    # emit[r, i] holds vertex i's crossing, then vertex i itself
+    emit = np.zeros((rows, width, 2), dtype=bool)
+    emit.reshape(-1)[2 * f] = denom != 0.0
+    np.logical_and(np.arange(width) < n[:, None], inside, out=emit[:, :, 1])
+    slots = np.flatnonzero(emit)
+    count = np.bincount(slots // (2 * width), minlength=rows)
+    if not len(slots):
+        return np.zeros((rows, 1)), np.zeros((rows, 1)), count
+    # each row's emitted slots, its last one repeated up to the widest row
+    first = np.cumsum(count) - count
+    at = slots[first[:, None]
+               + np.minimum(np.arange(count.max()), count[:, None] - 1)]
     out = []
-    for a, sa in ((xs, sx), (ys, sy)):
+    for a, p, s in ((xs, px, sx), (ys, py, sy)):
         points = np.empty((rows, width, 2))
-        points[:, :, 0] = sa + t * (a - sa)
         points[:, :, 1] = a
-        o = np.zeros(kept.shape)
-        o[kept] = points[emit]
-        out.append(o)
+        points.reshape(-1)[2 * f] = s + t * (p - s)
+        out.append(points.take(at))
     return out[0], out[1], count
 
 
@@ -303,28 +326,31 @@ def iou_rows(a: np.ndarray, b: np.ndarray):
 
     Repeats corners_of, intersect_polygon, shoelace, intersect_area and iou
     operation for operation, so each value equals the scalar iou bit for
-    bit. Returns (values, scalar): rows where scalar is True, where the
+    bit: _corner_arrays gives the corners, four _clip_rows passes the
+    clipped polygon, and the shoelace sum adds each row's terms in vertex
+    order from 0.0 (the columns past a row's last vertex add 0.0, which
+    can change only the sign of a zero sum, whose absolute value is the
+    area). Returns (values, scalar): rows where scalar is True, where the
     scalar path's _merge_close could drop a vertex or its division would
     raise, hold no value and must be computed with iou.
     """
     if not len(a):
         return np.zeros(0), np.zeros(0, dtype=bool)
-    xs, ys = _corner_arrays(a)
-    bx, by = _corner_arrays(b)
     n = np.full(len(a), 4)
     with np.errstate(all="ignore"):
+        xs, ys = _corner_arrays(a)
+        bx, by = _corner_arrays(b)
         for i in range(4):
             j = (i + 1) % 4
-            xs, ys, n = _clip_rows(xs, ys, n, bx[:, i, None], by[:, i, None],
-                                   bx[:, j, None], by[:, j, None])
+            xs, ys, n = _clip_rows(xs, ys, n, bx[:, i], by[:, i],
+                                   bx[:, j], by[:, j])
         valid = np.arange(xs.shape[1]) < n[:, None]
         nx, ny = _ring(xs, n), _ring(ys, n)
         gx, gy = nx - xs, ny - ys
         close = (valid & (gx * gx + gy * gy < SCALAR_GAP ** 2)).any(axis=1)
         acc = np.zeros(len(a))
-        for i in range(xs.shape[1]):
-            term = xs[:, i] * ny[:, i] - nx[:, i] * ys[:, i]
-            acc = np.where(valid[:, i], acc + term, acc)
+        for term in np.where(valid, xs * ny - nx * ys, 0.0).T:
+            acc += term
         area = np.abs(0.5 * acc)
         a_area, b_area = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
         smallest = np.where(a_area < area, a_area, area)

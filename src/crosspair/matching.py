@@ -192,9 +192,9 @@ def _gate(chunk: _Chunk, ia: np.ndarray, ib: np.ndarray,
     ir = chunk.ir.rows
     if not len(ia):
         return np.zeros(0, dtype=bool)
-    theta = normalize_angles(np.array(chunk.ir.theta, dtype=float)).tolist()
-    c = np.array(list(map(math.cos, theta)))[ia]
-    s = np.array(list(map(math.sin, theta)))[ia]
+    theta = normalize_angles(chunk.ir.theta).tolist()
+    c = np.fromiter(map(math.cos, theta), float, len(theta))[ia]
+    s = np.fromiter(map(math.sin, theta), float, len(theta))[ia]
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         dx = chunk.cands.rows[ib, 0]
         dx -= ir[ia, 0]
@@ -248,23 +248,19 @@ def _chunk_tables(items, beta, gated):
         values[k] = iou(chunk.ir.box(ia[k]), chunk.cands.box(ib[k]))
     hit = values > 0.0
     ia, ib, values = ia[hit], ib[hit], values[hit]
-    hits = list(zip([ids[j] for j in ib.tolist()], values.tolist()))
+    hits = list(zip(map(ids.__getitem__, ib.tolist()), values.tolist()))
     # pairs run reference-major, so each reference's hits are contiguous
-    bounds = np.searchsorted(ia, np.arange(len(chunk.ir) + 1)).tolist()
+    bounds = np.searchsorted(ia, np.arange(len(chunk.ir) + 1))
+    found = list(map(hits.__getitem__, map(slice, bounds[:-1].tolist(),
+                                            bounds[1:].tolist())))
+    for row in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        found[row].sort(key=_by_iou_then_id)
+    found = map(tuple, found)
 
-    tables = []
-    row = 0
-    for key, ir, pool in zip(keys, chunk.irs, chunk.pools):
-        ranked = {}
-        for ir_id in ir.ids:
-            found = hits[bounds[row]:bounds[row + 1]]
-            if len(found) > 1:
-                found.sort(key=_by_iou_then_id)
-            ranked[ir_id] = tuple(found)
-            row += 1
-        tables.append((key, PairTable(ranked, frozenset(pool.ids), beta,
-                                      gated)))
-    return tables
+    # zip takes from found only as many as the scene has reference ids
+    return [(key, PairTable(dict(zip(ir.ids, found)), frozenset(pool.ids),
+                            beta, gated))
+            for key, ir, pool in zip(keys, chunk.irs, chunk.pools)]
 
 
 def pair_tables(items, beta: float = 1.0, use_search_region: bool = True

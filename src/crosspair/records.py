@@ -39,10 +39,17 @@ def _replacing(path):
         raise
 
 
+# json.dumps(rec, allow_nan=False), without building an encoder per record
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+
+# bytes per read of iter_records: above the length of a crowded scene's line
+READ_BUFFER = 65536
+
+
 def write_records(path, records):
     with _replacing(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec, allow_nan=False) + "\n")
+            fh.write(_ENCODE(rec) + "\n")
 
 
 def write_json(path, obj):
@@ -62,13 +69,19 @@ def iter_records(path, digest=None):
     it. digest: a hashlib object that every byte of the file is added to as
     it is read, so that once the records are exhausted it holds the hash of
     the bytes they were parsed from.
+
+    The file is read in pieces that end at LF, through a READ_BUFFER byte
+    buffer; only a piece that holds a CR is split further.
     """
     line_no = 0
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=READ_BUFFER) as fh:
         for piece in fh:
             if digest is not None:
                 digest.update(piece)
-            for raw in piece.splitlines():
+            # a piece without CR is one line, its LF, if any, the last byte
+            lines = (piece.splitlines() if b"\r" in piece
+                     else (piece.rstrip(b"\n"),))
+            for raw in lines:
                 line_no += 1
                 try:
                     line = raw.decode("utf-8").strip()

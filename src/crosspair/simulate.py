@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -651,15 +652,19 @@ def _checked_chunk(records):
 
     scene_of = np.arange(len(records))
     box = np.zeros((0, 4))
-    thetas = []
+    thetas = np.zeros(0)
     probs = np.zeros((0, 1))
     if values:
-        box, theta = _array(values, "fi", 2), _array(raw_thetas, "bfi")
+        # numpy reads one flat list quicker than rows of four
+        box = _array(list(chain.from_iterable(values)), "fi")
+        theta = _array(raw_thetas, "bfi")
         if (box is None or theta is None or not np.isfinite(box).all()
-                or not np.isfinite(theta).all()
-                or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
+                or not np.isfinite(theta).all()):
             return None
-        thetas = normalize_angles(theta.astype(np.float64)).tolist()
+        box = box.reshape(-1, 4)
+        if not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all():
+            return None
+        thetas = normalize_angles(theta.astype(np.float64))
     if ir:
         ids, cls = _array(ir_ids, "i"), _array([g["class"] for g in ir], "i")
         if ids is None or cls is None:
@@ -697,8 +702,9 @@ def _chunk_columns(scene_ids, ir_counts, obs_counts, values, box, thetas,
     ids."""
     rows = np.empty((len(values), 6))
     rows[:, :4] = box
-    rows[:, 4] = list(map(math.cos, thetas))
-    rows[:, 5] = list(map(math.sin, thetas))
+    angles = thetas.tolist()
+    rows[:, 4] = np.fromiter(map(math.cos, angles), float, len(angles))
+    rows[:, 5] = np.fromiter(map(math.sin, angles), float, len(angles))
     class_ids = probs.argmax(axis=1)
     scores = probs[np.arange(len(probs)), class_ids]
     out = []

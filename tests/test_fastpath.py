@@ -20,8 +20,8 @@ from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
 from crosspair import matching
 from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox, box_rows,
-                                corners_of, iou, iou_batch, iou_rows,
-                                point_in_obb)
+                                corners_of, intersect_polygon, iou,
+                                iou_batch, iou_rows, point_in_obb)
 from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
                                 _reach, _window, candidates_for, match_scene,
                                 pair_table, pair_tables, search_region)
@@ -271,6 +271,35 @@ class TestIouBatch:
         assert scalar.tolist() == [True, True, True, False]
         assert [v.hex() for v in iou_batch([a] * 4, b)] == [
             iou(a, y).hex() for y in b]
+
+    def test_rows_of_mixed_width_in_one_call(self):
+        # one call clips rows to nothing (out through each of the four
+        # edges), to an octagon, to repeated vertices the scalar path must
+        # settle, and to plain overlaps, each row's polygon laid out in the
+        # width of the widest
+        a = OrientedBox(0.0, 0.0, 4.0, 2.0, 0.0)
+        square = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
+        side = 2.0 * math.sqrt(2.0)
+        pairs = [(a, OrientedBox(0.0, y, 1.0, 1.0, 0.0)) for y in (9.0, -9.0)]
+        pairs += [(a, OrientedBox(x, 0.0, 1.0, 1.0, 0.0)) for x in (9.0, -9.0)]
+        pairs += [(square, OrientedBox(0.0, 0.0, 2.0, 2.0, math.pi / 4)),
+                  (square, OrientedBox(0.1, -0.2, 2.1, 1.9, math.pi / 4)),
+                  (a, OrientedBox(0.0, 2.0, 4.0, 2.0, 0.0)),
+                  (a, OrientedBox(0.0, 0.0, side, side, math.pi / 4)),
+                  (a, OrientedBox(0.5, 0.5, 1.0, 1.0, 0.3)),
+                  (a, OrientedBox(1.5, -0.5, 3.0, 2.5, -0.4))]
+        a_boxes, b_boxes = zip(*pairs)
+        widths = [len(intersect_polygon(x, y)) for x, y in pairs]
+        assert widths[:4] == [0] * 4 and widths[4:6] == [8, 8]
+        values, scalar = iou_rows(box_rows(a_boxes), box_rows(b_boxes))
+        assert scalar.tolist() == [False] * 6 + [True, True, False, False]
+        for k, (x, y) in enumerate(pairs):
+            one, one_scalar = iou_rows(box_rows([x]), box_rows([y]))
+            assert one_scalar.tolist() == [scalar[k]]
+            if not scalar[k]:
+                assert values[k].hex() == one[0].hex() == iou(x, y).hex()
+        assert [v.hex() for v in iou_batch(a_boxes, b_boxes)] == [
+            iou(x, y).hex() for x, y in pairs]
 
     def test_empty_and_unequal_lengths(self):
         assert iou_batch([], []) == []

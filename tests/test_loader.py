@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from crosspair import cli
 from crosspair.cli import EXIT_DATA, EXIT_OK, run
 from crosspair.filtering import PROB_SUM_TOL
-from crosspair.records import (RecordError, file_digest, iter_records,
-                               read_records)
+from crosspair.records import (READ_BUFFER, RecordError, file_digest,
+                               iter_records, read_records)
 
 
 def _flat(value):
@@ -269,6 +269,74 @@ def test_bad_utf8_names_its_line(tmp_path, end):
     digest = hashlib.sha256()
     assert [n for n, _ in iter_records(path, digest)] == [1, 2, 3]
     assert digest.hexdigest() == file_digest(path)
+
+
+def test_truncated_utf8_at_line_end_keeps_its_message(tmp_path):
+    # the line's LF is not part of what is decoded: the message is that of
+    # the line alone, which ends in the middle of a character
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b'{"a": "\xc3\n')
+    with pytest.raises(RecordError, match=re.escape(
+            "'utf-8' codec can't decode byte 0xc3 in position 7: "
+            "unexpected end of data")):
+        list(iter_records(path))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+LINE_ENDS = ["\n", "\r", "\r\n"]
+
+
+def _padded(length, fill="x"):
+    """A JSON object line of length characters."""
+    return json.dumps({"pad": ""})[:-2] + fill * (length - 11) + '"}'
+
+
+@st.composite
+def line_files(draw):
+    """The bytes of a file of JSON, blank and whitespace-only lines, each
+    ended by LF, CR or CRLF, the last maybe by nothing. Some lines are
+    longer than the read buffer, and the file may start with a line whose
+    CR is the last byte of the first buffer-sized read."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(_padded(READ_BUFFER - 1) + draw(st.sampled_from(
+            ["\r", "\r\n"])))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["json"] * 4 + ["long", "blank",
+                                                    "space"]))
+        if kind == "json":
+            text = json.dumps(draw(json_values),
+                              ensure_ascii=draw(st.booleans()))
+        elif kind == "long":
+            text = _padded(draw(st.integers(READ_BUFFER - 2,
+                                            2 * READ_BUFFER + 2)), "y")
+        elif kind == "blank":
+            text = ""
+        else:
+            text = draw(st.text(" \t\x0b\x0c", min_size=1, max_size=3))
+        lines.append(text + draw(st.sampled_from(LINE_ENDS)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_files())
+def test_iter_records_equals_text_lines(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            want = [(n, json.loads(line)) for n, line in enumerate(fh, 1)
+                    if line.strip()]
+        digest = hashlib.sha256()
+        assert list(iter_records(path, digest)) == want
+        assert digest.hexdigest() == file_digest(path)
 
 
 # The reference run has a chunk of 10**6: it reads each file whole and
