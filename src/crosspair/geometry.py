@@ -312,15 +312,6 @@ def _clip_rows(xs, ys, n, ex1, ey1, ex2, ey2):
     return out[0], out[1], count
 
 
-def _ring(a, n):
-    """a shifted left by one vertex within each row's first n vertices:
-    column i holds vertex (i + 1) % n."""
-    nxt = np.hstack([a[:, 1:], a[:, :1]])
-    width = a.shape[1]
-    wrap = np.arange(width) + 1 >= n[:, None]
-    return np.where(wrap, a[:, :1], nxt)
-
-
 def iou_rows(a: np.ndarray, b: np.ndarray):
     """iou of each pair of box_rows rows (a[k], b[k]), vectorized.
 
@@ -344,8 +335,13 @@ def iou_rows(a: np.ndarray, b: np.ndarray):
             j = (i + 1) % 4
             xs, ys, n = _clip_rows(xs, ys, n, bx[:, i], by[:, i],
                                    bx[:, j], by[:, j])
-        valid = np.arange(xs.shape[1]) < n[:, None]
-        nx, ny = _ring(xs, n), _ring(ys, n)
+        rows, width = xs.shape
+        col = np.arange(width)
+        valid = col < n[:, None]
+        # vertex i's successor within its row's first n: vertex (i + 1) % n
+        succ = (np.where(col + 1 < n[:, None], col + 1, 0)
+                + width * np.arange(rows)[:, None])
+        nx, ny = xs.take(succ), ys.take(succ)
         gx, gy = nx - xs, ny - ys
         close = (valid & (gx * gx + gy * gy < SCALAR_GAP ** 2)).any(axis=1)
         acc = np.zeros(len(a))

@@ -188,13 +188,22 @@ def _gate(chunk: _Chunk, ia: np.ndarray, ib: np.ndarray,
     math.cos/math.sin of that theta and the same elementwise operations,
     over all pairs at once. The operations run in place, because the pair
     arrays are the largest the table build holds.
+
+    The region normalizes the box's theta again, which nearly always gives
+    the same float; the box row holds its cosine and sine already, and only
+    the others are computed.
     """
     ir = chunk.ir.rows
     if not len(ia):
         return np.zeros(0, dtype=bool)
-    theta = normalize_angles(chunk.ir.theta).tolist()
-    c = np.fromiter(map(math.cos, theta), float, len(theta))[ia]
-    s = np.fromiter(map(math.sin, theta), float, len(theta))[ia]
+    theta = chunk.ir.theta
+    region = normalize_angles(theta)
+    cos_sin = ir[:, 4:6].copy()
+    moved = (region != theta) | (np.signbit(region) != np.signbit(theta))
+    for k in np.flatnonzero(moved).tolist():
+        t = float(region[k])
+        cos_sin[k] = math.cos(t), math.sin(t)
+    c, s = cos_sin[ia, 0], cos_sin[ia, 1]
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         dx = chunk.cands.rows[ib, 0]
         dx -= ir[ia, 0]
@@ -231,9 +240,11 @@ def _chunk_tables(items, beta, gated):
             first_bad = int(np.argmin(ok))
     # the errors of pair_table, raised for the first scene that has one
     ir_end = 0
+    rgb_ids = []
     for ir, pool in zip(chunk.irs, chunk.pools):
         ir_end += len(ir)
-        if len(set(pool.ids)) != len(pool):
+        rgb_ids.append(frozenset(pool.ids))
+        if len(rgb_ids[-1]) != len(pool):
             raise ValueError("duplicate candidate ids")
         if first_bad < ir_end:
             # raises the error the region of this box raised before
@@ -258,9 +269,8 @@ def _chunk_tables(items, beta, gated):
     found = map(tuple, found)
 
     # zip takes from found only as many as the scene has reference ids
-    return [(key, PairTable(dict(zip(ir.ids, found)), frozenset(pool.ids),
-                            beta, gated))
-            for key, ir, pool in zip(keys, chunk.irs, chunk.pools)]
+    return [(key, PairTable(dict(zip(ir.ids, found)), ids_set, beta, gated))
+            for key, ir, ids_set in zip(keys, chunk.irs, rgb_ids)]
 
 
 def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
@@ -356,10 +366,11 @@ def match_ids(table: PairTable, ir_ids, rgb_ids) -> MatchResult:
     candidate ids rgb_ids that no reference took before it. The table must
     rank every id of ir_ids, and rgb_ids must not repeat an id."""
     available = set(rgb_ids)
+    ranked = table.ranked
     pairs = []
     unmatched_ir = []
     for ir_id in sorted(ir_ids):
-        for rgb_id, v in table.ranked[ir_id]:
+        for rgb_id, v in ranked[ir_id]:
             if rgb_id in available:
                 available.discard(rgb_id)
                 pairs.append((ir_id, rgb_id, v))

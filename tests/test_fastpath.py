@@ -127,6 +127,25 @@ class TestMatcher:
                                                        for k in window]
         assert not any(inside[k] for k in inside.keys() - set(window))
 
+    def test_gate_takes_the_theta_of_the_region(self):
+        # the angle just below -pi/2 normalizes to pi/2, and the region
+        # normalizes that to -pi/2: the two sines differ in sign, which
+        # moves centres on the region's edge in or out
+        box = OrientedBox(0.0, 0.0, 10.0, 20.0,
+                          math.nextafter(-math.pi / 2, -math.inf))
+        assert search_region(box, 1.0).theta == -box.theta
+        edge = 5.0 + EDGE_EPS
+        pool = [ScoredBox(OrientedBox(dx, dy, 1.0, 1.0, 0.0), (1.0,), j)
+                for j, (dx, dy) in enumerate(
+                    (dx, dy) for dx in (0.0, 8.0, 10.0)
+                    for dy in (edge, -edge, math.nextafter(edge, 0.0)))]
+        chunk = _Chunk([[(0, box)]], [pool])
+        ia = np.zeros(len(pool), dtype=np.intp)
+        ib = np.arange(len(pool))
+        want = [point_in_obb(c.center, search_region(box, 1.0)) for c in pool]
+        assert _gate(chunk, ia, ib, 1.0).tolist() == want
+        assert want[3:6] == [True, False, True]
+
     def test_table_ranks_by_iou_then_id(self):
         ir = [(0, OrientedBox(0, 0, 10, 10, 0))]
         same = OrientedBox(1, 0, 10, 10, 0)
