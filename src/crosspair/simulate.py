@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -655,14 +654,10 @@ def _checked_chunk(records):
     thetas = np.zeros(0)
     probs = np.zeros((0, 1))
     if values:
-        # numpy reads one flat list quicker than rows of four
-        box = _array(list(chain.from_iterable(values)), "fi")
-        theta = _array(raw_thetas, "bfi")
+        box, theta = _array(values, "fi", 2), _array(raw_thetas, "bfi")
         if (box is None or theta is None or not np.isfinite(box).all()
-                or not np.isfinite(theta).all()):
-            return None
-        box = box.reshape(-1, 4)
-        if not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all():
+                or not np.isfinite(theta).all()
+                or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
             return None
         thetas = normalize_angles(theta.astype(np.float64))
     if ir:
