@@ -259,15 +259,14 @@ def _chunk_tables(items, beta, gated):
         values[k] = iou(chunk.ir.box(ia[k]), chunk.cands.box(ib[k]))
     hit = values > 0.0
     ia, ib, values = ia[hit], ib[hit], values[hit]
-    hits = tuple(zip(map(ids.__getitem__, ib.tolist()), values.tolist()))
-    # pairs run reference-major, so each reference's hits are contiguous;
-    # slicing a tuple gives each its tuple without a list in between
+    hits = list(zip(map(ids.__getitem__, ib.tolist()), values.tolist()))
+    # pairs run reference-major, so each reference's hits are contiguous
     bounds = np.searchsorted(ia, np.arange(len(chunk.ir) + 1))
     found = list(map(hits.__getitem__, map(slice, bounds[:-1].tolist(),
                                             bounds[1:].tolist())))
     for row in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        found[row] = tuple(sorted(found[row], key=_by_iou_then_id))
-    found = iter(found)
+        found[row].sort(key=_by_iou_then_id)
+    found = map(tuple, found)
 
     # zip takes from found only as many as the scene has reference ids
     return [(key, PairTable(dict(zip(ir.ids, found)), ids_set, beta, gated))
