@@ -39,7 +39,7 @@ def normalize_angles(theta: np.ndarray) -> np.ndarray:
     return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedBox:
     cx: float
     cy: float
@@ -202,47 +202,42 @@ def box_rows(boxes) -> np.ndarray:
 class BoxColumns:
     """Boxes with ids, as the columns a pair table reads.
 
-    Box k has id ids[k], box_rows row rows[k], theta theta[k], normalized,
-    in a float64 array, and values[k], the tuple (cx, cy, w, h) as its
-    record or its OrientedBox gives them, ints included.
+    Box k has id ids[k], box_rows row rows[k] and theta theta[k],
+    normalized, in a float64 array.
     """
     ids: list
     rows: np.ndarray
     theta: np.ndarray
-    values: list
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def box(self, k) -> OrientedBox:
-        """The OrientedBox of box k, with these field values: theta is not
-        normalized again."""
+        """The OrientedBox of box k, with the float fields of its row and
+        its theta: theta is not normalized again."""
         b = object.__new__(OrientedBox)
-        for name, v in zip(("cx", "cy", "w", "h"), self.values[k]):
+        for name, v in zip(("cx", "cy", "w", "h"), self.rows[k, :4].tolist()):
             object.__setattr__(b, name, v)
         object.__setattr__(b, "theta", float(self.theta[k]))
         return b
 
     def select(self, mask) -> "BoxColumns":
         """The columns of the boxes where mask, a boolean array, is True."""
-        keep = mask.tolist()
-        return BoxColumns(list(compress(self.ids, keep)), self.rows[mask],
-                          self.theta[mask], list(compress(self.values, keep)))
+        return BoxColumns(list(compress(self.ids, mask.tolist())),
+                          self.rows[mask], self.theta[mask])
 
 
 def box_columns(ids, boxes) -> BoxColumns:
     """The BoxColumns of boxes, OrientedBoxes, with the ids ids."""
-    values = [(b.cx, b.cy, b.w, b.h) for b in boxes]
     return BoxColumns(list(ids), box_rows(boxes),
-                      np.array([b.theta for b in boxes], dtype=float), values)
+                      np.array([b.theta for b in boxes], dtype=float))
 
 
 def concat_columns(parts) -> BoxColumns:
     """The BoxColumns of the boxes of parts, one after another."""
     return BoxColumns(list(chain.from_iterable(p.ids for p in parts)),
                       np.concatenate([p.rows for p in parts]),
-                      np.concatenate([p.theta for p in parts]),
-                      list(chain.from_iterable(p.values for p in parts)))
+                      np.concatenate([p.theta for p in parts]))
 
 
 def _corner_arrays(rows):

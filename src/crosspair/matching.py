@@ -287,8 +287,9 @@ def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
     only for candidates whose center lies in the box's search region;
     without it, for all of them. The gate and the IoU of consecutive scenes
     are computed together in numpy (geometry.iou_rows), bit for bit as
-    point_in_obb and iou compute them. A scene whose pool repeats an id, or
-    whose search region is invalid, raises ValueError.
+    point_in_obb and iou compute them of the boxes with float fields: an
+    int field counts as the float it converts to. A scene whose pool
+    repeats an id, or whose search region is invalid, raises ValueError.
 
     The scenes go in chunks that close at CHUNK_PAIRS pairs, the products
     of each scene's reference and candidate counts added up, or at

@@ -2,7 +2,10 @@
 
 Epochs tile four half-open phases: burn-in, teacher-student mutual
 learning (with a linear 0 -> 1 unsupervised-loss ramp), guided decoupled
-training, and decoupled self-tuning.
+training, and decoupled self-tuning. In the paper's branches, burn-in
+trains the single-modality (SM) student, mutual learning adds the SM
+teacher, stage 2 adds the dual-modality decoupled (DMD) student, and stage
+3 keeps only the DMD student and teacher.
 """
 from __future__ import annotations
 
@@ -18,18 +21,6 @@ class Phase(enum.Enum):
     STAGE2 = "stage2"
     STAGE3 = "stage3"
 
-
-SM_STUDENT = "SM_student"
-SM_TEACHER = "SM_teacher"
-DMD_STUDENT = "DMD_student"
-DMD_TEACHER = "DMD_teacher"
-
-BRANCHES = {
-    Phase.BURN_IN: frozenset({SM_STUDENT}),
-    Phase.MUTUAL: frozenset({SM_STUDENT, SM_TEACHER}),
-    Phase.STAGE2: frozenset({SM_STUDENT, DMD_STUDENT, SM_TEACHER}),
-    Phase.STAGE3: frozenset({DMD_STUDENT, DMD_TEACHER}),
-}
 
 L_SUP = "L_sup"
 L_UNSUP = "L_unsup"
@@ -81,7 +72,6 @@ def lambda_at(mutual_epoch_index: int, k2: int) -> float:
 class StageState:
     global_epoch: int
     phase: Phase
-    active_branches: frozenset[str]
     lam: float  # only meaningful during the mutual phase
 
 
@@ -90,7 +80,7 @@ def stage_state(global_epoch: int, cfg: StageConfig) -> StageState:
     lam = 1.0
     if phase is Phase.MUTUAL:
         lam = lambda_at(global_epoch - cfg.k1, cfg.k2)
-    return StageState(global_epoch, phase, BRANCHES[phase], lam)
+    return StageState(global_epoch, phase, lam)
 
 
 def loss_terms_at(state: StageState) -> dict[str, float]:

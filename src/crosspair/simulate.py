@@ -626,9 +626,9 @@ def _checked_chunk(records):
     """What _chunk_columns reads of records once they pass the checks of
     scenes_from_records, or None: per scene its id and its ir_gt and
     rgb_obs counts; per box, the ir_gt boxes of all scenes first, its
-    (cx, cy, w, h) as the record gives them and as a numeric array and its
-    normalized theta; the ir_gt ids, the rgb_obs ids and corr_ids,
-    and the class probabilities as a float64 array."""
+    (cx, cy, w, h) as a numeric array and its normalized theta; the ir_gt
+    ids, the rgb_obs ids and corr_ids, and the class probabilities as a
+    float64 array."""
     scene_ids = [rec["scene_id"] for rec in records]
     if not all(isinstance(s, int) for s in scene_ids):
         return None
@@ -684,18 +684,18 @@ def _checked_chunk(records):
             with_obs = np.repeat(np.array(obs_counts) > 0, ir_counts)
             if (with_obs & (cls >= probs.shape[1])).any():
                 return None
-    return (scene_ids, ir_counts, obs_counts, values, box, thetas, ir_ids,
-            obs_ids, corr_ids, probs)
+    return (scene_ids, ir_counts, obs_counts, box, thetas, ir_ids, obs_ids,
+            corr_ids, probs)
 
 
-def _chunk_columns(scene_ids, ir_counts, obs_counts, values, box, thetas,
-                   ir_ids, obs_ids, corr_ids, probs) -> list[SceneColumns]:
+def _chunk_columns(scene_ids, ir_counts, obs_counts, box, thetas, ir_ids,
+                   obs_ids, corr_ids, probs) -> list[SceneColumns]:
     """The SceneColumns of a chunk that _checked_chunk passed: box rows of
     the boxes' fields as floats and math.cos/math.sin of their thetas, as
     box_rows has them, scores that are probabilities picked by the first
     maximum, as probs.index(max(probs)) finds it, and the records' own
     ids."""
-    rows = np.empty((len(values), 6))
+    rows = np.empty((len(box), 6))
     rows[:, :4] = box
     angles = thetas.tolist()
     rows[:, 4] = np.fromiter(map(math.cos, angles), float, len(angles))
@@ -709,9 +709,8 @@ def _chunk_columns(scene_ids, ir_counts, obs_counts, values, box, thetas,
         b = len(ir_ids) + j
         e = b + n_obs
         ir = BoxColumns(ir_ids[i:i + n_ir], rows[i:i + n_ir],
-                        thetas[i:i + n_ir], values[i:i + n_ir])
-        rgb = BoxColumns(obs_ids[j:j + n_obs], rows[b:e], thetas[b:e],
-                         values[b:e])
+                        thetas[i:i + n_ir])
+        rgb = BoxColumns(obs_ids[j:j + n_obs], rows[b:e], thetas[b:e])
         out.append(SceneColumns(sid, ir, rgb, scores[j:j + n_obs],
                                 class_ids[j:j + n_obs],
                                 corr_ids[j:j + n_obs]))

@@ -6,7 +6,10 @@ column sums and the trusted ScoredBox constructor must give the same
 results bit for bit as the scalar loops and numpy forms kept here as
 references.
 """
+import json
 import math
+import os
+import tempfile
 from itertools import islice
 from unittest import mock
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosspair import cli
 from crosspair.cli import EXIT_OK, run
 from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
@@ -520,6 +524,82 @@ class TestWindow:
         chunk = _Chunk(ir_list, pools)
         ia, ib = _window(chunk, np.full(3, np.inf))
         assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 2), (2, 2)]
+
+
+# int fields up to 1e9: a box's area passes 2**53, beyond which int and
+# float arithmetic part, when both extents pass 1e8 (odd ones, so that the
+# product has more than 53 significant bits)
+big_int = st.integers(-10 ** 9, 10 ** 9)
+int_extent = st.one_of(st.integers(2, 10 ** 9),
+                       st.integers(10 ** 8, 10 ** 9).map(lambda v: v | 1))
+
+
+@st.composite
+def int_scenes(draw):
+    """(ir, cands): 1-3 reference and 0-5 candidate boxes as (cx, cy, w, h,
+    theta) tuples of ints; a candidate is a box of its own or a reference
+    box one unit narrower or shorter, whose edges nearly coincide with the
+    reference's. Such pairs often clip to nearly repeated vertices, which
+    iou_rows leaves to the scalar iou."""
+    def int_box():
+        return (draw(big_int), draw(big_int), draw(int_extent),
+                draw(int_extent), draw(st.integers(-3, 3)))
+
+    ir = [int_box() for _ in range(draw(st.integers(1, 3)))]
+    cands = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            cands.append(int_box())
+        else:
+            near = list(draw(st.sampled_from(ir)))
+            near[draw(st.sampled_from([2, 3]))] -= 1
+            cands.append(tuple(near))
+    return ir, cands
+
+
+class TestIntFields:
+    """A pair table reads a box's fields as floats: the tables of boxes with
+    int fields are those of the same boxes with float fields, bit for bit,
+    from objects and from a record file alike."""
+
+    @staticmethod
+    def _objects(ir, cands, kind):
+        return ([(i, OrientedBox(*map(kind, b))) for i, b in enumerate(ir)],
+                [ScoredBox(OrientedBox(*map(kind, b)), (1.0,), j)
+                 for j, b in enumerate(cands)])
+
+    @staticmethod
+    def _file_columns(ir, cands, kind):
+        fields = ("cx", "cy", "w", "h", "theta")
+        rec = {"scene_id": 0, "canvas": [640, 480], "true_offset": [0, 0],
+               "ir_gt": [{"id": i, **dict(zip(fields, map(kind, b))),
+                          "class": 0} for i, b in enumerate(ir)],
+               "rgb_obs": [{"id": j, **dict(zip(fields, map(kind, b))),
+                            "class_probs": [1.0], "corr_id": -1}
+                           for j, b in enumerate(cands)]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.jsonl")
+            with open(path, "w") as f:
+                f.write(json.dumps(rec) + "\n")
+            [scene] = cli._scenes(path, columns=True)
+        return scene
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_scenes(), st.sampled_from([1.0, 2.5]), st.booleans())
+    def test_tables_of_int_fields_are_those_of_floats(self, scene, beta,
+                                                      gated):
+        ir, cands = scene
+        items = [(kind, *self._objects(ir, cands, kind))
+                 for kind in (int, float)]
+        columns = [self._file_columns(ir, cands, kind) for kind in (int, float)]
+        for cols in (c for sc in columns for c in (sc.ir, sc.rgb)):
+            for b in map(cols.box, range(len(cols))):
+                assert all(type(v) is float
+                           for v in (b.cx, b.cy, b.w, b.h, b.theta))
+        items += [(kind, sc.ir, sc.rgb)
+                  for kind, sc in zip(("file int", "file float"), columns)]
+        tables = [_table_bits(t) for _, t in pair_tables(items, beta, gated)]
+        assert tables[1:] == tables[:1] * 3
 
 
 U64 = (1 << 64) - 1

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspair.filtering import ScoredBox
-from crosspair.geometry import OrientedBox, corners_of, iou, point_in_obb
-from crosspair.matching import (MatchResult, candidates_for, match_scene,
-                                search_region)
+from crosspair.geometry import (OrientedBox, box_columns, corners_of, iou,
+                                point_in_obb)
+from crosspair.matching import (MatchResult, candidates_for, match_ids,
+                                match_scene, pair_tables, search_region)
 
 
 def sb(box, source_id):
@@ -185,3 +188,98 @@ class TestMatchScene:
         free = match_scene(ir, pool, beta=1.0, use_search_region=False)
         assert gated.pairs == ()
         assert free.pairs[0][:2] == (0, 1)
+
+
+# Boxes on a coarse grid tie in IoU and put centers on region boundaries;
+# float boxes cover the rest.
+grid_box = st.builds(
+    OrientedBox,
+    st.integers(0, 20).map(float), st.integers(0, 20).map(float),
+    st.integers(2, 10).map(float), st.integers(2, 10).map(float),
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2, -0.7]))
+float_box = st.builds(
+    OrientedBox,
+    st.floats(0, 50), st.floats(0, 50), st.floats(2, 20), st.floats(2, 20),
+    st.floats(-1.6, 1.6))
+any_box = st.one_of(grid_box, float_box)
+
+
+@st.composite
+def match_cases(draw):
+    """(ir, candidates, pool, beta, gated): reference boxes with unique ids
+    in shuffled order, candidates with unique ids (some of them copies of
+    reference boxes), a subset of the candidates as the pool, and a gate."""
+    boxes = draw(st.lists(any_box, max_size=6))
+    ir = list(zip(draw(st.permutations(range(len(boxes)))), boxes))
+    cand_boxes = draw(st.lists(
+        st.one_of(any_box, st.sampled_from(boxes)) if boxes else any_box,
+        max_size=8))
+    ids = draw(st.lists(st.integers(0, 30), min_size=len(cand_boxes),
+                        max_size=len(cand_boxes), unique=True))
+    candidates = [sb(b, j) for b, j in zip(cand_boxes, ids)]
+    pool = [c for c in candidates if draw(st.booleans())]
+    return (ir, candidates, pool, draw(st.sampled_from([0.5, 1.0, 2.0])),
+            draw(st.booleans()))
+
+
+def greedy_oracle(ir, pool, beta, gated):
+    """The greedy matching by brute force: each reference box, by ascending
+    id, takes the unclaimed candidate of highest positive iou, the lowest
+    id on ties, among those whose center lies in its search region (all of
+    them without the gate)."""
+    claimed = set()
+    pairs, unmatched_ir = [], []
+    for ir_id, box in sorted(ir, key=lambda t: t[0]):
+        region = search_region(box, beta)
+        best = None
+        for c in pool:
+            if c.source_id in claimed or (
+                    gated and not point_in_obb(c.center, region)):
+                continue
+            v = iou(box, c.box)
+            if v > 0.0 and (best is None
+                            or (-v, c.source_id) < (-best[1], best[0])):
+                best = (c.source_id, v)
+        if best is None:
+            unmatched_ir.append(ir_id)
+        else:
+            claimed.add(best[0])
+            pairs.append((ir_id, *best))
+    unmatched_rgb = [c.source_id for c in pool if c.source_id not in claimed]
+    return MatchResult(tuple(pairs), tuple(unmatched_ir), tuple(unmatched_rgb))
+
+
+class TestMatchProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(match_cases())
+    def test_pairs_are_one_to_one(self, case):
+        ir, _, pool, beta, gated = case
+        res = match_scene(ir, pool, beta, gated)
+        ir_paired = [p[0] for p in res.pairs]
+        rgb_paired = [p[1] for p in res.pairs]
+        assert len(set(ir_paired)) == len(ir_paired)
+        assert len(set(rgb_paired)) == len(rgb_paired)
+        assert sorted(ir_paired + list(res.unmatched_ir)) == sorted(
+            i for i, _ in ir)
+        assert sorted(rgb_paired + list(res.unmatched_rgb)) == sorted(
+            c.source_id for c in pool)
+        assert all(v > 0.0 for _, _, v in res.pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(match_cases())
+    def test_match_ids_on_a_table_equals_match_scene(self, case):
+        ir, candidates, pool, beta, gated = case
+        [(_, table)] = pair_tables(
+            [(None, box_columns([i for i, _ in ir], [b for _, b in ir]),
+              box_columns([c.source_id for c in candidates],
+                          [c.box for c in candidates]))], beta, gated)
+        got = match_ids(table, [i for i, _ in ir],
+                        [c.source_id for c in pool])
+        assert got == match_scene(ir, pool, beta, gated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(match_cases())
+    def test_equals_greedy_oracle(self, case):
+        ir, _, pool, beta, gated = case
+        assert match_scene(ir, pool, beta, gated) == greedy_oracle(
+            ir, pool, beta, gated)

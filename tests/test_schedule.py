@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from crosspair.schedule import (BRANCHES, DMD_STUDENT, DMD_TEACHER, L_PAIRED,
-                                L_SUP, L_UNSUP, SM_STUDENT, SM_TEACHER,
-                                EmaState, Phase, StageConfig, ema_update,
-                                lambda_at, loss_terms_at, phase_of, stage_state)
+from crosspair.schedule import (L_PAIRED, L_SUP, L_UNSUP, EmaState, Phase,
+                                StageConfig, ema_update, lambda_at,
+                                loss_terms_at, phase_of, stage_state)
 
 DEFAULTS = StageConfig()
 
@@ -81,17 +80,6 @@ class TestLossTerms:
 
     def test_stage3_paired_only(self):
         assert loss_terms_at(stage_state(64, DEFAULTS)) == {L_PAIRED: 1.0}
-
-
-class TestBranches:
-    def test_activation_table(self):
-        assert BRANCHES[Phase.BURN_IN] == {SM_STUDENT}
-        assert BRANCHES[Phase.MUTUAL] == {SM_STUDENT, SM_TEACHER}
-        assert BRANCHES[Phase.STAGE2] == {SM_STUDENT, DMD_STUDENT, SM_TEACHER}
-        assert BRANCHES[Phase.STAGE3] == {DMD_STUDENT, DMD_TEACHER}
-
-    def test_state_carries_branches(self):
-        assert stage_state(50, DEFAULTS).active_branches == {DMD_STUDENT, DMD_TEACHER}
 
 
 class TestEma:
