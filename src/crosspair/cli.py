@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from itertools import compress, islice
+from itertools import compress
 from pathlib import Path
 
 from .correction import bag_records
@@ -72,15 +72,27 @@ def _record_fault(exc) -> str:
     return f"not a scene record: {exc}"
 
 
-# records per scenes_from_records call
+# a load chunk closes at LOAD_CHUNK records or once its records hold
+# LOAD_BOXES ir_gt and rgb_obs items, whichever comes first
 LOAD_CHUNK = 64
+LOAD_BOXES = 1024
+
+
+def _box_count(rec):
+    """The ir_gt and rgb_obs items of a record; what is not a list, or a
+    record that is not an object, counts 0."""
+    if not isinstance(rec, dict):
+        return 0
+    return sum(len(items) for items in (rec.get("ir_gt"), rec.get("rgb_obs"))
+               if isinstance(items, list))
 
 
 def _scenes(path, digest=None, columns=False):
-    """The scenes of a record file, in order, read LOAD_CHUNK records at a
-    time; digest, if given, takes the file's bytes as iter_records reads
-    them. With columns each scene comes as its SceneColumns, else as the
-    Scene scene_from_record builds.
+    """The scenes of a record file, in order, read a chunk at a time: a
+    chunk closes at LOAD_CHUNK records, or at the record that brings its
+    ir_gt and rgb_obs items to LOAD_BOXES. digest, if given, takes the
+    file's bytes as iter_records reads them. With columns each scene comes
+    as its SceneColumns, else as the Scene scene_from_record builds.
 
     Scene ids must be unique in the file, and ir_gt ids and rgb_obs ids
     within each scene. A bad record fails with a RecordError naming the
@@ -90,15 +102,21 @@ def _scenes(path, digest=None, columns=False):
 
     Each chunk's record dicts are dropped once its scenes are built, and
     its scenes before the next chunk is read, so the stream holds one chunk
-    whatever the file's length.
+    whatever the file's length; before its last record a chunk holds fewer
+    than LOAD_BOXES boxes, however crowded its records are.
     """
     first_line = {}
     records = iter_records(path, digest)
     unread = None
     while unread is None:
-        chunk = []
+        chunk, boxes = [], 0
         try:
-            chunk.extend(islice(records, LOAD_CHUNK))
+            # no name is bound to a record: the chunk's last one goes with it
+            while len(chunk) < LOAD_CHUNK and boxes < LOAD_BOXES:
+                chunk.append(next(records))
+                boxes += _box_count(chunk[-1][1])
+        except StopIteration:
+            pass
         except RecordError as exc:  # raised after the records before it
             unread = exc
         if not chunk:

@@ -50,10 +50,12 @@ def _flat(value):
     return kind, repr(value)
 
 
-def _outcome(path, columnar=True, chunk=cli.LOAD_CHUNK):
+def _outcome(path, columnar=True, chunk=cli.LOAD_CHUNK,
+             boxes=cli.LOAD_BOXES):
     """The SceneColumns of cli._scenes(path, columns=True), flattened, or
-    the error it raises."""
-    with mock.patch.object(cli, "LOAD_CHUNK", chunk):
+    the error it raises, with chunks of chunk records and boxes boxes."""
+    with mock.patch.object(cli, "LOAD_CHUNK", chunk), \
+            mock.patch.object(cli, "LOAD_BOXES", boxes):
         with mock.patch.object(cli, "scenes_from_records",
                                cli.scenes_from_records if columnar
                                else lambda records: None):
@@ -174,11 +176,21 @@ def _repeats(records, r):
 
 def _mutate(draw, records):
     """Break or bend one record: an odd value or a deleted key anywhere,
-    a repeated scene or item id, or a record that is not an object."""
+    a repeated scene or item id, ir_gt or rgb_obs emptied, deleted or set
+    to what is not a list, or a record that is not an object."""
     r = draw(st.integers(0, len(records) - 1))
-    kind = draw(st.sampled_from(["slot", "slot", "slot", "repeat", "record"]))
+    kind = draw(st.sampled_from(["slot", "slot", "slot", "repeat", "record",
+                                 "items"]))
     if kind == "record" or not isinstance(records[r], dict):
         records[r] = draw(st.sampled_from(ANY))
+        return
+    if kind == "items":
+        key = draw(st.sampled_from(["ir_gt", "rgb_obs"]))
+        value = draw(st.sampled_from(ANY + [DELETE]))
+        if value is DELETE:
+            records[r].pop(key, None)
+        else:
+            records[r][key] = value
         return
     repeats = _repeats(records, r)
     if kind == "repeat" and repeats:
@@ -211,20 +223,26 @@ def record_files(draw):
     return records
 
 
+# box budgets that close chunks at arbitrary records of the random files
+BUDGETS = [1, 7, cli.LOAD_BOXES]
+
+
 @settings(max_examples=300, deadline=None)
-@given(record_files(), st.sampled_from([1, 2, 3, 5, 64]), st.booleans())
-def test_columnar_load_equals_scalar_loop(records, chunk, blank_first):
+@given(record_files(), st.sampled_from([1, 2, 3, 5, 64]), st.booleans(),
+       st.sampled_from(BUDGETS))
+def test_columnar_load_equals_scalar_loop(records, chunk, blank_first, boxes):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp) / "s.jsonl", records, blank_first)
-        assert (_outcome(path, chunk=chunk)
-                == _outcome(path, columnar=False, chunk=chunk))
+        assert (_outcome(path, chunk=chunk, boxes=boxes)
+                == _outcome(path, columnar=False, chunk=chunk, boxes=boxes))
 
 
-def _command_outcome(path, argv, chunk):
+def _command_outcome(path, argv, chunk, boxes=cli.LOAD_BOXES):
     """Exit code, standard error and output files but manifests of argv run
-    on path with LOAD_CHUNK patched to chunk."""
+    on path with LOAD_CHUNK patched to chunk and LOAD_BOXES to boxes."""
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "LOAD_CHUNK", chunk):
+            mock.patch.object(cli, "LOAD_CHUNK", chunk), \
+            mock.patch.object(cli, "LOAD_BOXES", boxes):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -339,8 +357,9 @@ def test_iter_records_equals_text_lines(data):
         assert digest.hexdigest() == file_digest(path)
 
 
-# The reference run has a chunk of 10**6: it reads each file whole and
-# filters, tables and matches all of its scenes as one group.
+# The reference run has chunks of 10**6 records and 10**6 boxes: it reads
+# each file whole and filters, tables and matches all of its scenes as one
+# group.
 @settings(max_examples=200, deadline=None)
 @given(record_files(), st.sampled_from([1, 3, 64]),
        st.sampled_from([1, 5, 16, 100]),
@@ -352,7 +371,7 @@ def test_streamed_commands_equal_one_pass(records, chunk, batch, argv,
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp) / "s.jsonl", records, blank_first)
         assert (_command_outcome(path, argv, chunk)
-                == _command_outcome(path, argv, 10**6))
+                == _command_outcome(path, argv, 10**6, 10**6))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +464,9 @@ REJECTED = {
     "string prob": _first("rgb_obs", "class_probs", _row("0.5")),
     "string class_probs": _first("rgb_obs", "class_probs", "00000"),
     "empty string rgb_obs": lambda rec: rec.update(rgb_obs=""),
+    "null rgb_obs": lambda rec: rec.update(rgb_obs=None),
+    "object ir_gt": lambda rec: rec.update(ir_gt={}),
+    "no ir_gt": lambda rec: rec.pop("ir_gt"),
 }
 
 # changes that scene_from_record accepts and the columns take as they are
@@ -461,6 +483,7 @@ ACCEPTED = {
     "cx beyond int64": _first("ir_gt", "cx", 2**63),
     "bool theta": _first("rgb_obs", "theta", True),
     "no rgb_obs": lambda rec: rec.update(rgb_obs=[]),
+    "no ir_gt items": lambda rec: rec.update(ir_gt=[]),
 }
 
 # changes that scene_from_record accepts and the columns leave to it
@@ -470,21 +493,26 @@ UNUSUAL = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, cli.LOAD_CHUNK])
+# (records, boxes) a chunk closes at; a budget of 7 or 20 boxes closes the
+# simulated file's chunks after one to three records
+@pytest.mark.parametrize("chunk,boxes", [
+    (1, cli.LOAD_BOXES), (cli.LOAD_CHUNK, cli.LOAD_BOXES),
+    (cli.LOAD_CHUNK, 7), (cli.LOAD_CHUNK, 20)],
+    ids=["1", str(cli.LOAD_CHUNK), "boxes 7", "boxes 20"])
 @pytest.mark.parametrize("name", sorted(REJECTED) + sorted(ACCEPTED)
                          + sorted(UNUSUAL))
-def test_one_changed_record(three_chunks, tmp_path, name, chunk):
+def test_one_changed_record(three_chunks, tmp_path, name, chunk, boxes):
     records = json.loads(json.dumps(three_chunks))
     index = cli.LOAD_CHUNK + 1
     {**REJECTED, **ACCEPTED, **UNUSUAL}[name](records[index])
     path = _write(tmp_path / "s.jsonl", records)
-    scalar = _outcome(path, columnar=False, chunk=chunk)
+    scalar = _outcome(path, columnar=False, chunk=chunk, boxes=boxes)
     if name in ACCEPTED:
         with mock.patch.object(cli, "scene_from_record",
                                side_effect=AssertionError("scalar path")):
-            assert _outcome(path, chunk=chunk) == scalar
+            assert _outcome(path, chunk=chunk, boxes=boxes) == scalar
     else:
-        assert _outcome(path, chunk=chunk) == scalar
+        assert _outcome(path, chunk=chunk, boxes=boxes) == scalar
     assert scalar[0] == ("error" if name in REJECTED else "ok")
     if name in REJECTED:
         assert scalar[2].startswith(f"{path}:{index + 1}: field ")
@@ -561,14 +589,14 @@ def test_streamed_simulated_file_equals_one_pass(three_chunks, tmp_path, argv,
     argv = argv + ["--batch-size", str(batch)]
     outcome = _command_outcome(path, argv, chunk)
     assert outcome[0] == EXIT_OK
-    assert outcome == _command_outcome(path, argv, 10**6)
+    assert outcome == _command_outcome(path, argv, 10**6, 10**6)
 
 
-def _record_path_outcome(path, argv):
+def _record_path_outcome(path, argv, boxes=cli.LOAD_BOXES):
     """_command_outcome of argv with every chunk built record by record
     with scene_from_record and turned into columns by scene_columns."""
     with mock.patch.object(cli, "scenes_from_records", lambda records: None):
-        return _command_outcome(path, argv, cli.LOAD_CHUNK)
+        return _command_outcome(path, argv, cli.LOAD_CHUNK, boxes)
 
 
 def _odd_values(records):
@@ -623,12 +651,12 @@ def test_pipeline_on_odd_values_writes_the_recorded_bytes(three_chunks,
 
 
 @settings(max_examples=100, deadline=None)
-@given(record_files(), st.sampled_from(COMMANDS))
-def test_random_files_give_the_same_bytes_on_both_paths(records, argv):
+@given(record_files(), st.sampled_from(COMMANDS), st.sampled_from(BUDGETS))
+def test_random_files_give_the_same_bytes_on_both_paths(records, argv, boxes):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp) / "s.jsonl", records)
-        assert (_command_outcome(path, argv, cli.LOAD_CHUNK)
-                == _record_path_outcome(path, argv))
+        assert (_command_outcome(path, argv, cli.LOAD_CHUNK, boxes)
+                == _record_path_outcome(path, argv, boxes))
 
 
 class _Record(dict):
@@ -666,3 +694,45 @@ def test_chunk_records_are_released(three_chunks, tmp_path):
     assert seen == [(min(n, (k + 1) * size), min(size, n - k * size))
                     for k in range(3)]
     assert held == [0] * n
+
+
+def test_crowded_chunks_close_at_the_box_budget(tmp_path):
+    path = tmp_path / "crowded.jsonl"
+    assert run(["simulate", "--scenes", "40", "--boxes", "32",
+                "--spurious", "1.0", "--canvas", "1024", "1024",
+                "--seed", "4", "-o", str(path)]) == EXIT_OK
+    read, chunks, held = [], [], []
+    stream, build = cli.iter_records, cli.scenes_from_records
+
+    def tracked(rec):
+        rec = _Record(rec)
+        read.append(weakref.ref(rec))
+        return rec
+
+    def reader(path, digest=None):
+        for line_no, rec in stream(path, digest):
+            yield line_no, tracked(rec)
+
+    def live():
+        return sum(r() is not None for r in read)
+
+    def spy(chunk):
+        chunks.append(([len(rec["ir_gt"]) + len(rec["rgb_obs"])
+                        for rec in chunk], len(read), live()))
+        return build(chunk)
+
+    with mock.patch.object(cli, "iter_records", reader), \
+            mock.patch.object(cli, "scenes_from_records", spy):
+        for _ in cli._scenes(path, columns=True):
+            held.append(live())
+    sizes = [len(counts) for counts, _, _ in chunks]
+    assert sum(sizes) == len(read) == 40 and len(chunks) > 1
+    for k, (counts, n_read, n_live) in enumerate(chunks):
+        # under the budget until its last record, which reaches it unless
+        # the file ends first
+        assert sum(counts[:-1]) < cli.LOAD_BOXES
+        assert (sum(counts) >= cli.LOAD_BOXES) == (k < len(chunks) - 1)
+        # the chunk is all that was read since the last one, and no record
+        # of an earlier chunk is still held
+        assert n_read == sum(sizes[:k + 1]) and n_live == sizes[k]
+    assert held == [0] * len(read)
