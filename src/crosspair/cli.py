@@ -21,6 +21,9 @@ from itertools import compress
 from pathlib import Path
 
 from .correction import bag_records
+# filter_batch, match_scene and read_records are not called here:
+# perfbench/tracer.py patches these names in this module and fails when
+# they are not bound
 from .filtering import filter_batch, filter_masks
 from .geometry import FieldError
 from .matching import match_ids, match_scene, pair_tables
@@ -28,8 +31,6 @@ from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
 from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
                        run_pipeline)
-# read_records is not called here: perfbench/tracer.py patches the name in
-# this module and fails when it is not bound
 from .records import (RecordError, file_digest, iter_records, read_manifest,
                       read_records, write_csv, write_json, write_manifest,
                       write_records)
@@ -323,29 +324,36 @@ def cmd_filter(args):
     return EXIT_OK
 
 
-def cmd_match(args):
-    """Filter the input a batch at a time, stream the filtered scenes
-    through pair_tables and write each scene's pairs as they are made; the
-    correspondence scores are all that is kept to the end."""
-    out = _resolve_out(args.output)
-    digest = hashlib.sha256()
-    gated = not args.iou_match_only
-    scores = []
-
-    def filtered():
-        for batch in batches(_scenes(args.input, digest, columns=True),
-                             args.batch_size):
+def _matches(scenes, beta, gated, plf, batch_size):
+    """(scene, MatchResult) of each SceneColumns of scenes, in order, made
+    as they are read: each batch of batch_size scenes is score-filtered as
+    one batch if plf, and each scene's IR boxes are matched against its
+    kept observations through pair_tables."""
+    def items():
+        for batch in batches(scenes, batch_size):
             pools = [s.rgb for s in batch]
-            if not args.no_plf:
+            if plf:
                 pools = [pool.select(mask) for pool, mask
                          in zip(pools, _kept(batch)[0])]
             for s, pool in zip(batch, pools):
                 yield (s, pool.ids), s.ir, pool
 
+    for (s, pool_ids), table in pair_tables(items(), beta, gated):
+        yield s, match_ids(table, s.ir.ids, pool_ids)
+
+
+def cmd_match(args):
+    """Filter and match the input a batch at a time (_matches) and write
+    each scene's pairs as they are made; the correspondence scores are all
+    that is kept to the end."""
+    out = _resolve_out(args.output)
+    digest = hashlib.sha256()
+    scores = []
+
     def records():
-        for (s, pool_ids), table in pair_tables(filtered(), args.beta,
-                                                gated):
-            result = match_ids(table, s.ir.ids, pool_ids)
+        for s, result in _matches(
+                _scenes(args.input, digest, columns=True), args.beta,
+                not args.iou_match_only, not args.no_plf, args.batch_size):
             scores.append(correspondence_score(result, s))
             # the JSON encoder writes tuples as lists
             yield {
@@ -448,13 +456,12 @@ def cmd_sweep_shift(args):
                               jitter=args.jitter, seed=args.seed,
                               offset_override=(dx, dy))
             scenes = generate_scenes(cfg)
-            pools = [filter_batch(s.rgb_obs)[0] for s in scenes]
-            tables = pair_tables(zip(scenes, (s.ir_boxes for s in scenes),
-                                     pools), args.beta)
+            # each scene score-filtered alone, as a batch of one
+            results = _matches(map(scene_columns, scenes), args.beta, True,
+                               True, 1)
             scores = []
             ir_maps, rgb_maps = [], []
-            for (s, table), kept in zip(tables, pools):
-                result = match_scene(s.ir_boxes, kept, args.beta, table=table)
+            for s, (_, result) in zip(scenes, results):
                 scores.append(correspondence_score(result, s))
                 gts = [(b, c) for _, b, c in s.ir_gt]
                 if s.ir_gt not in ir_map_of:

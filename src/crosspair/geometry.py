@@ -187,22 +187,29 @@ def iou(a: OrientedBox, b: OrientedBox) -> float:
 SCALAR_GAP = 1e-6
 
 
-def box_rows(boxes) -> np.ndarray:
-    """(n, 6) array of rows cx, cy, w, h, cos(theta), sin(theta), one per box.
+def field_rows(fields, theta) -> np.ndarray:
+    """(n, 6) float64 rows cx, cy, w, h, cos(theta), sin(theta) of an (n, 4)
+    array of box fields and a float64 array of normalized thetas. The
+    cosine and sine come from math.cos/math.sin, as corners_of takes them,
+    so the corners built from a row equal corners_of bit for bit."""
+    rows = np.empty((len(theta), 6))
+    rows[:, :4] = fields
+    angles = theta.tolist()
+    rows[:, 4] = np.fromiter(map(math.cos, angles), float, len(angles))
+    rows[:, 5] = np.fromiter(map(math.sin, angles), float, len(angles))
+    return rows
 
-    The cosine and sine come from math.cos/math.sin, as corners_of takes
-    them, so the corners built from a row equal corners_of bit for bit.
-    """
-    return np.array([(b.cx, b.cy, b.w, b.h, math.cos(b.theta),
-                      math.sin(b.theta)) for b in boxes],
-                    dtype=float).reshape(-1, 6)
+
+def box_rows(boxes) -> np.ndarray:
+    """The field_rows of boxes, OrientedBoxes."""
+    return box_columns(range(len(boxes)), boxes).rows
 
 
 @dataclass(frozen=True)
 class BoxColumns:
     """Boxes with ids, as the columns a pair table reads.
 
-    Box k has id ids[k], box_rows row rows[k] and theta theta[k],
+    Box k has id ids[k], field_rows row rows[k] and theta theta[k],
     normalized, in a float64 array.
     """
     ids: list
@@ -229,8 +236,10 @@ class BoxColumns:
 
 def box_columns(ids, boxes) -> BoxColumns:
     """The BoxColumns of boxes, OrientedBoxes, with the ids ids."""
-    return BoxColumns(list(ids), box_rows(boxes),
-                      np.array([b.theta for b in boxes], dtype=float))
+    theta = np.array([b.theta for b in boxes], dtype=float)
+    fields = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float)
+    return BoxColumns(list(ids), field_rows(fields.reshape(-1, 4), theta),
+                      theta)
 
 
 def concat_columns(parts) -> BoxColumns:
@@ -308,7 +317,7 @@ def _clip_rows(xs, ys, n, ex1, ey1, ex2, ey2):
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray):
-    """iou of each pair of box_rows rows (a[k], b[k]), vectorized.
+    """iou of each pair of field_rows rows (a[k], b[k]), vectorized.
 
     Repeats corners_of, intersect_polygon, shoelace, intersect_area and iou
     operation for operation, so each value equals the scalar iou bit for

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (EDGE_EPS, BoxColumns, OrientedBox, box_columns,
-                       concat_columns, iou, iou_rows, normalize_angles,
-                       point_in_obb)
+from .geometry import (EDGE_EPS, OrientedBox, box_columns, concat_columns,
+                       iou, iou_rows, normalize_angles, point_in_obb)
 
 
 @dataclass(frozen=True)
@@ -90,28 +89,12 @@ REACH_SLACK = 1e-9
 THIN = 2.0 ** -40
 
 
-def _ir_columns(ir_boxes) -> BoxColumns:
-    """Reference boxes as BoxColumns; (id, box) pairs are converted."""
-    if isinstance(ir_boxes, BoxColumns):
-        return ir_boxes
-    return box_columns([i for i, _ in ir_boxes], [b for _, b in ir_boxes])
-
-
-def _pool_columns(pool) -> BoxColumns:
-    """Candidates as BoxColumns; objects with a source_id and a box are
-    converted."""
-    if isinstance(pool, BoxColumns):
-        return pool
-    return box_columns([c.source_id for c in pool], [c.box for c in pool])
-
-
 class _Chunk:
-    """Consecutive scenes: their reference boxes irs and candidates pools
-    as BoxColumns, and the same laid out flat as ir and cands."""
+    """Consecutive scenes: their reference boxes irs and candidates pools,
+    sequences of BoxColumns, and the same laid out flat as ir and cands."""
 
-    def __init__(self, ir_boxes_list, pools):
-        self.irs = [_ir_columns(ir) for ir in ir_boxes_list]
-        self.pools = [_pool_columns(pool) for pool in pools]
+    def __init__(self, irs, pools):
+        self.irs, self.pools = irs, pools
         self.ir = concat_columns(self.irs)
         self.cands = concat_columns(self.pools)
 
@@ -226,9 +209,9 @@ def _by_iou_then_id(hit):
 
 
 def _chunk_tables(items, beta, gated):
-    """(key, PairTable) of each (key, ir_boxes, pool) item of one chunk."""
-    keys, ir_boxes_list, pools = zip(*items)
-    chunk = _Chunk(ir_boxes_list, pools)
+    """(key, PairTable) of each (key, irs, pool) item of one chunk."""
+    keys, irs, pools = zip(*items)
+    chunk = _Chunk(irs, pools)
     ids = chunk.cands.ids
     # index of the first reference box whose search region is invalid
     first_bad = len(chunk.ir)
@@ -275,12 +258,10 @@ def _chunk_tables(items, beta, gated):
 
 def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
                 ) -> Iterator[tuple[object, PairTable]]:
-    """Yield (key, PairTable) for each (key, ir_boxes, pool) item of an
-    iterable, in order: the reference boxes ir_boxes ranked against the
-    candidates pool. The key is the caller's and is passed through.
-    ir_boxes is a BoxColumns or a sequence of (id, OrientedBox) pairs, and
-    pool a BoxColumns or a sequence of candidates with a source_id and a
-    box.
+    """Yield (key, PairTable) for each (key, irs, pool) item of an
+    iterable, in order: the reference boxes irs, a BoxColumns, ranked
+    against the candidates pool, a BoxColumns. The key is the caller's and
+    is passed through. pair_table and match_scene take boxes as objects.
 
     Each reference box's candidates with IoU > 0 are ranked by descending
     IoU, then ascending id. With use_search_region the IoU is evaluated
@@ -316,8 +297,13 @@ def pair_tables(items, beta: float = 1.0, use_search_region: bool = True
 
 def pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
                use_search_region: bool = True) -> PairTable:
-    """pair_tables of one scene."""
-    return next(pair_tables([(None, ir_boxes, rgb_pool)], beta,
+    """pair_tables of one scene given as objects: ir_boxes, (id,
+    OrientedBox) pairs, and rgb_pool, candidates with a source_id and a
+    box."""
+    irs = box_columns([i for i, _ in ir_boxes], [b for _, b in ir_boxes])
+    pool = box_columns([c.source_id for c in rgb_pool],
+                       [c.box for c in rgb_pool])
+    return next(pair_tables([(None, irs, pool)], beta,
                             use_search_region))[1]
 
 

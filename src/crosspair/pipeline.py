@@ -19,7 +19,7 @@ from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (NoiseRows, SimDetectorParams, detect,
                        least_squares_offset, pair_loss, rgb_proposals,
-                       student_step)
+                       scene_columns, student_step)
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,10 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     epoch. Stage 1 still makes the proposal and EMA calls of the full
     schedule, whose counts perfbench/selftest.py pins; it filters nothing.
 
-    The pair tables (for every flag set) and the NoiseRows of both
-    modalities change in no epoch, so they are built before epoch 0, the
-    tables first, so that a table's ValueError comes before any noise work.
+    The pair tables (for every flag set), built from the scenes'
+    SceneColumns, and the NoiseRows of both modalities change in no epoch,
+    so they are built before epoch 0, the tables first, so that a table's
+    ValueError comes before any noise work.
     Each epoch then draws the IR rows of all scenes once if it computes the
     supervised loss and the RGB rows once if it makes proposals.
 
@@ -255,8 +256,8 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
 
     student = SimDetectorParams()
     ema = EmaState(student.as_vector(), train.ema_decay)
-    tables = dict(pair_tables(((s.scene_id, s.ir_boxes, s.rgb_obs)
-                               for s in scenes),
+    tables = dict(pair_tables(((c.scene_id, c.ir, c.rgb)
+                               for c in map(scene_columns, scenes)),
                               pla.beta, not pla.iou_match_only))
     labels = LabelTable(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")

@@ -10,12 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 
 
 class RecordError(ValueError):
-    """Malformed record stream; carries the offending line number."""
+    """Malformed record stream or manifest; carries the offending line
+    number."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -64,11 +66,12 @@ def iter_records(path, digest=None):
     order, read one line at a time.
 
     Lines end at LF, CR or CRLF, as open(path) ends them, and each is
-    decoded as UTF-8, the encoding of JSON text. A line that is not UTF-8 or
-    not JSON raises a RecordError naming it only when the reading reaches
-    it. digest: a hashlib object that every byte of the file is added to as
-    it is read, so that once the records are exhausted it holds the hash of
-    the bytes they were parsed from.
+    decoded as UTF-8, the encoding of JSON text. A line that is not UTF-8,
+    not JSON or nested too deep for the decoder raises a RecordError naming
+    it only when the reading reaches it. digest: a hashlib object that
+    every byte of the file is added to as it is read, so that once the
+    records are exhausted it holds the hash of the bytes they were parsed
+    from.
 
     The file is read in pieces that end at LF, through a READ_BUFFER byte
     buffer; only a piece that holds a CR is split further.
@@ -88,7 +91,8 @@ def iter_records(path, digest=None):
                     if not line:
                         continue
                     record = json.loads(line)
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                except (UnicodeDecodeError, json.JSONDecodeError,
+                        RecursionError) as exc:
                     raise RecordError(path, line_no, str(exc)) from exc
                 yield line_no, record
 
@@ -147,6 +151,30 @@ def write_manifest(output_path, subcommand, config, artifacts,
     return mpath
 
 
+def _too_deep(text) -> bool:
+    """True if decoding text as JSON passes the recursion limit. The
+    decoder reads from the start, so a text that begins with one that
+    passes it passes it too."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return True
+    except ValueError:
+        pass
+    return False
+
+
 def read_manifest(path) -> dict:
+    """The JSON value of a manifest file. Text that is not JSON raises a
+    RecordError naming the line where decoding failed, and text nested too
+    deep to decode one naming the first line that it is too deep up to."""
     with open(path) as fh:
-        return json.load(fh)
+        lines = fh.readlines()
+    try:
+        return json.loads("".join(lines))
+    except json.JSONDecodeError as exc:
+        raise RecordError(path, exc.lineno, exc.msg) from exc
+    except RecursionError as exc:
+        line_no = 1 + bisect_left(range(len(lines)), True, key=lambda k:
+                                  _too_deep("".join(lines[:k + 1])))
+        raise RecordError(path, line_no, str(exc)) from exc

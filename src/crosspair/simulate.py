@@ -16,7 +16,7 @@ import numpy as np
 
 from .filtering import PROB_SUM_TOL, ScoredBox
 from .geometry import (BoxColumns, FieldError, OrientedBox, box_columns,
-                       normalize_angles)
+                       field_rows, normalize_angles)
 
 SPURIOUS = -1
 
@@ -690,16 +690,11 @@ def _checked_chunk(records):
 
 def _chunk_columns(scene_ids, ir_counts, obs_counts, box, thetas, ir_ids,
                    obs_ids, corr_ids, probs) -> list[SceneColumns]:
-    """The SceneColumns of a chunk that _checked_chunk passed: box rows of
-    the boxes' fields as floats and math.cos/math.sin of their thetas, as
-    box_rows has them, scores that are probabilities picked by the first
-    maximum, as probs.index(max(probs)) finds it, and the records' own
-    ids."""
-    rows = np.empty((len(box), 6))
-    rows[:, :4] = box
-    angles = thetas.tolist()
-    rows[:, 4] = np.fromiter(map(math.cos, angles), float, len(angles))
-    rows[:, 5] = np.fromiter(map(math.sin, angles), float, len(angles))
+    """The SceneColumns of a chunk that _checked_chunk passed: the
+    field_rows of the boxes, scores that are probabilities picked by the
+    first maximum, as probs.index(max(probs)) finds it, and the records'
+    own ids."""
+    rows = field_rows(box, thetas)
     class_ids = probs.argmax(axis=1)
     scores = probs[np.arange(len(probs)), class_ids]
     out = []

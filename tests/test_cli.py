@@ -373,6 +373,32 @@ def test_directory_manifest_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+# nested far past the recursion limit: json.loads raises RecursionError
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [["filter"], ["match"], ["pipeline"] + SHORT])
+def test_deeply_nested_line_is_data_error(scene_file, tmp_path, capsys, argv):
+    bad = tmp_path / "deep.jsonl"
+    first = scene_file.read_text().splitlines()[0]
+    bad.write_text(first + "\n" + DEEP + "\n")
+    out = tmp_path / "o.jsonl"
+    assert invoke(argv + ["--input", str(bad), "-o", str(out)]) == EXIT_DATA
+    assert (f"data error: {bad}:2: maximum recursion depth"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [DEEP, "not json"], ids=["deep", "not json"])
+def test_manifest_that_does_not_decode_names_line(tmp_path, capsys, value):
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text('{"subcommand": "filter",\n "config": ' + value + "}\n")
+    assert invoke(["verify", str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {bad}:2: ")
+    assert captured.out == ""
+
+
 def test_scenes_without_rgb_load(tmp_path):
     # every RGB observation dropped: IR classes up to 8 of 9 stay valid
     scenes = tmp_path / "s.jsonl"

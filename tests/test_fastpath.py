@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from crosspair import cli
 from crosspair.cli import EXIT_OK, run
 from crosspair.correction import LabelPair
-from crosspair.filtering import ScoredBox
+from crosspair.filtering import ScoredBox, filter_batch
 from crosspair import matching
-from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox, box_rows,
-                                corners_of, intersect_polygon, iou,
-                                iou_batch, iou_rows, point_in_obb)
+from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox,
+                                box_columns, box_rows, corners_of,
+                                intersect_polygon, iou, iou_batch, iou_rows,
+                                point_in_obb)
 from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
                                 _reach, _window, candidates_for, match_scene,
                                 pair_table, pair_tables, search_region)
@@ -35,7 +36,7 @@ from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
                                 SimDetectorParams, detect, generate_scenes,
                                 least_squares_offset, pair_centers,
                                 pair_gradient, pair_loss, perturbed_rows,
-                                student_step)
+                                scene_columns, student_step)
 
 
 def reference_match(ir_boxes, rgb_pool, beta=1.0, use_search_region=True):
@@ -120,7 +121,7 @@ class TestMatcher:
         corners = [OrientedBox(x, y, 1.0, 1.0, 0.0) for b in irs
                    for x, y in corners_of(search_region(b, beta))]
         pool = [ScoredBox(b, (1.0,), j) for j, b in enumerate(cands + corners)]
-        chunk = _Chunk([list(enumerate(irs))], [pool])
+        chunk = object_chunk([list(enumerate(irs))], [pool])
         ia, ib = _window(chunk, _reach(chunk, beta, True))
         window = list(zip(ia.tolist(), ib.tolist()))
         inside = {(i, j): point_in_obb(c.center, search_region(b, beta))
@@ -143,7 +144,7 @@ class TestMatcher:
                 for j, (dx, dy) in enumerate(
                     (dx, dy) for dx in (0.0, 8.0, 10.0)
                     for dy in (edge, -edge, math.nextafter(edge, 0.0)))]
-        chunk = _Chunk([[(0, box)]], [pool])
+        chunk = object_chunk([[(0, box)]], [pool])
         ia = np.zeros(len(pool), dtype=np.intp)
         ib = np.arange(len(pool))
         want = [point_in_obb(c.center, search_region(box, 1.0)) for c in pool]
@@ -225,6 +226,21 @@ def reference_pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
         hits.sort(key=lambda t: (-t[1], t[0]))
         ranked[ir_id] = tuple(hits)
     return PairTable(ranked, frozenset(rgb_ids), beta, use_search_region)
+
+
+def object_columns(scene):
+    """The BoxColumns that pair_tables reads of a scene (ir_boxes, pool)
+    given as objects: (id, OrientedBox) pairs and candidates with a
+    source_id and a box."""
+    ir, pool = scene
+    return (box_columns([i for i, _ in ir], [b for _, b in ir]),
+            box_columns([c.source_id for c in pool], [c.box for c in pool]))
+
+
+def object_chunk(ir_list, pools):
+    """The _Chunk of scenes given as objects."""
+    scenes = [object_columns(scene) for scene in zip(ir_list, pools)]
+    return _Chunk([ir for ir, _ in scenes], [pool for _, pool in scenes])
 
 
 def _table_bits(table):
@@ -356,7 +372,8 @@ class TestPairTables:
         with mock.patch.object(matching, "CHUNK_PAIRS", chunk), \
                 mock.patch.object(matching, "CHUNK_SCENES", chunk_scenes):
             got = [(key, _table_bits(t)) for key, t in pair_tables(
-                zip(range(len(pools)), ir_list, pools), beta, gated)]
+                ((k, *object_columns(scene)) for k, scene
+                 in enumerate(zip(ir_list, pools))), beta, gated)]
         assert got == list(enumerate(want))
 
     def test_scenes_without_pairs_come_in_bounded_chunks(self, monkeypatch):
@@ -368,7 +385,8 @@ class TestPairTables:
             return chunk_tables(items, beta, gated)
 
         monkeypatch.setattr(matching, "_chunk_tables", spy)
-        items = [(k, [(0, self.BOX)], []) for k in range(200)]
+        items = [(k, *object_columns(([(0, self.BOX)], [])))
+                 for k in range(200)]
         got = [key for key, _ in pair_tables(iter(items))]
         assert got == list(range(200))
         assert sum(sizes) == 200
@@ -377,7 +395,7 @@ class TestPairTables:
     def test_reads_its_items_lazily(self):
         def items():
             for k in range(matching.CHUNK_SCENES + 1):
-                yield k, *self.OK
+                yield k, *object_columns(self.OK)
             raise RuntimeError("read past the first chunk")
 
         tables = pair_tables(items())
@@ -417,12 +435,14 @@ class TestPairTables:
 
         want = self._error(reference)
         got = self._error(lambda: list(pair_tables(
-            zip(range(len(pools)), ir_list, pools), beta, gated)))
+            ((k, *object_columns(scene)) for k, scene in enumerate(scenes_)),
+            beta, gated)))
         assert got == want
 
     def test_errors_name_the_fault(self):
         def tables(scene, beta, gated=True):
-            return list(pair_tables([(0, *scene)], beta, gated))
+            return list(pair_tables([(0, *object_columns(scene))], beta,
+                                    gated))
 
         with pytest.raises(ValueError, match="beta must be positive"):
             tables(self.OK, 0.0)
@@ -431,6 +451,34 @@ class TestPairTables:
         with pytest.raises(ValueError, match="duplicate candidate ids"):
             tables(self.DUP, 1.0, gated=False)
         assert tables(self.OVERFLOW, 1e10, gated=False)
+
+
+small_scene_configs = st.builds(
+    SceneConfig, count=st.integers(1, 4), boxes_per_scene=st.integers(0, 6),
+    dropout_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    spurious_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    jitter=st.sampled_from([0.0, 0.5, 3.0]),
+    offset_override=st.one_of(st.none(), st.tuples(st.floats(-20.0, 20.0),
+                                                   st.floats(-20.0, 20.0))),
+    seed=st.integers(0, 2 ** 16))
+
+
+class TestMatchStream:
+    """cli._matches, the filter, table and match stream of match and
+    sweep-shift, at batch size 1 on each scene's scene_columns equals the
+    object loop: filter_batch of the scene's observations alone, then
+    match_scene on the survivors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_scene_configs, st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+    def test_equals_object_loop(self, cfg, beta):
+        scenes = generate_scenes(cfg)
+        want = [match_scene(s.ir_boxes, filter_batch(s.rgb_obs)[0], beta)
+                for s in scenes]
+        got = list(cli._matches(map(scene_columns, scenes), beta, True, True,
+                                1))
+        assert [s.scene_id for s, _ in got] == [s.scene_id for s in scenes]
+        assert [result for _, result in got] == want
 
 
 # rotated boxes around a center up to 1e12 from the origin; extents of 1e8
@@ -486,7 +534,7 @@ class TestWindow:
     @given(far_scenes())
     def test_keeps_every_gated_pair(self, scenes_):
         ir_list, pools, beta = scenes_
-        chunk = _Chunk(ir_list, pools)
+        chunk = object_chunk(ir_list, pools)
         ia, ib = _window(chunk, _reach(chunk, beta, True))
         window = set(zip(ia.tolist(), ib.tolist()))
         for a, b, ir_box, c in self._every_pair(ir_list, pools):
@@ -501,7 +549,7 @@ class TestWindow:
     @given(far_scenes())
     def test_keeps_every_overlapping_pair(self, scenes_):
         ir_list, pools, _ = scenes_
-        chunk = _Chunk(ir_list, pools)
+        chunk = object_chunk(ir_list, pools)
         ia, ib = _window(chunk, _reach(chunk, 1.0, False))
         window = set(zip(ia.tolist(), ib.tolist()))
         for a, b, ir_box, c in self._every_pair(ir_list, pools):
@@ -521,7 +569,7 @@ class TestWindow:
         ir_list = [[(0, box)], [], [(0, box), (1, box)]]
         pools = [[ScoredBox(box, (1.0,), 5)], [ScoredBox(box, (1.0,), 6)],
                  [ScoredBox(box, (1.0,), 7)]]
-        chunk = _Chunk(ir_list, pools)
+        chunk = object_chunk(ir_list, pools)
         ia, ib = _window(chunk, np.full(3, np.inf))
         assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 2), (2, 2)]
 
@@ -560,7 +608,7 @@ def int_scenes(draw):
 class TestIntFields:
     """A pair table reads a box's fields as floats: the tables of boxes with
     int fields are those of the same boxes with float fields, bit for bit,
-    from objects and from a record file alike."""
+    from objects through box_columns and from a record file alike."""
 
     @staticmethod
     def _objects(ir, cands, kind):
@@ -589,7 +637,7 @@ class TestIntFields:
     def test_tables_of_int_fields_are_those_of_floats(self, scene, beta,
                                                       gated):
         ir, cands = scene
-        items = [(kind, *self._objects(ir, cands, kind))
+        items = [(kind, *object_columns(self._objects(ir, cands, kind)))
                  for kind in (int, float)]
         columns = [self._file_columns(ir, cands, kind) for kind in (int, float)]
         for cols in (c for sc in columns for c in (sc.ir, sc.rgb)):

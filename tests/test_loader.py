@@ -9,6 +9,7 @@ value for value and type for type, or the same error. pipeline's Scenes
 come from scene_from_record alone.
 """
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -177,12 +178,14 @@ def _repeats(records, r):
 def _mutate(draw, records):
     """Break or bend one record: an odd value or a deleted key anywhere,
     a repeated scene or item id, ir_gt or rgb_obs emptied, deleted or set
-    to what is not a list, or a record that is not an object."""
+    to what is not a list, or a record that is not an object. Values drawn
+    from ANY and ODD are copied, so that a later mutation of the record
+    does not change the lists the next example draws from."""
     r = draw(st.integers(0, len(records) - 1))
     kind = draw(st.sampled_from(["slot", "slot", "slot", "repeat", "record",
                                  "items"]))
     if kind == "record" or not isinstance(records[r], dict):
-        records[r] = draw(st.sampled_from(ANY))
+        records[r] = copy.deepcopy(draw(st.sampled_from(ANY)))
         return
     if kind == "items":
         key = draw(st.sampled_from(["ir_gt", "rgb_obs"]))
@@ -190,7 +193,7 @@ def _mutate(draw, records):
         if value is DELETE:
             records[r].pop(key, None)
         else:
-            records[r][key] = value
+            records[r][key] = copy.deepcopy(value)
         return
     repeats = _repeats(records, r)
     if kind == "repeat" and repeats:
@@ -208,7 +211,7 @@ def _mutate(draw, records):
     if value is DELETE:
         del container[key]
     else:
-        container[key] = value
+        container[key] = copy.deepcopy(value)
 
 
 @st.composite
