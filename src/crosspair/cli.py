@@ -37,7 +37,7 @@ from .records import (RecordError, file_digest, iter_records, read_manifest,
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
                        generate_scenes, scene_columns, scene_from_record,
-                       scene_to_record, scenes_from_records)
+                       scene_to_record, scenes_from_records, shifted_scenes)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -450,30 +450,28 @@ def cmd_sweep_shift(args):
     # offset of a grid cell does not move
     ir_map_of = {}
     rows = []
-    for dx in grid:
-        for dy in grid:
-            cfg = SceneConfig(count=args.scenes, boxes_per_scene=args.boxes,
-                              jitter=args.jitter, seed=args.seed,
-                              offset_override=(dx, dy))
-            scenes = generate_scenes(cfg)
-            # each scene score-filtered alone, as a batch of one
-            results = _matches(map(scene_columns, scenes), args.beta, True,
-                               True, 1)
-            scores = []
-            ir_maps, rgb_maps = [], []
-            for s, (_, result) in zip(scenes, results):
-                scores.append(correspondence_score(result, s))
-                gts = [(b, c) for _, b, c in s.ir_gt]
-                if s.ir_gt not in ir_map_of:
-                    ir_map_of[s.ir_gt] = map_at(detect(params, s, "ir"), gts)
-                ir_maps.append(ir_map_of[s.ir_gt])
-                rgb_maps.append(map_at(detect(params, s, "rgb"), gts))
-            agg = pooled_correspondence(scores)
-            rows.append([dx, dy,
-                         ordered_sum(ir_maps) / len(ir_maps),
-                         ordered_sum(rgb_maps) / len(rgb_maps),
-                         agg.recall if agg.recall is not None else 0.0,
-                         agg.precision if agg.precision is not None else 0.0])
+    cells = [(dx, dy) for dx in grid for dy in grid]
+    cfg = SceneConfig(count=args.scenes, boxes_per_scene=args.boxes,
+                      jitter=args.jitter, seed=args.seed)
+    for (dx, dy), scenes in zip(cells, shifted_scenes(cfg, cells)):
+        # each scene score-filtered alone, as a batch of one
+        results = _matches(map(scene_columns, scenes), args.beta, True,
+                           True, 1)
+        scores = []
+        ir_maps, rgb_maps = [], []
+        for s, (_, result) in zip(scenes, results):
+            scores.append(correspondence_score(result, s))
+            gts = [(b, c) for _, b, c in s.ir_gt]
+            if s.ir_gt not in ir_map_of:
+                ir_map_of[s.ir_gt] = map_at(detect(params, s, "ir"), gts)
+            ir_maps.append(ir_map_of[s.ir_gt])
+            rgb_maps.append(map_at(detect(params, s, "rgb"), gts))
+        agg = pooled_correspondence(scores)
+        rows.append([dx, dy,
+                     ordered_sum(ir_maps) / len(ir_maps),
+                     ordered_sum(rgb_maps) / len(rgb_maps),
+                     agg.recall if agg.recall is not None else 0.0,
+                     agg.precision if agg.precision is not None else 0.0])
     write_csv(out, ["dx", "dy", "ir_map", "rgb_map",
                     "match_recall", "match_precision"], rows)
     write_manifest(out, "sweep-shift", _run_config(args), [out])

@@ -136,7 +136,7 @@ def _sup_loss(student, scenes, ir_noise, salt) -> float:
     keyed by "rgb".
     """
     acc, n = 0.0, 0
-    rows = ir_noise.draw(student.confidence_noise, salt)
+    rows = ir_noise.rows(student.confidence_noise, salt)
     for scene, scene_rows in zip(scenes, rows):
         dets = detect(student, scene, "ir", salt, rows=scene_rows)
         for d, (_, _, cls) in zip(dets, scene.ir_gt):
@@ -174,7 +174,7 @@ def _epoch_proposals(student, scenes, rgb_noise, epoch, batch_size):
     for each of batches(scenes, batch_size); the RGB rows of all scenes
     come from one draw of rgb_noise, their "rgb" NoiseRows, keyed by
     (scene_id, epoch, "rgb")."""
-    rows = rgb_noise.draw(student.confidence_noise, epoch)
+    rows = rgb_noise.rows(student.confidence_noise, epoch)
     for batch, batch_rows in zip(batches(scenes, batch_size),
                                  batches(rows, batch_size)):
         yield batch, [rgb_proposals(student, s, epoch, rows=r)

@@ -95,13 +95,28 @@ def _spurious_probs(rng, class_count):
     return tuple(float(p) for p in rng.dirichlet(np.ones(class_count)))
 
 
+def _scene_rng(cfg: SceneConfig, index: int):
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
+
+
+def _override(offset) -> tuple[float, float]:
+    return float(offset[0]), float(offset[1])
+
+
 def generate_scene(cfg: SceneConfig, index: int) -> Scene:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
-    W, H = cfg.canvas
+    rng = _scene_rng(cfg, index)
     if cfg.offset_override is not None:
-        offset = (float(cfg.offset_override[0]), float(cfg.offset_override[1]))
+        offset = _override(cfg.offset_override)
     else:
         offset = tuple(float(v) for v in rng.uniform(-cfg.shift_max, cfg.shift_max, 2))
+    return _observed_scene(cfg, index, rng, offset,
+                           _placed_ir(cfg, index, rng))
+
+
+def _placed_ir(cfg: SceneConfig, index: int, rng):
+    """The ir_gt of scene index: boxes placed by rejection sampling from
+    rng, apart by more than the offset and jitter could close."""
+    W, H = cfg.canvas
     gap = cfg.shift_max + 2.0 * cfg.jitter + 1.0
 
     placed = []  # (cx, cy, circumradius)
@@ -128,7 +143,14 @@ def generate_scene(cfg: SceneConfig, index: int) -> Scene:
         box_id = len(ir_gt)
         cls = int(rng.integers(cfg.class_count))
         ir_gt.append((box_id, OrientedBox(cx, cy, w, h, theta), cls))
+    return tuple(ir_gt)
 
+
+def _observed_scene(cfg: SceneConfig, index: int, rng, offset, ir_gt):
+    """Scene index with the IR boxes ir_gt and the RGB observations drawn
+    from rng: each IR box moved by offset plus jitter unless dropped, then
+    the spurious boxes."""
+    W, H = cfg.canvas
     obs = []
     next_id = 0
     for ir_id, box, cls in ir_gt:
@@ -153,12 +175,37 @@ def generate_scene(cfg: SceneConfig, index: int) -> Scene:
                                _spurious_probs(rng, cfg.class_count),
                                next_id, corr_id=SPURIOUS))
         next_id += 1
-    return Scene(index, (W, H), offset, tuple(ir_gt), tuple(obs))
+    return Scene(index, (W, H), offset, ir_gt, tuple(obs))
 
 
 def generate_scenes(cfg: SceneConfig):
     """Deterministic scene stream; per-scene seeds derived from (seed, index)."""
     return [generate_scene(cfg, i) for i in range(cfg.count)]
+
+
+def shifted_scenes(cfg: SceneConfig, offsets):
+    """For each offset of offsets, the scenes of
+    generate_scenes(replace(cfg, offset_override=offset)), whatever
+    cfg.offset_override is.
+
+    An offset override draws nothing from a scene's generator, and the IR
+    boxes are placed before any draw the offset moves, so each scene's
+    boxes are placed once, and each offset's scenes continue from a copy of
+    the generator state left after the placement.
+    """
+    placed = []
+    for index in range(cfg.count):
+        rng = _scene_rng(cfg, index)
+        placed.append((_placed_ir(cfg, index, rng), rng.bit_generator.state))
+    for offset in offsets:
+        offset = _override(offset)
+        scenes = []
+        for index, (ir_gt, state) in enumerate(placed):
+            bits = np.random.PCG64()
+            bits.state = state
+            scenes.append(_observed_scene(cfg, index, np.random.Generator(bits),
+                                          offset, ir_gt))
+        yield scenes
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +296,8 @@ class NoiseRows:
     changes: the clean rows as float64 arrays grouped by class count, each
     box's scene and box index, and each scene's base key. draw(scale, salt)
     returns what perturbed_rows(scenes, modality, scale, salt) describes,
-    in new lists on every call.
+    in new lists on every call; rows(scale, salt) yields the same lists one
+    scene at a time.
     """
     __slots__ = ("_scenes", "_modality", "_arrays")
 
@@ -261,23 +309,32 @@ class NoiseRows:
         self._arrays = None
 
     def draw(self, scale: float, salt: int = 0):
+        return list(self.rows(scale, salt))
+
+    def rows(self, scale: float, salt: int = 0):
+        """An iterator over the lists of draw(scale, salt). The noise of all
+        scenes is mixed in numpy at once, here. When all rows have one
+        class count, each scene's rows become tuples of floats only when
+        the iteration reaches the scene, so a caller that drops each
+        scene's rows holds those of one scene, not those of all."""
         if scale <= 0:
-            return [_clean_rows(s, self._modality) for s in self._scenes]
+            return (_clean_rows(s, self._modality) for s in self._scenes)
         if self._arrays is None:
             self._arrays = self._columns()
         base, groups, order, bounds = self._arrays
-        if not groups:
-            return [[] for _ in bounds]
         scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
                          ^ np.uint64(_MODALITY_CODE[self._modality]))
+        noisy = [_mixed_rows(clean, _mix(scene_key[scene_of] ^ box_of), scale)
+                 for clean, scene_of, box_of in groups]
+        if len(noisy) == 1:  # one group holds the rows in box order
+            return (list(map(tuple, noisy[0][a:b].tolist()))
+                    for a, b in bounds)
         flat = []
-        for clean, scene_of, box_of in groups:
-            noisy = _mixed_rows(clean, _mix(scene_key[scene_of] ^ box_of),
-                                scale)
-            flat += map(tuple, noisy.tolist())
+        for group in noisy:
+            flat += map(tuple, group.tolist())
         if order is not None:
             flat = [flat[i] for i in order]
-        return [flat[a:b] for a, b in bounds]
+        return (flat[a:b] for a, b in bounds)
 
     def _columns(self):
         """(base keys, a (clean rows, scene index, box index) group per

@@ -300,6 +300,32 @@ def reference_scores(bags, scenes):
             accurate / total if total else 0.0)
 
 
+def replay(table, bags, scene, matches, epoch, use_dlc, improve_only):
+    """Write matches into table and into bags, by init_bag/update_bag."""
+    sid = scene.scene_id
+    table.assign(sid, matches, epoch, fresh=not use_dlc,
+                 improve_only=improve_only)
+    bag = bags.get(sid) if use_dlc else None
+    bags[sid] = (init_bag(sid, scene.ir_boxes, matches, scene.rgb_obs, epoch)
+                 if bag is None else
+                 update_bag(bag, matches, scene.rgb_obs, epoch,
+                            improve_only=improve_only))
+
+
+def assert_table_equals_bags(table, bags, scenes, epoch):
+    got = table.bags()
+    assert got == bags
+    assert [list(b.pairs.items()) for b in got.values()] == \
+        [list(b.pairs.items()) for b in bags.values()]
+    want = pair_centers([p for b in bags.values() for p in b.pairs.values()])
+    centers = table.centers()
+    for field in ("ir_cx", "ir_cy", "rgb_cx", "rgb_cy"):
+        assert getattr(centers, field).tobytes() == \
+            getattr(want, field).tobytes()
+    assert table.stats(epoch) == reference_stats(bags, scenes, epoch)
+    assert table.scores() == reference_scores(bags, scenes)
+
+
 @settings(max_examples=300, deadline=None)
 @given(table_histories(), st.booleans(), st.booleans())
 def test_label_table_equals_bag_replay(history, improve_only, use_dlc):
@@ -308,26 +334,50 @@ def test_label_table_equals_bag_replay(history, improve_only, use_dlc):
     bags = {}
     for epoch, results in epochs:
         for scene in scenes:
-            sid, matches = scene.scene_id, results[scene.scene_id]
-            table.assign(sid, matches, epoch, fresh=not use_dlc,
-                         improve_only=improve_only)
-            bag = bags.get(sid) if use_dlc else None
-            bags[sid] = (init_bag(sid, scene.ir_boxes, matches, scene.rgb_obs,
-                                  epoch) if bag is None else
-                         update_bag(bag, matches, scene.rgb_obs, epoch,
-                                    improve_only=improve_only))
-        got = table.bags()
-        assert got == bags
-        assert [list(b.pairs.items()) for b in got.values()] == \
-            [list(b.pairs.items()) for b in bags.values()]
-        want = pair_centers([p for b in bags.values()
-                             for p in b.pairs.values()])
-        centers = table.centers()
-        for field in ("ir_cx", "ir_cy", "rgb_cx", "rgb_cy"):
-            assert getattr(centers, field).tobytes() == \
-                getattr(want, field).tobytes()
-        assert table.stats(epoch) == reference_stats(bags, scenes, epoch)
-        assert table.scores() == reference_scores(bags, scenes)
+            replay(table, bags, scene, results[scene.scene_id], epoch,
+                   use_dlc, improve_only)
+        assert_table_equals_bags(table, bags, scenes, epoch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_histories(), st.data(), st.booleans())
+def test_label_table_equals_bag_replay_of_repeated_results(history, data,
+                                                           use_dlc):
+    """Each epoch writes to each scene one of a few result objects, so that
+    an object repeats, alternates with another or comes back later, and
+    each write draws its improve_only."""
+    scenes, epochs = history
+    kept = [results for _, results in epochs[:3]]
+    table = LabelTable(scenes)
+    bags = {}
+    epoch = epochs[0][0]
+    for _ in range(data.draw(st.integers(1, 10))):
+        for scene in scenes:
+            results = kept[data.draw(st.integers(0, len(kept) - 1))]
+            replay(table, bags, scene, results[scene.scene_id], epoch,
+                   use_dlc, data.draw(st.booleans()))
+        assert_table_equals_bags(table, bags, scenes, epoch)
+        epoch += data.draw(st.integers(1, 3))
+
+
+def test_label_table_repeat_after_improve_only_needs_it():
+    # a label that improve_only kept gives way to the same result without it
+    ir = make_ir(1)
+    near, far = ir[0][1].translated(1, 0), ir[0][1].translated(3, 0)
+    scene = Scene(0, (64, 64), (1.0, 0.0), tuple((i, b, 0) for i, b in ir),
+                  (ObservedBox(near, (1.0,), 0, 0),
+                   ObservedBox(far, (1.0,), 1, SPURIOUS)))
+    worse = MatchResult(((0, 1, iou(ir[0][1], far)),), (), ())
+    table = LabelTable([scene])
+    table.assign(0, MatchResult(((0, 0, iou(ir[0][1], near)),), (), ()), 1)
+    table.assign(0, worse, 2, improve_only=True)
+    table.assign(0, worse, 3, improve_only=True)
+    assert table.bags()[0].pairs[0].rgb_box == near
+    table.assign(0, worse, 4)
+    pair = table.bags()[0].pairs[0]
+    assert (pair.rgb_box, pair.last_update_epoch) == (far, 4)
+    table.assign(0, worse, 5, improve_only=True)
+    assert table.bags()[0] == LabelBag(0, {0: pair}, 5)
 
 
 def test_label_table_keeps_an_equal_box_under_another_id():

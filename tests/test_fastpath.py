@@ -207,7 +207,8 @@ def reference_gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:
 
 def reference_pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
                          use_search_region: bool = True) -> PairTable:
-    """matching.pair_table as it was before pair_tables, verbatim."""
+    """matching.pair_table as it was before pair_tables, verbatim but for
+    rgb_ids, now a tuple in pool order rather than a frozenset."""
     rgb_ids = [c.source_id for c in rgb_pool]
     if len(set(rgb_ids)) != len(rgb_ids):
         raise ValueError("duplicate candidate ids")
@@ -225,7 +226,7 @@ def reference_pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
                 hits.append((rgb_ids[j], v))
         hits.sort(key=lambda t: (-t[1], t[0]))
         ranked[ir_id] = tuple(hits)
-    return PairTable(ranked, frozenset(rgb_ids), beta, use_search_region)
+    return PairTable(ranked, tuple(rgb_ids), beta, use_search_region)
 
 
 def object_columns(scene):

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosspair.filtering import ScoredBox
 from crosspair.geometry import (OrientedBox, box_columns, corners_of, iou,
                                 point_in_obb)
-from crosspair.matching import (MatchResult, candidates_for, match_ids,
-                                match_scene, pair_tables, search_region)
+from crosspair.matching import (MatchResult, PairTable, candidates_for,
+                                match_ids, match_scene, pair_table,
+                                pair_tables, search_region)
 
 
 def sb(box, source_id):
@@ -283,3 +284,91 @@ class TestMatchProperties:
         ir, _, pool, beta, gated = case
         assert match_scene(ir, pool, beta, gated) == greedy_oracle(
             ir, pool, beta, gated)
+
+
+@st.composite
+def pool_sequences(draw):
+    """(ir, candidates, beta, gated, pools): a scene of match_cases and a
+    sequence of pools drawn from a few subsets of its candidates, each in
+    shuffled order and some also reversed, so that pools repeat, alternate
+    and shrink, and the same ids come in another order."""
+    ir, candidates, _, beta, gated = draw(match_cases())
+    subsets = draw(st.lists(
+        st.lists(st.sampled_from(candidates), unique_by=lambda c: c.source_id)
+        if candidates else st.just([]), min_size=1, max_size=3))
+    subsets += [s[::-1] for s in subsets if draw(st.booleans())]
+    pools = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+    return ir, candidates, beta, gated, pools
+
+
+def fresh(table):
+    """A copy of table without match_scene's last call."""
+    return PairTable(table.ranked, table.rgb_ids, table.beta, table.gated)
+
+
+class TestLastMatch:
+    @settings(max_examples=200, deadline=None)
+    @given(pool_sequences())
+    def test_equals_fresh_matches(self, case):
+        ir, candidates, beta, gated, pools = case
+        table = pair_table(ir, candidates, beta, gated)
+        ir_ids = [i for i, _ in ir]
+        last = None
+        for pool in pools:
+            rgb_ids = [c.source_id for c in pool]
+            got = match_scene(ir, pool, beta, gated, table=table)
+            assert got == match_ids(fresh(table), ir_ids, rgb_ids)
+            assert got == match_scene(ir, pool, beta, gated)
+            if last is not None and last[0] == rgb_ids:
+                assert got is last[1]
+            last = rgb_ids, got
+        assert table == fresh(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(match_cases(), st.sampled_from(
+        ["beta", "gate", "duplicate reference", "duplicate candidate",
+         "uncovered reference", "uncovered candidate"]))
+    def test_a_failing_call_raises_after_a_hit(self, case, fault):
+        ir, candidates, pool, beta, gated = case
+        table = pair_table(ir, candidates, beta, gated)
+        first = match_scene(ir, pool, beta, gated, table=table)
+        assert match_scene(ir, pool, beta, gated, table=table) is first
+        args = {"ir": ir, "pool": pool, "beta": beta, "gated": gated}
+        if fault == "beta":
+            args["beta"] = 2 * beta
+        elif fault == "gate":
+            args["gated"] = not gated
+        elif fault == "duplicate reference":
+            assume(ir)
+            args["ir"] = ir + ir[:1]
+        elif fault == "duplicate candidate":
+            assume(pool)
+            args["pool"] = pool + pool[:1]
+        elif fault == "uncovered reference":
+            args["ir"] = ir + [(99, OrientedBox(0, 0, 4, 4, 0))]
+        else:
+            args["pool"] = pool + [sb(OrientedBox(0, 0, 4, 4, 0), 99)]
+
+        def call(t):
+            return match_scene(args["ir"], args["pool"], args["beta"],
+                               args["gated"], table=t)
+
+        with pytest.raises(ValueError) as want:
+            call(fresh(table))
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                call(table)
+            assert str(got.value) == str(want.value)
+        assert match_scene(ir, pool, beta, gated, table=table) is first
+
+    def test_ids_in_another_order_match_again(self):
+        ir = [(0, OrientedBox(0, 0, 10, 10, 0))]
+        a = sb(OrientedBox(1, 0, 10, 10, 0), 1)
+        b = sb(OrientedBox(30, 0, 10, 10, 0), 2)
+        table = pair_table(ir, [a, b])
+        first = match_scene(ir, [a, b], table=table)
+        again = match_scene(ir, [b, a], table=table)
+        assert again is not first
+        assert (first.unmatched_rgb, again.unmatched_rgb) == ((2,), (2,))
+        assert table.last[2] is again
+        assert "last" not in repr(table)

@@ -5,8 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+import crosspair.matching
 import crosspair.pipeline
-from crosspair.correction import COPIED, MATCHED
+from crosspair.correction import COPIED, MATCHED, LabelTable
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox
 from crosspair.matching import match_scene, pair_tables
@@ -179,7 +180,7 @@ class TestPipeline:
         s = scenes[1]
         scenes[1] = replace(s, rgb_obs=s.rgb_obs + s.rgb_obs[:1])
         drawn = []
-        monkeypatch.setattr(NoiseRows, "draw", lambda *a: drawn.append(a))
+        monkeypatch.setattr(NoiseRows, "rows", lambda *a: drawn.append(a))
         with pytest.raises(ValueError, match="duplicate candidate ids"):
             run_pipeline(scenes, SHORT, PlaConfig(use_sdlm=use_sdlm))
         assert drawn == []
@@ -230,9 +231,9 @@ class TestKeyedNoiseWiring:
                 self.modality = modality
                 built.append(modality)
 
-            def draw(self, scale, salt=0):
+            def rows(self, scale, salt=0):
                 drawn.append((self.modality, salt))
-                return super().draw(scale, salt)
+                return super().rows(scale, salt)
 
         monkeypatch.setattr(crosspair.pipeline, "NoiseRows", Recording)
         scenes = generate_scenes(SceneConfig(count=5, boxes_per_scene=3,
@@ -308,3 +309,49 @@ class TestDlcBehaviour:
         gated = run(cfg, pla=PlaConfig(dlc_improve_only=True))
         assert gated.pair_accuracy >= 0.0
         assert len(gated.epochs) == len(base.epochs)
+
+
+class TestRepeatedMatches:
+    """A scene's kept ids nearly always repeat from one epoch to the next:
+    match_scene then returns its table's last result, and LabelTable skips
+    the update of a result it wrote last."""
+
+    @pytest.mark.parametrize("cfg, stages, matches, calls, updates", [
+        (SceneConfig(count=12, boxes_per_scene=5, shift_max=10, jitter=0.5,
+                     dropout_rate=0.1, spurious_rate=0.3, seed=1),
+         StageConfig(1, 1, 4, 4), 96, 32, 20),
+        # the train_default benchmark input (seed 42)
+        (SceneConfig(count=200, boxes_per_scene=6, shift_max=15, jitter=0.5,
+                     dropout_rate=0.1, spurious_rate=0.1,
+                     size_range=(16, 48), seed=42),
+         StageConfig(), 7000, 443, 243),
+    ])
+    def test_match_ids_runs_once_per_change_of_kept_ids(
+            self, monkeypatch, cfg, stages, matches, calls, updates):
+        kept, changes, ran, updated = {}, [], [], []
+        match_ids, update = crosspair.matching.match_ids, LabelTable._update
+
+        def spy(ir_boxes, rgb_pool, *args, table, **kwargs):
+            ids = [c.source_id for c in rgb_pool]
+            changes.append(kept.get(id(table)) != ids)
+            kept[id(table)] = ids
+            return match_scene(ir_boxes, rgb_pool, *args, table=table,
+                               **kwargs)
+
+        def counted(*args):
+            ran.append(args)
+            return match_ids(*args)
+
+        def counted_update(*args):
+            updated.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(crosspair.pipeline, "match_scene", spy)
+        monkeypatch.setattr(crosspair.matching, "match_ids", counted)
+        monkeypatch.setattr(LabelTable, "_update", counted_update)
+        scenes = generate_scenes(cfg)
+        run_pipeline(scenes, stages, PlaConfig(), TrainConfig())
+        assert len(changes) == matches
+        assert sum(changes) == len(ran) == calls
+        # the first result of each scene initialises its bag
+        assert len(updated) == calls - len(scenes) == updates

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
                                 generate_scenes, least_squares_offset,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 rgb_proposals, scene_from_record,
-                                scene_to_record, student_step)
+                                scene_to_record, shifted_scenes, student_step)
 
 
 class TestGeneration:
@@ -110,6 +111,32 @@ class TestGeneration:
         cfg = SceneConfig(count=5, offset_override=(3.0, -2.0), seed=10)
         for s in generate_scenes(cfg):
             assert s.true_offset == (3.0, -2.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.builds(SceneConfig, count=st.integers(0, 4),
+                     boxes_per_scene=st.integers(0, 6),
+                     jitter=st.sampled_from([0.0, 0.5, 2.0]),
+                     angle_jitter=st.sampled_from([0.0, 0.1]),
+                     dropout_rate=st.sampled_from([0.0, 0.3]),
+                     spurious_rate=st.sampled_from([0.0, 0.5]),
+                     seed=st.integers(0, 2 ** 32 - 1),
+                     offset_override=st.sampled_from([None, (1.0, 2.0)])),
+           st.lists(st.tuples(st.integers(-20, 20), st.floats(-20, 20)),
+                    max_size=4))
+    def test_shifted_scenes_equal_generated_ones(self, cfg, offsets):
+        shifted = list(shifted_scenes(cfg, offsets))
+        assert len(shifted) == len(offsets)
+        for offset, scenes in zip(offsets, shifted):
+            want = generate_scenes(replace(cfg, offset_override=offset))
+            assert [json.dumps(scene_to_record(s)) for s in scenes] == \
+                [json.dumps(scene_to_record(s)) for s in want]
+            assert all(type(v) is float for s in scenes for v in s.true_offset)
+
+    def test_shifted_scenes_raise_as_generation_does(self):
+        cfg = SceneConfig(count=1, boxes_per_scene=500, canvas=(200, 200),
+                          seed=9)
+        with pytest.raises(GenerationError, match="canvas too crowded"):
+            next(shifted_scenes(cfg, [(0.0, 0.0)]))
 
 
 class TestRecordRoundtrip:
@@ -350,6 +377,17 @@ class TestNoiseRows:
         first[0] = None
         assert [_row_bits(rows) for rows in plan.draw(scale, salt)] == \
             expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, len(PLAN_POOL) - 1), max_size=10),
+           st.sampled_from(["ir", "rgb"]), SCALES, SALTS)
+    def test_rows_yield_the_lists_of_draw(self, picks, modality, scale,
+                                          salt):
+        plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
+        got = plan.rows(scale, salt)
+        assert iter(got) is got
+        assert [_row_bits(rows) for rows in got] == \
+            [_row_bits(rows) for rows in plan.draw(scale, salt)]
 
     def test_unknown_modality(self):
         with pytest.raises(ValueError, match="unknown modality"):
