@@ -292,7 +292,7 @@ def _kept(batch, per_class=False):
     """(each scene's keep mask, threshold) of one score filter over the RGB
     observations of a batch of SceneColumns."""
     return filter_masks([s.scores for s in batch],
-                        [s.class_ids for s in batch], per_class)
+                        [s.class_ids for s in batch] if per_class else None)
 
 
 def cmd_filter(args):

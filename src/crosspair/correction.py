@@ -144,39 +144,21 @@ class LabelTable:
         self._cx, self._cy, self._error = [0.0] * n, [0.0] * n, [0.0] * n
         self._order = [[] for _ in self._scenes]
         self._epoch = [None] * len(self._scenes)  # None: no bag yet
-        # each scene's last match result written, and whether improve_only
-        # may have kept one of its labels since
-        self._applied = [None] * len(self._scenes)
-        self._improved = [False] * len(self._scenes)
         self._rows = []  # the pair orders of all scenes, None when stale
 
     def assign(self, scene_id, matches: MatchResult, epoch: int, *,
                fresh: bool = False, improve_only: bool = False):
         """Write a match result of one scene's reference boxes against its
         rgb_obs: init_bag if fresh or the scene has no bag yet, else
-        update_bag.
-
-        An update with the very result object written last to the scene
-        would write nothing, so it only sets the scene's epoch: each pair's
-        label already holds its match, or keeps_label kept it and keeps it
-        again with the same arguments. A label kept by improve_only alone
-        would give way without it, so after an update with improve_only the
-        skip needs improve_only too. match_scene returns the same object
-        for a repeat of its last call on a table.
-        """
+        update_bag."""
         k = self._index[scene_id]
         last = self._epoch[k]
         if fresh or last is None:
             self._init(k, matches, epoch)
-            self._applied[k] = matches
-            self._improved[k] = False
         elif epoch <= last:
             raise ValueError(f"epoch must increase: {epoch} <= {last}")
-        elif (matches is not self._applied[k]
-              or self._improved[k] and not improve_only):
+        else:
             self._update(k, matches, epoch, improve_only)
-            self._applied[k] = matches
-            self._improved[k] = improve_only
         self._epoch[k] = epoch
 
     def _update(self, k, matches, epoch, improve_only):

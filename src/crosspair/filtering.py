@@ -119,14 +119,15 @@ def batch_threshold(scores) -> BatchThreshold:
                           math.ldexp(mu - sigma, exp), len(scores))
 
 
-def keep_mask(scores, class_ids=None, per_class: bool = False):
+def keep_mask(scores, class_ids=None):
     """The filter of filter_batch on columns: scores, a float64 array, and
-    with per_class class_ids, an integer array. Returns (mask, threshold):
-    mask[k] is True if candidate k is kept."""
+    class_ids, None or an integer array; with class_ids each class is
+    filtered by its own threshold. Returns (mask, threshold): mask[k] is
+    True if candidate k is kept."""
     if not len(scores):
         return np.zeros(0, dtype=bool), INVALID_THRESHOLD
     threshold = batch_threshold(scores)
-    if not per_class:
+    if class_ids is None:
         return scores >= threshold.tau, threshold
     mask = np.empty(len(scores), dtype=bool)
     # not np.unique: in numpy 2.x its first call imports numpy.ma
@@ -148,16 +149,16 @@ def filter_batch(candidates, per_class: bool = False):
     scores = np.array([c.score for c in candidates], dtype=np.float64)
     class_ids = (np.array([c.class_id for c in candidates], dtype=np.intp)
                  if per_class else None)
-    mask, threshold = keep_mask(scores, class_ids, per_class)
+    mask, threshold = keep_mask(scores, class_ids)
     return list(compress(candidates, mask.tolist())), threshold
 
 
-def filter_masks(scores, class_ids, per_class: bool = False):
+def filter_masks(scores, class_ids=None):
     """filter_batch of the candidates of several pools as one batch, on
-    columns: scores[i] and class_ids[i] are the float64 scores and the class
-    ids of pool i. Returns (masks, threshold): masks[i][k] is True if
-    candidate k of pool i is kept."""
+    columns: scores[i] is the float64 scores of pool i and, to filter per
+    class, class_ids[i] its class ids. Returns (masks, threshold):
+    masks[i][k] is True if candidate k of pool i is kept."""
     mask, threshold = keep_mask(
         np.concatenate(scores),
-        np.concatenate(class_ids) if per_class else None, per_class)
+        None if class_ids is None else np.concatenate(class_ids))
     return np.split(mask, np.cumsum([len(s) for s in scores])[:-1]), threshold

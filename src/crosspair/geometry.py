@@ -1,8 +1,8 @@
 """Exact geometry kernel for oriented (rotated) bounding boxes.
 
-Angles are radians, counterclockwise-positive, normalized to [-pi/2, pi/2);
-the box width runs along its local x-axis. All functions are pure and
-thread-safe.
+Angles are radians, counterclockwise-positive, normalized to the closed
+range [-pi/2, pi/2] (see normalize_angle); the box width runs along its
+local x-axis. All functions are pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -28,14 +28,16 @@ class FieldError(ValueError):
         self.field = field
 
 
-def normalize_angle(theta: float) -> float:
-    """Map an angle to [-pi/2, pi/2); rectangles are pi-periodic."""
-    return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
+def normalize_angle(theta):
+    """Map an angle, or each angle of a float64 array, to [-pi/2, pi/2];
+    rectangles are pi-periodic. Each angle of an array gets the bits of the
+    scalar call: np.remainder takes fmod and the divisor's sign as float %
+    does.
 
-
-def normalize_angles(theta: np.ndarray) -> np.ndarray:
-    """normalize_angle of each angle of a float64 array, bit for bit:
-    np.remainder takes fmod and the divisor's sign as float % does."""
+    The range is closed: where theta + pi/2 is a tiny negative number, its
+    remainder pi - |theta + pi/2| rounds to pi. So nextafter(-pi/2, -4)
+    maps to pi/2, and normalizing pi/2 again gives -pi/2.
+    """
     return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
 
 

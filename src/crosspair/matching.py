@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (EDGE_EPS, OrientedBox, box_columns, concat_columns,
-                       iou, iou_rows, normalize_angles, point_in_obb)
+                       iou, iou_rows, normalize_angle, point_in_obb)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +183,7 @@ def _gate(chunk: _Chunk, ia: np.ndarray, ib: np.ndarray,
     if not len(ia):
         return np.zeros(0, dtype=bool)
     theta = chunk.ir.theta
-    region = normalize_angles(theta)
+    region = normalize_angle(theta)
     cos_sin = ir[:, 4:6].copy()
     moved = (region != theta) | (np.signbit(region) != np.signbit(theta))
     for k in np.flatnonzero(moved).tolist():

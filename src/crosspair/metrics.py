@@ -48,7 +48,7 @@ def average_precision(preds, gts, iou_thresh: float = 0.5) -> PRCurve:
             if claimed[j] or gt_cls != p.class_id:
                 continue
             v = iou(p.box, gt_box)
-            if v > best_iou or (v == best_iou and best_j is None and v >= iou_thresh):
+            if v > best_iou or (v == best_iou and best_j is None):
                 best_j, best_iou = j, v
         if best_j is not None:
             claimed[best_j] = True

@@ -102,14 +102,13 @@ def batches(items, size):
     return iter(lambda: list(islice(items, size)), [])
 
 
-def filter_pools(pools, per_class: bool = False):
+def filter_pools(pools):
     """Score-filter the candidate pools of one batch as a single batch.
 
     Returns (kept, threshold): kept[i] holds the candidates of pools[i]
     that survive one filter_batch call over all the pools, in their order.
     """
-    survivors, threshold = filter_batch([c for pool in pools for c in pool],
-                                        per_class=per_class)
+    survivors, threshold = filter_batch([c for pool in pools for c in pool])
     # survivors is a subsequence of the flat batch: one ordered walk
     # splits it by pool
     rest = iter(survivors)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .filtering import PROB_SUM_TOL, ScoredBox
 from .geometry import (BoxColumns, FieldError, OrientedBox, box_columns,
-                       field_rows, normalize_angles)
+                       field_rows, normalize_angle)
 
 SPURIOUS = -1
 
@@ -716,7 +716,7 @@ def _checked_chunk(records):
                 or not np.isfinite(theta).all()
                 or not (box[:, 2] > 0).all() or not (box[:, 3] > 0).all()):
             return None
-        thetas = normalize_angles(theta.astype(np.float64))
+        thetas = normalize_angle(theta.astype(np.float64))
     if ir:
         ids, cls = _array(ir_ids, "i"), _array([g["class"] for g in ir], "i")
         if ids is None or cls is None:

@@ -251,7 +251,7 @@ def test_filter_masks_equal_filter_batch(pools, per_class):
         [np.array([c.score for c in pool], dtype=np.float64)
          for pool in boxes],
         [np.array([c.class_id for c in pool], dtype=np.intp)
-         for pool in boxes], per_class)
+         for pool in boxes] if per_class else None)
     kept = [(i, c.source_id) for i, (pool, mask) in enumerate(zip(boxes, masks))
             for c, keep in zip(pool, mask.tolist()) if keep]
     flat = [(i, c) for i, pool in enumerate(boxes) for c in pool]

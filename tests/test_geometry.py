@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosspair.geometry import (MERGE_EPS, OrientedBox, corners_of,
-                                intersect_area, iou, point_in_obb,
-                                raster_iou_oracle, rotation_matrix, shoelace)
+                                intersect_area, iou, normalize_angle,
+                                point_in_obb, raster_iou_oracle,
+                                rotation_matrix, shoelace)
 
 
 def is_convex(vertices):
@@ -55,6 +56,41 @@ class TestOrientedBox:
         cb = sorted(corners_of(b))
         for (x1, y1), (x2, y2) in zip(ca, cb):
             assert math.hypot(x1 - x2, y1 - y2) < 1e-9
+
+
+def _ulps_from(x, n):
+    """x moved n ulps, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# the ends of the range and their multiples, where the sum and the
+# remainder round; huge values, whose remainder is all rounding; subnormals
+angles = st.one_of(
+    st.just(-0.0),
+    st.builds(_ulps_from, st.sampled_from([k * math.pi / 2
+                                           for k in range(-6, 7)]),
+              st.integers(-4, 4)),
+    st.sampled_from([1e16, -1e16]),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(angles, min_size=1, max_size=16))
+def test_normalize_angle_of_array_equals_scalar(thetas):
+    got = normalize_angle(np.array(thetas, dtype=np.float64)).tolist()
+    want = [normalize_angle(t) for t in thetas]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert all(-math.pi / 2 <= v <= math.pi / 2 for v in want)
+
+
+def test_normalize_angle_range_is_closed():
+    # a sum just below 0 leaves a remainder that rounds to pi
+    below = math.nextafter(-math.pi / 2, -4)
+    assert normalize_angle(below) == math.pi / 2
+    assert normalize_angle(math.pi / 2) == -math.pi / 2
 
 
 class TestRotationMatrix:
