@@ -51,6 +51,14 @@ crosspair verify "$tmp/crowded.pairs.jsonl.manifest.json"
 crosspair pipeline --input "$tmp/crowded.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
   --iou-match-only --dlc-improve-only -o "$tmp/crowded.improve.jsonl"
 crosspair verify "$tmp/crowded.improve.jsonl.manifest.json"
+# scenes of 3 and of 5 classes in turn, ids renumbered, and one scene
+# without rgb_obs: the noise rows hold one array per class count
+crosspair simulate --scenes 4 --boxes 4 --classes 3 --seed 3 -o "$tmp/c3.jsonl"
+crosspair simulate --scenes 4 --boxes 4 --classes 5 --seed 4 -o "$tmp/c5.jsonl"
+python -c 'import json, sys; a, b = ([json.loads(line) for line in open(p)] for p in sys.argv[1:]); recs = [r for pair in zip(a, b) for r in pair]; [r.update(scene_id=i) for i, r in enumerate(recs)]; recs[2]["rgb_obs"] = []; print("\n".join(map(json.dumps, recs)))' "$tmp/c3.jsonl" "$tmp/c5.jsonl" > "$tmp/mixed.jsonl"
+crosspair pipeline --input "$tmp/mixed.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
+  -o "$tmp/mixed.report.jsonl"
+crosspair verify "$tmp/mixed.report.jsonl.manifest.json"
 crosspair filter --input "$tmp/crowded.jsonl" -o "$tmp/crowded.kept.jsonl"
 crosspair verify "$tmp/crowded.kept.jsonl.manifest.json"
 sed 's/$/\r/' "$tmp/crowded.jsonl" > "$tmp/crowded_crlf.jsonl"

@@ -129,8 +129,8 @@ class LabelTable:
         ir_boxes, partner = [], []
         for scene in self._scenes:
             self._first.append(len(ir_boxes))
-            self._ir_ids.append(tuple(i for i, _, _ in scene.ir_gt))
-            rgb_ids = tuple(o.source_id for o in scene.rgb_obs)
+            ir_ids, _, rgb_ids, _ = scene.item_columns
+            self._ir_ids.append(ir_ids)
             self._rgb_ids.append(rgb_ids)
             live = {corr: rgb for rgb, corr in scene.corr_map.items()}
             for i, b, _ in scene.ir_gt:

@@ -202,11 +202,6 @@ def field_rows(fields, theta) -> np.ndarray:
     return rows
 
 
-def box_rows(boxes) -> np.ndarray:
-    """The field_rows of boxes, OrientedBoxes."""
-    return box_columns(range(len(boxes)), boxes).rows
-
-
 @dataclass(frozen=True)
 class BoxColumns:
     """Boxes with ids, as the columns a pair table reads.
@@ -362,19 +357,6 @@ def iou_rows(a: np.ndarray, b: np.ndarray):
         values = inter / union
     scalar = ((n >= 3) & close) | (union == 0.0)
     return values, scalar
-
-
-def iou_batch(a_boxes, b_boxes) -> list[float]:
-    """[iou(a, b) for a, b in zip(a_boxes, b_boxes)], bit for bit, computed
-    in one vectorized pass; rows iou_rows cannot settle go to iou."""
-    if len(a_boxes) != len(b_boxes):
-        raise ValueError(
-            f"box lists differ in length: {len(a_boxes)} and {len(b_boxes)}")
-    values, scalar = iou_rows(box_rows(a_boxes), box_rows(b_boxes))
-    out = values.tolist()
-    for k in np.flatnonzero(scalar).tolist():
-        out[k] = iou(a_boxes[k], b_boxes[k])
-    return out
 
 
 def raster_iou_oracle(a: OrientedBox, b: OrientedBox, resolution: int = 512) -> float:

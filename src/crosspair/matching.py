@@ -335,7 +335,9 @@ def match_scene(ir_boxes, rgb_pool, beta: float = 1.0,
     stores nothing, so it raises again every time.
     """
     ir_ids = tuple([i for i, _ in ir_boxes])
-    rgb_ids = tuple([c.source_id for c in rgb_pool])
+    # a simulate.Detections pool holds its ids as a tuple column
+    rgb_ids = (getattr(rgb_pool, "ids", None)
+               or tuple([c.source_id for c in rgb_pool]))
     if table is not None and table.last is not None:
         last_ir, last_rgb, last = table.last
         if (rgb_ids == last_rgb and ir_ids == last_ir

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
+
+import numpy as np
 
 from . import schedule as sched
-# init_bag and update_bag are perfbench/tracer.py patch points of this module
+# init_bag, update_bag and filter_batch are perfbench/tracer.py patch points
+# of this module
 from .correction import LabelBag, LabelTable, init_bag, update_bag  # noqa: F401
-from .filtering import filter_batch
+from .filtering import filter_batch, keep_mask  # noqa: F401
 from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (NoiseRows, SimDetectorParams, detect,
@@ -102,29 +105,23 @@ def batches(items, size):
     return iter(lambda: list(islice(items, size)), [])
 
 
-def filter_pools(pools):
-    """Score-filter the candidate pools of one batch as a single batch.
-
-    Returns (kept, threshold): kept[i] holds the candidates of pools[i]
-    that survive one filter_batch call over all the pools, in their order.
-    """
-    survivors, threshold = filter_batch([c for pool in pools for c in pool])
-    # survivors is a subsequence of the flat batch: one ordered walk
-    # splits it by pool
-    rest = iter(survivors)
-    head = next(rest, None)
-    kept = []
-    for pool in pools:
-        part = []
-        for c in pool:
-            if c is head:
-                part.append(c)
-                head = next(rest, None)
-        kept.append(part)
-    return kept, threshold
+def _kept_pools(pools):
+    """The Detections of each of pools that survive one score filter over
+    all of them, by filter_masks' rule but without its np.split, which
+    nothing else in the training loop runs."""
+    keep = keep_mask(np.concatenate([p.scores for p in pools]))[0].tolist()
+    return [pool.kept(keep[end - len(pool):end])
+            for pool, end in zip(pools, accumulate(map(len, pools)))]
 
 
-def _sup_loss(student, scenes, ir_noise, salt) -> float:
+def _truth_at(scenes):
+    """The flat position, row * k + class, of each IR box's true class in
+    its scene's IR rows of k classes, for all scenes' boxes in order."""
+    return [b * s.class_count + cls % s.class_count
+            for s in scenes for b, (_, _, cls) in enumerate(s.ir_gt)]
+
+
+def _sup_loss(student, scenes, ir_noise, salt, truth_at) -> float:
     """Classification cross-entropy of the reference-modality head.
 
     The box term of the supervised loss is identically 0, because IR
@@ -132,15 +129,19 @@ def _sup_loss(student, scenes, ir_noise, salt) -> float:
     probability rows of all scenes come from one draw of ir_noise, their
     "ir" NoiseRows, keyed by (scene_id, salt, "ir"): run_pipeline passes
     salt = epoch, and the RGB proposals of the same epoch draw other noise,
-    keyed by "rgb".
+    keyed by "rgb". Each box's true-class probability is read at its
+    position in truth_at, _truth_at(scenes), and the terms add left to
+    right.
     """
     acc, n = 0.0, 0
     rows = ir_noise.rows(student.confidence_noise, salt)
     for scene, scene_rows in zip(scenes, rows):
-        dets = detect(student, scene, "ir", salt, rows=scene_rows)
-        for d, (_, _, cls) in zip(dets, scene.ir_gt):
-            acc -= math.log(max(d.class_probs[cls], 1e-12))
-            n += 1
+        probs = detect(student, scene, "ir", salt,
+                       rows=scene_rows).rows.ravel().tolist()
+        end = n + len(scene.ir_gt)
+        for k in truth_at[n:end]:
+            acc -= math.log(max(probs[k], 1e-12))
+        n = end
     return acc / max(n, 1)
 
 
@@ -185,20 +186,21 @@ def _assign_epoch(scenes, student, labels, tables, rgb_noise,
     """The PLA step of one epoch: filter, match and bag update into labels,
     the run's LabelTable.
 
-    Each batch of _epoch_proposals is score-filtered as one batch if
-    use_plf. Proposals keep the boxes of scene.rgb_obs and redraw only
-    their scores, so each scene matches against tables[scene_id], its pair
-    table. Without use_sdlm the pool matched is empty, so every label is a
-    copy of its IR box; without use_dlc every epoch starts a fresh bag. The
-    scores carry the keyed noise of _epoch_proposals, keyed by (scene_id,
-    epoch, "rgb"), which neither batching nor file order changes and which
-    differs from the IR noise _sup_loss draws in the same epoch.
+    Each batch of _epoch_proposals is score-filtered as one batch
+    (_kept_pools) if use_plf. Proposals keep the boxes of scene.rgb_obs and
+    redraw only their scores, so each scene matches against
+    tables[scene_id], its pair table. Without use_sdlm the pool matched is
+    empty, so every label is a copy of its IR box; without use_dlc every
+    epoch starts a fresh bag. The scores carry the keyed noise of
+    _epoch_proposals, keyed by (scene_id, epoch, "rgb"), which neither
+    batching nor file order changes and which differs from the IR noise
+    _sup_loss draws in the same epoch.
     """
     gated = not pla.iou_match_only
     for batch, pools in _epoch_proposals(student, scenes, rgb_noise, epoch,
                                          batch_size):
         if pla.use_plf:
-            pools = filter_pools(pools)[0]
+            pools = _kept_pools(pools)
         for scene, pool in zip(batch, pools):
             sid = scene.scene_id
             result = match_scene(scene.ir_boxes, pool if pla.use_sdlm else [],
@@ -260,6 +262,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                               pla.beta, not pla.iou_match_only))
     labels = LabelTable(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
+    truth_at = _truth_at(scenes)
     stage1_rgb_err = _rgb_detect_error(scenes)
     records = []
 
@@ -275,7 +278,8 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
         losses = {}
 
         if phase in (Phase.BURN_IN, Phase.MUTUAL):
-            losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise, epoch)
+            losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise, epoch,
+                                            truth_at)
             if phase is Phase.MUTUAL:
                 for _ in _epoch_proposals(student, scenes, rgb_noise, epoch,
                                           train.batch_size):
@@ -292,7 +296,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
             losses[sched.L_PAIRED] = pair_loss(student, centers)
             if phase is Phase.STAGE2:
                 losses[sched.L_SUP] = _sup_loss(student, scenes, ir_noise,
-                                                epoch)
+                                                epoch, truth_at)
                 losses[sched.L_UNSUP] = losses[sched.L_PAIRED]
             stats = labels.stats(epoch)
 

@@ -9,7 +9,9 @@ cross-modality offset.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -52,6 +54,16 @@ class Scene:
     def corr_map(self) -> dict[int, int]:
         """rgb observation id -> ir id (spurious entries excluded)."""
         return {o.source_id: o.corr_id for o in self.rgb_obs if o.corr_id != SPURIOUS}
+
+    @cached_property
+    def item_columns(self):
+        """(ir ids, ir boxes, rgb ids, rgb boxes): the ids and boxes of
+        ir_gt and of rgb_obs as tuples, built once, for the Detections of
+        the scene and the LabelTable that holds it."""
+        return (tuple([i for i, _, _ in self.ir_gt]),
+                tuple([b for _, b, _ in self.ir_gt]),
+                tuple([o.source_id for o in self.rgb_obs]),
+                tuple([o.box for o in self.rgb_obs]))
 
 
 @dataclass(frozen=True)
@@ -268,20 +280,21 @@ def _clean_rows(scene: Scene, modality: str):
 
 
 def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
-    """Per scene, the class probabilities of its detections in one modality.
+    """Per scene, (rows, scores): the class probabilities of its detections
+    in one modality, a float64 array with a row per box, and their maxima.
 
     The clean rows are the one-hot classes of scene.ir_gt ("ir") or the
-    class_probs of scene.rgb_obs ("rgb"). A row p of k classes becomes
-    ((1 - m) p + m d) / total: d is a flat Dirichlet draw, the spacings of
-    the sorted uniforms u_1 .. u_(k-1) on [0, 1], m = min(1, scale u_0), and
-    total is the sum of the mixed row, added left to right. Uniform j of box
-    b is a pure function of (scene_id, salt, modality, b, j), a SplitMix64
-    hash in wrapping uint64, so a scene's rows are the same bit for bit alone
-    or in any batch, in any order, and its IR and RGB rows draw apart.
-    Only correctly rounded float operations and a sort touch the uniforms,
-    so the bits do not depend on numpy's SIMD code paths. With scale <= 0
-    the clean rows are returned as they are. Every row is a tuple of floats
-    in [0, 1] that add up to 1 within rounding, as ScoredBox accepts.
+    class_probs of scene.rgb_obs ("rgb"), of one length per scene. A row p
+    of k classes becomes ((1 - m) p + m d) / total: d is a flat Dirichlet
+    draw, the spacings of the sorted uniforms u_1 .. u_(k-1) on [0, 1],
+    m = min(1, scale u_0), and total is the sum of the mixed row, added left
+    to right. Uniform j of box b is a pure function of (scene_id, salt,
+    modality, b, j), a SplitMix64 hash in wrapping uint64, so a scene's rows
+    are the same bit for bit alone or in any batch, in any order, and its IR
+    and RGB rows draw apart. Only correctly rounded float operations and a
+    sort touch the uniforms, so the bits do not depend on numpy's SIMD code
+    paths. With scale <= 0 the rows are the clean rows. Every row holds
+    floats in [0, 1] that add up to 1 within rounding, as ScoredBox accepts.
 
     To draw the same scenes many times, build one NoiseRows and call its
     draw for each (scale, salt).
@@ -292,12 +305,13 @@ def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
 class NoiseRows:
     """The keyed noise of fixed scenes in one modality, drawn many times.
 
-    From its first draw at a positive scale on, it holds what no draw
-    changes: the clean rows as float64 arrays grouped by class count, each
-    box's scene and box index, and each scene's base key. draw(scale, salt)
-    returns what perturbed_rows(scenes, modality, scale, salt) describes,
-    in new lists on every call; rows(scale, salt) yields the same lists one
-    scene at a time.
+    From its first draw on, it holds what no draw changes: the clean rows
+    as one float64 array per class count, each box's scene and box index,
+    each scene's place in those arrays, and each scene's base key.
+    draw(scale, salt) returns perturbed_rows(scenes, modality, scale, salt)
+    in new arrays on every call, each scene's rows and scores views of the
+    array of its class count and of that array's maxima, taken once per
+    draw; rows(scale, salt) yields them one scene at a time.
     """
     __slots__ = ("_scenes", "_modality", "_arrays")
 
@@ -312,56 +326,46 @@ class NoiseRows:
         return list(self.rows(scale, salt))
 
     def rows(self, scale: float, salt: int = 0):
-        """An iterator over the lists of draw(scale, salt). The noise of all
-        scenes is mixed in numpy at once, here. When all rows have one
-        class count, each scene's rows become tuples of floats only when
-        the iteration reaches the scene, so a caller that drops each
-        scene's rows holds those of one scene, not those of all."""
-        if scale <= 0:
-            return (_clean_rows(s, self._modality) for s in self._scenes)
+        """An iterator over the (rows, scores) of draw(scale, salt). The
+        noise of all scenes is mixed in numpy at once, here."""
         if self._arrays is None:
             self._arrays = self._columns()
-        base, groups, order, bounds = self._arrays
+        base, groups, places = self._arrays
         scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
                          ^ np.uint64(_MODALITY_CODE[self._modality]))
-        noisy = [_mixed_rows(clean, _mix(scene_key[scene_of] ^ box_of), scale)
-                 for clean, scene_of, box_of in groups]
-        if len(noisy) == 1:  # one group holds the rows in box order
-            return (list(map(tuple, noisy[0][a:b].tolist()))
-                    for a, b in bounds)
-        flat = []
-        for group in noisy:
-            flat += map(tuple, group.tolist())
-        if order is not None:
-            flat = [flat[i] for i in order]
-        return (flat[a:b] for a, b in bounds)
+        drawn = {None: (np.zeros((0, 0)), np.zeros(0))}
+        for k, (clean, scene_of, box_of) in groups.items():
+            rows = (clean.copy() if scale <= 0 else _mixed_rows(
+                clean, _mix(scene_key[scene_of] ^ box_of), scale))
+            drawn[k] = rows, rows.max(axis=1)
+        return ((drawn[k][0][a:b], drawn[k][1][a:b]) for k, a, b in places)
 
     def _columns(self):
-        """(base keys, a (clean rows, scene index, box index) group per
-        class count, the order that puts the groups' rows back in box order
-        or None if they are in it, each scene's (start, stop) in that
-        order)."""
-        rows = [_clean_rows(s, self._modality) for s in self._scenes]
-        flat = [row for scene_rows in rows for row in scene_rows]
-        counts = np.array([len(scene_rows) for scene_rows in rows], dtype=int)
-        starts = np.cumsum(counts) - counts
-        bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
-        scene_of = np.repeat(np.arange(len(rows)), counts)
-        box_of = (np.arange(len(flat)) - starts[scene_of]).astype(np.uint64)
-        widths = np.array(list(map(len, flat)), dtype=int)
-        by_width = np.argsort(widths, kind="stable")
-        groups = []
-        # not np.unique: in numpy 2.x its first call imports numpy.ma
-        for k in sorted(set(widths.tolist())):
-            at = by_width[widths[by_width] == k]
-            clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
-            groups.append((clean, scene_of[at], box_of[at]))
-        order = None
-        if (by_width != np.arange(len(flat))).any():
-            order = np.argsort(by_width).tolist()
+        """(base keys, per class count k the (clean rows, scene index, box
+        index) of the boxes of k classes, per scene its (k, start, stop) in
+        them, k None for a scene without boxes)."""
+        groups, places = {}, []
+        for i, scene in enumerate(self._scenes):
+            rows = _clean_rows(scene, self._modality)
+            widths = sorted(set(map(len, rows)))
+            if len(widths) != 1:
+                if widths:
+                    raise ValueError(f"scene {scene.scene_id}: class "
+                                     f"probability rows of {widths} entries")
+                places.append((None, 0, 0))
+                continue
+            clean, scene_of, box_of = groups.setdefault(widths[0], ([], [], []))
+            places.append((widths[0], len(clean), len(clean) + len(rows)))
+            clean += rows
+            scene_of += [i] * len(rows)
+            box_of += range(len(rows))
+        groups = {k: (np.array(clean, dtype=np.float64),
+                      np.array(scene_of, dtype=np.intp),
+                      np.array(box_of, dtype=np.uint64))
+                  for k, (clean, scene_of, box_of) in groups.items()}
         base = _mix(np.array([s.scene_id & _U64 for s in self._scenes],
                              dtype=np.uint64))
-        return base, groups, order, bounds
+        return base, groups, places
 
 
 def _mixed_rows(clean, box_key, scale):
@@ -382,48 +386,87 @@ def _mixed_rows(clean, box_key, scale):
     return mixed / total[:, None]
 
 
-def _rows_for(params, scene, modality, salt, rows, boxes):
-    """rows, one per box of boxes, or the scene's perturbed_rows if None."""
+class Detections(Sequence):
+    """The detections of one scene in one modality, as columns: boxes and
+    ids, tuples, and the (rows, scores) of perturbed_rows. A read-only
+    sequence of ScoredBoxes, which indexing and iteration build: the
+    ScoredBox of box k is ScoredBox.trusted(boxes[k], the tuple of rows[k],
+    ids[k]). Equal to a Detections or a list with the same ScoredBoxes.
+    """
+    __slots__ = ("boxes", "ids", "rows", "scores")
+
+    def __init__(self, boxes, ids, rows, scores):
+        self.boxes, self.ids, self.rows, self.scores = boxes, ids, rows, scores
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return ScoredBox.trusted(self.boxes[k], tuple(self.rows[k].tolist()),
+                                 self.ids[k])
+
+    def __iter__(self):
+        return map(ScoredBox.trusted, self.boxes,
+                   map(tuple, self.rows.tolist()), self.ids)
+
+    def __eq__(self, other):
+        if isinstance(other, (Detections, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def kept(self, keep):
+        """The items whose flag in keep, a list of bools, is set."""
+        if all(keep):
+            return self
+        at = [k for k, flag in enumerate(keep) if flag]
+        return Detections(tuple([self.boxes[k] for k in at]),
+                          tuple([self.ids[k] for k in at]),
+                          self.rows.take(at, axis=0), self.scores.take(at))
+
+
+def _drawn(params, scene, modality, salt, rows):
+    """The scene's Detections in one modality, its boxes unmoved."""
+    if modality not in _MODALITY_CODE:
+        raise ValueError(f"unknown modality: {modality!r}")
+    at = 0 if modality == "ir" else 2
+    ids, boxes = scene.item_columns[at:at + 2]
     if rows is None:
-        return perturbed_rows([scene], modality, params.confidence_noise,
+        rows = perturbed_rows([scene], modality, params.confidence_noise,
                               salt)[0]
-    if len(rows) != len(boxes):
-        raise ValueError(f"{len(rows)} probability rows for {len(boxes)} "
+    probs, scores = rows
+    if not len(probs) == len(scores) == len(ids):
+        raise ValueError(f"{len(probs)} probability rows for {len(ids)} "
                          f"{modality} boxes of scene {scene.scene_id}")
-    return rows
+    return Detections(boxes, ids, probs, scores)
 
 
 def detect(params: SimDetectorParams, scene: Scene, modality: str,
-           salt: int = 0, *, rows=None):
+           salt: int = 0, *, rows=None) -> Detections:
     """Detections for one modality; deterministic given (params, scene, salt).
 
     RGB detections are the observations translated by -offset_estimate
     (the detector reports positions aligned to the reference frame); IR
     detections echo the ground truth. Their class probabilities are the
     scene's perturbed_rows at scale params.confidence_noise, keyed by
-    (scene_id, salt, modality): rows passes them in, as perturbed_rows gave
-    them for this scene, and they are computed for the one scene when it is
-    None.
+    (scene_id, salt, modality): rows passes them in, the (rows, scores)
+    perturbed_rows gave for this scene, and they are drawn for the one
+    scene when it is None.
     """
+    dets = _drawn(params, scene, modality, salt, rows)
     if modality == "ir":
-        rows = _rows_for(params, scene, modality, salt, rows, scene.ir_gt)
-        return [ScoredBox.trusted(box, p, ir_id)
-                for (ir_id, box, _), p in zip(scene.ir_gt, rows)]
-    if modality == "rgb":
-        rows = _rows_for(params, scene, modality, salt, rows, scene.rgb_obs)
-        dx, dy = params.offset_estimate
-        return [ScoredBox.trusted(o.box.translated(-dx, -dy), p, o.source_id)
-                for o, p in zip(scene.rgb_obs, rows)]
-    raise ValueError(f"unknown modality: {modality!r}")
+        return dets
+    dx, dy = params.offset_estimate
+    return Detections(tuple([b.translated(-dx, -dy) for b in dets.boxes]),
+                      dets.ids, dets.rows, dets.scores)
 
 
 def rgb_proposals(params: SimDetectorParams, scene: Scene, salt: int = 0, *,
-                  rows=None):
+                  rows=None) -> Detections:
     """Teacher pseudo-label candidates in raw RGB-frame coordinates, with
     the class probabilities of detect(params, scene, "rgb", salt, rows=rows)."""
-    rows = _rows_for(params, scene, "rgb", salt, rows, scene.rgb_obs)
-    return [ScoredBox.trusted(o.box, p, o.source_id)
-            for o, p in zip(scene.rgb_obs, rows)]
+    return _drawn(params, scene, "rgb", salt, rows)
 
 
 @dataclass(frozen=True)

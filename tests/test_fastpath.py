@@ -24,9 +24,8 @@ from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair import matching
 from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox,
-                                box_columns, box_rows, corners_of,
-                                intersect_polygon, iou, iou_batch, iou_rows,
-                                point_in_obb)
+                                box_columns, corners_of, intersect_polygon,
+                                iou, iou_rows, point_in_obb)
 from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
                                 _reach, _window, candidates_for, match_scene,
                                 pair_table, pair_tables, search_region)
@@ -37,6 +36,25 @@ from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
                                 least_squares_offset, pair_centers,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 scene_columns, student_step)
+
+
+def box_rows(boxes) -> np.ndarray:
+    """The field_rows of boxes, OrientedBoxes."""
+    return box_columns(range(len(boxes)), boxes).rows
+
+
+def iou_batch(a_boxes, b_boxes) -> list[float]:
+    """[iou(a, b) for a, b in zip(a_boxes, b_boxes)], bit for bit, computed
+    in one vectorized pass; rows iou_rows cannot settle go to iou. The
+    object form of the IoU that pair_tables takes of box columns."""
+    if len(a_boxes) != len(b_boxes):
+        raise ValueError(
+            f"box lists differ in length: {len(a_boxes)} and {len(b_boxes)}")
+    values, scalar = iou_rows(box_rows(a_boxes), box_rows(b_boxes))
+    out = values.tolist()
+    for k in np.flatnonzero(scalar).tolist():
+        out[k] = iou(a_boxes[k], b_boxes[k])
+    return out
 
 
 def reference_match(ir_boxes, rgb_pool, beta=1.0, use_search_region=True):
@@ -691,15 +709,16 @@ class TestKeyedNoise:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.one_of(st.integers(-2**70, 2**70), st.integers(0, 5)),
-        st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
-                 max_size=4)), max_size=5),
+        st.integers(1, 9).flatmap(lambda k: st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+            max_size=4))), max_size=5),
         st.sampled_from([1e-320, 0.05, 0.1, 0.7, 3.0, math.inf, math.nan]),
         st.integers(-2**65, 2**65), st.sampled_from(["ir", "rgb"]))
     def test_equals_scalar_reference(self, spec, scale, salt, modality):
         scenes_ = []
         box = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
         for scene_id, rows in spec:
-            # rows of any lengths, scaled to sum to at most 1
+            # rows of one length per scene, scaled to sum to at most 1
             rows = [tuple(p / max(1.0, ordered_sum(r)) for p in r)
                     for r in rows]
             obs = tuple(ObservedBox(box, r, j) for j, r in enumerate(rows))
@@ -713,15 +732,18 @@ class TestKeyedNoise:
                 for s in scenes_], got):
             want = [reference_row(scene.scene_id, salt, modality, b, r, scale)
                     for b, r in enumerate(want_rows)]
-            assert [_bits(r) for r in got_rows] == [_bits(r) for r in want]
-            assert all(type(r) is tuple for r in got_rows)
+            rows, scores = got_rows
+            assert rows.dtype == scores.dtype == np.float64
+            assert [_bits(r) for r in rows] == [_bits(r) for r in want]
+            assert scores.tolist() == [max(r) for r in want]
 
     def test_zero_scale_returns_input_rows(self):
         scenes_ = generate_scenes(SceneConfig(count=3, spurious_rate=0.3,
                                               seed=2))
         for scale in (0.0, -1.0):
             got = perturbed_rows(scenes_, "rgb", scale, 5)
-            assert all(r is o.class_probs for s, rows in zip(scenes_, got)
+            assert all(_bits(r) == _bits(o.class_probs)
+                       for s, (rows, _) in zip(scenes_, got)
                        for o, r in zip(s.rgb_obs, rows))
 
 
@@ -998,3 +1020,94 @@ def test_pipeline_outputs_unchanged(tmp_path, flags, digests):
 @pytest.mark.parametrize("flags,digests", RECORDED_CROWDED)
 def test_crowded_pipeline_outputs_unchanged(tmp_path, flags, digests):
     assert _pipeline_digests(tmp_path, SIMULATE_CROWDED, flags) == digests
+
+
+def _mixed_input(tmp_path):
+    """Scenes of 3 and of 5 classes in turn, from two simulate runs, with
+    the scene ids renumbered; scene 2, of 3 classes, is stripped of its RGB
+    observations, so its IR rows take 5 classes. The noise rows of both
+    modalities then hold several class-count groups."""
+    runs = []
+    for classes in ("3", "5"):
+        part = tmp_path / f"c{classes}.jsonl"
+        assert run(SIMULATE + ["--scenes", "9", "--classes", classes,
+                               "--confidence-noise", "0.45",
+                               "-o", str(part)]) == EXIT_OK
+        runs.append(part.read_text().splitlines())
+    mixed = tmp_path / "s.jsonl"
+    with open(mixed, "w") as fh:
+        for i, line in enumerate(a for pair in zip(*runs) for a in pair):
+            rec = json.loads(line)
+            rec["scene_id"] = i
+            if i == 2:
+                rec["rgb_obs"] = []
+            fh.write(json.dumps(rec) + "\n")
+    return mixed
+
+
+# Digests of `pipeline` on _mixed_input (report, csv, bags), recorded with
+# the per-scene lists of tuples that NoiseRows drew before its rows became
+# arrays.
+RECORDED_MIXED = [
+    ([], ("e0b2887c1e9efeb5b2c356b14db329fba63a38c062551febe66e4948dfec86c0",
+          "b6cd71762414c3b79b14f4b10e6f14ed4483571f284377ab3f6966f1f7a828f7",
+          "984f3b6728a377ca4b00c5f68f2eb56b122dfd8fa0b5c35a75b1e79a9448cd16")),
+    (["--no-plf", "--batch-size", "7"],
+     ("bda88e36dbaccebd1af10b0a1616aac8d6096bf847150f196ce4d859a719eb63",
+      "4c8e561421cad7ef094c6265a3b0b9883d1d20eee4f2401b79cfaa0c274877c6",
+      "54ac6f61581e58881aa4d3fecab215ef68e6982f7987aa0bb60ccc8e136bb7aa")),
+]
+
+
+@pytest.mark.parametrize("flags,digests", RECORDED_MIXED)
+def test_mixed_class_pipeline_outputs_unchanged(tmp_path, flags, digests):
+    scenes = _mixed_input(tmp_path)
+    out = tmp_path / "r.jsonl"
+    assert run(["pipeline", "--input", str(scenes)] + SCHEDULE + flags
+               + ["-o", str(out)]) == EXIT_OK
+    assert tuple(file_digest(str(out) + suffix)
+                 for suffix in ("", ".csv", ".bags.jsonl")) == digests
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a ScoredBox was built")
+
+
+# the scores, ids and rows the training loop reads are columns: run_pipeline
+# builds no ScoredBox, with or without the score filter and the match
+@pytest.mark.parametrize("mixed,flags,digests", [
+    (False, [], RECORDED[0][1]),
+    (True, ["--no-plf", "--batch-size", "7"], RECORDED_MIXED[1][1]),
+    (False, ["--no-sdlm"], RECORDED[3][1]),
+])
+def test_pipeline_builds_no_scored_box(tmp_path, monkeypatch, mixed, flags,
+                                       digests):
+    if mixed:
+        scenes = _mixed_input(tmp_path)
+    else:
+        scenes = tmp_path / "s.jsonl"
+        assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
+    monkeypatch.setattr(ScoredBox, "trusted", _refuse)
+    monkeypatch.setattr(ScoredBox, "__init__", _refuse)
+    out = tmp_path / "r.jsonl"
+    assert run(["pipeline", "--input", str(scenes)] + SCHEDULE + flags
+               + ["-o", str(out)]) == EXIT_OK
+    assert tuple(file_digest(str(out) + suffix)
+                 for suffix in ("", ".csv", ".bags.jsonl")) == digests
+
+
+def test_sweep_shift_still_builds_scored_boxes(tmp_path, monkeypatch):
+    built = []
+    trusted = ScoredBox.trusted.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(ScoredBox, "trusted", classmethod(counted))
+    argv, digests = RECORDED_FILTERED[-1]
+    assert argv[0] == "sweep-shift"
+    out = tmp_path / "sweep.csv"
+    assert run(argv + ["-o", str(out)]) == EXIT_OK
+    assert file_digest(str(out)) == digests[0]
+    assert built

@@ -8,16 +8,16 @@ import pytest
 import crosspair.matching
 import crosspair.pipeline
 from crosspair.correction import COPIED, MATCHED, LabelTable
-from crosspair.filtering import ScoredBox, filter_batch
+from crosspair.filtering import filter_batch
 from crosspair.geometry import OrientedBox
 from crosspair.matching import match_scene, pair_tables
 from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
-                                _epoch_proposals, _sup_loss, batches,
-                                filter_pools, run_pipeline)
+                                _epoch_proposals, _kept_pools, _sup_loss,
+                                _truth_at, batches, run_pipeline)
 from crosspair.schedule import StageConfig, stage_state
-from crosspair.simulate import (NoiseRows, SceneConfig, SimDetectorParams,
-                                generate_scenes, least_squares_offset,
-                                perturbed_rows)
+from crosspair.simulate import (Detections, NoiseRows, SceneConfig,
+                                SimDetectorParams, generate_scenes,
+                                least_squares_offset, perturbed_rows)
 
 SHORT = StageConfig(2, 2, 4, 4)
 
@@ -208,18 +208,22 @@ class TestKeyedNoiseWiring:
             self.STUDENT, self.SCENES, NoiseRows(self.SCENES, "rgb"), 4,
             len(self.SCENES))
         assert batch == self.SCENES
+        want = perturbed_rows(self.SCENES, "rgb", 0.3, 4)
+        assert [(pool.rows.tolist(), pool.scores.tolist()) for pool in pools] \
+            == [(rows.tolist(), scores.tolist()) for rows, scores in want]
         assert [[c.class_probs for c in pool] for pool in pools] == \
-            perturbed_rows(self.SCENES, "rgb", 0.3, 4)
+            [list(map(tuple, rows.tolist())) for rows, _ in want]
 
     def test_sup_loss_reads_the_ir_rows_of_its_epoch(self):
         acc, n = 0.0, 0
-        for scene, rows in zip(self.SCENES, perturbed_rows(
+        for scene, (rows, _) in zip(self.SCENES, perturbed_rows(
                 self.SCENES, "ir", 0.3, 4)):
-            for row, (_, _, cls) in zip(rows, scene.ir_gt):
+            for row, (_, _, cls) in zip(rows.tolist(), scene.ir_gt):
                 acc += -math.log(max(row[cls], 1e-12))
                 n += 1
         assert _sup_loss(self.STUDENT, self.SCENES,
-                         NoiseRows(self.SCENES, "ir"), 4) == acc / n
+                         NoiseRows(self.SCENES, "ir"), 4,
+                         _truth_at(self.SCENES)) == acc / n
 
 
     def test_default_schedule_draws_each_epoch_once(self, monkeypatch):
@@ -248,7 +252,7 @@ class TestKeyedNoiseWiring:
 
 class TestBatchFiltering:
     def test_only_assigning_epochs_filter(self, monkeypatch):
-        # one filter_pools call per batch of each stage-2/3 epoch, none in
+        # one _kept_pools call per batch of each stage-2/3 epoch, none in
         # burn-in or mutual epochs
         epochs, calls = [], []
 
@@ -258,10 +262,10 @@ class TestBatchFiltering:
 
         def spy(pools):
             calls.append((epochs[-1], len(pools)))
-            return filter_pools(pools)
+            return _kept_pools(pools)
 
         monkeypatch.setattr(crosspair.pipeline, "stage_state", state)
-        monkeypatch.setattr(crosspair.pipeline, "filter_pools", spy)
+        monkeypatch.setattr(crosspair.pipeline, "_kept_pools", spy)
         scenes = generate_scenes(SceneConfig(count=5, boxes_per_scene=3,
                                              seed=2))
         run_pipeline(scenes, StageConfig(1, 1, 1, 1), PlaConfig(),
@@ -275,18 +279,23 @@ class TestBatchFiltering:
         with pytest.raises(ValueError, match="at least 1"):
             batches([1], 0)
 
-    def test_filter_pools_splits_one_batch(self):
+    def test_kept_pools_split_one_batch(self):
         box = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
         scores = [[0.9, 0.2, 0.6], [], [0.3, 0.95], [0.5]]
-        pools = [[ScoredBox(box, (s, 1.0 - s), j) for j, s in enumerate(pool)]
-                 for pool in scores]
-        kept, threshold = filter_pools(pools)
-        flat_kept, flat_threshold = filter_batch(
-            [c for pool in pools for c in pool])
-        assert threshold == flat_threshold
+        pools = []
+        for pool in scores:
+            rows = np.array([(s, 0.0) for s in pool]).reshape(-1, 2)
+            pools.append(Detections((box,) * len(pool),
+                                    tuple(range(len(pool))), rows,
+                                    rows.max(axis=1)))
+        kept = _kept_pools(pools)
+        flat_kept, _ = filter_batch([c for pool in pools for c in pool])
         assert [c for pool in kept for c in pool] == flat_kept
-        assert all(any(c is o for o in pool)
-                   for pool, part in zip(pools, kept) for c in part)
+        assert [pool.ids for pool in kept] == [(0, 2), (), (0, 1), (0,)]
+        assert kept[0].scores.tolist() == [0.9, 0.6]
+        # a pool whose items all survive is passed on as it is
+        assert [kept[i] is pools[i] for i in range(4)] == [False, True,
+                                                           True, True]
 
 
 class TestDlcBehaviour:

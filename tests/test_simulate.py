@@ -12,10 +12,13 @@ from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
 from crosspair.cli import _record_fault
 from crosspair.geometry import FieldError, OrientedBox, corners_of
-from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
-                                ObservedBox, Scene, SceneConfig,
-                                SimDetectorParams, _uniform, detect,
-                                generate_scenes, least_squares_offset,
+from crosspair.filtering import filter_batch, keep_mask
+from crosspair.pipeline import _kept_pools, batches
+from crosspair.simulate import (_MODALITY_CODE, _U64, SPURIOUS,
+                                GenerationError, NoiseRows, ObservedBox,
+                                Scene, SceneConfig, SimDetectorParams,
+                                _clean_rows, _mix, _mixed_rows, _uniform,
+                                detect, generate_scenes, least_squares_offset,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 rgb_proposals, scene_from_record,
                                 scene_to_record, shifted_scenes, student_step)
@@ -224,6 +227,12 @@ def _row_bits(rows):
     return [[p.hex() for p in row] for row in rows]
 
 
+def _draw_bits(draw):
+    """The bits of one scene's (rows, scores)."""
+    rows, scores = draw
+    return _row_bits(rows), [p.hex() for p in scores]
+
+
 class TestKeyedNoise:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, len(SCENE_POOL) - 1), min_size=1,
@@ -236,7 +245,7 @@ class TestKeyedNoise:
         assert len(got) == len(batch)
         for scene, rows in zip(batch, got):
             alone = perturbed_rows([scene], modality, scale, salt)[0]
-            assert _row_bits(rows) == _row_bits(alone)
+            assert _draw_bits(rows) == _draw_bits(alone)
 
     def test_ir_and_rgb_rows_draw_apart(self):
         # noise-free one-hot observations of every IR box, in IR order: the
@@ -245,18 +254,18 @@ class TestKeyedNoise:
                                              seed=4))
         ir = perturbed_rows(scenes, "ir", 0.3, 6)
         rgb = perturbed_rows(scenes, "rgb", 0.3, 6)
-        for scene, ir_rows, rgb_rows in zip(scenes, ir, rgb):
-            assert [o.class_probs for o in scene.rgb_obs] == perturbed_rows(
-                [scene], "ir", 0.0)[0]
-            assert all(a != b for a, b in zip(ir_rows, rgb_rows))
+        for scene, (ir_rows, _), (rgb_rows, _) in zip(scenes, ir, rgb):
+            assert [list(o.class_probs) for o in scene.rgb_obs] == \
+                perturbed_rows([scene], "ir", 0.0)[0][0].tolist()
+            assert all((a != b).any() for a, b in zip(ir_rows, rgb_rows))
 
     def test_salt_and_scene_id_change_the_rows(self):
         scene = SCENE_POOL[5]
-        rows = perturbed_rows([scene], "rgb", 0.5, 1)[0]
-        assert rows != perturbed_rows([scene], "rgb", 0.5, 2)[0]
+        rows = _draw_bits(perturbed_rows([scene], "rgb", 0.5, 1)[0])
+        assert rows != _draw_bits(perturbed_rows([scene], "rgb", 0.5, 2)[0])
         moved = Scene(scene.scene_id + 1, scene.canvas, scene.true_offset,
                       scene.ir_gt, scene.rgb_obs)
-        assert rows != perturbed_rows([moved], "rgb", 0.5, 1)[0]
+        assert rows != _draw_bits(perturbed_rows([moved], "rgb", 0.5, 1)[0])
 
     @pytest.mark.parametrize("modality", ["ir", "rgb"])
     @pytest.mark.parametrize("scale", [1e-320, 0.1, 1.0, 50.0, math.inf,
@@ -266,14 +275,15 @@ class TestKeyedNoise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = perturbed_rows(SCENE_POOL, modality, scale, -3)
-        for scene, rows in zip(SCENE_POOL, got):
-            assert len(rows) == len(scene.ir_gt if modality == "ir"
-                                    else scene.rgb_obs)
-            for row in rows:
-                assert type(row) is tuple
-                assert all(type(p) is float and 0.0 <= p <= 1.0 for p in row)
-                assert _row_bits([ScoredBox(box, row, 0).class_probs]) == \
-                    _row_bits([row])
+        for scene, (rows, scores) in zip(SCENE_POOL, got):
+            assert rows.dtype == scores.dtype == np.float64
+            assert len(rows) == len(scores) == len(
+                scene.ir_gt if modality == "ir" else scene.rgb_obs)
+            for row, score in zip(rows.tolist(), scores.tolist()):
+                assert all(0.0 <= p <= 1.0 for p in row)
+                stored = ScoredBox(box, row, 0)
+                assert _row_bits([stored.class_probs]) == _row_bits([row])
+                assert stored.score.hex() == score.hex()
 
     def test_zero_rows_with_an_underflowing_weight_stay_zero(self):
         box = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
@@ -281,10 +291,10 @@ class TestKeyedNoise:
                       (ObservedBox(box, (0.0, 0.0, 0.0), 0),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = perturbed_rows([scene], "rgb", 5e-324, -1)[0]
-            noisy = perturbed_rows([scene], "rgb", 1e-300, -1)[0]
-        assert rows == [(0.0, 0.0, 0.0)]
-        assert sum(noisy[0]) == pytest.approx(1.0)
+            rows = perturbed_rows([scene], "rgb", 5e-324, -1)[0][0]
+            noisy = perturbed_rows([scene], "rgb", 1e-300, -1)[0][0]
+        assert rows.tolist() == [[0.0, 0.0, 0.0]]
+        assert sum(noisy[0].tolist()) == pytest.approx(1.0)
 
     def test_uniforms_lie_strictly_inside_zero_one(self):
         extremes = np.array([0, 1, 2 ** 11, 2 ** 12 - 1, 2 ** 63,
@@ -302,8 +312,8 @@ class TestKeyedNoise:
         # mean 1/k and variance (k - 1) / (k^2 (k + 1)) per class
         scenes = generate_scenes(SceneConfig(count=400, boxes_per_scene=5,
                                              seed=9))
-        rows = np.array([r for rows in perturbed_rows(scenes, "ir", 1e9, 0)
-                         for r in rows])
+        rows = np.concatenate([rows for rows, _ in perturbed_rows(
+            scenes, "ir", 1e9, 0)])
         k = rows.shape[1]
         assert np.allclose(rows.mean(axis=0), 1.0 / k, atol=0.01)
         assert np.allclose(rows.var(axis=0), (k - 1) / (k * k * (k + 1)),
@@ -322,7 +332,7 @@ class TestKeyedNoise:
                 rgb_proposals(params, scene, 9)
         scene = SCENE_POOL[0]
         with pytest.raises(ValueError, match="probability rows"):
-            detect(params, scene, "ir", rows=[])
+            detect(params, scene, "ir", rows=(np.zeros((0, 5)), np.zeros(0)))
         with pytest.raises(ValueError, match="unknown modality"):
             perturbed_rows([], "uv", 0.1)
 
@@ -357,8 +367,9 @@ class TestNoiseRows:
             assert len(got) == len(batch)
             for scene, rows in zip(batch, got):
                 alone = perturbed_rows([scene], modality, scale, salt)[0]
-                assert type(rows) is list
-                assert _row_bits(rows) == _row_bits(alone)
+                assert type(rows) is tuple
+                assert all(type(a) is np.ndarray for a in rows)
+                assert _draw_bits(rows) == _draw_bits(alone)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, len(PLAN_POOL) - 1), min_size=1,
@@ -368,14 +379,13 @@ class TestNoiseRows:
                                                        scale, salt):
         plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
         first = plan.draw(scale, salt)
-        expected = [_row_bits(rows) for rows in first]
-        for rows in first:
-            rows.append((1.0,))
-            rows[0] = (0.5, 0.5)
-            rows.sort()
-        first.append([])
+        expected = [_draw_bits(rows) for rows in first]
+        for rows, scores in first:
+            rows[...] = 0.5
+            scores[...] = 0.5
+        first.append(None)
         first[0] = None
-        assert [_row_bits(rows) for rows in plan.draw(scale, salt)] == \
+        assert [_draw_bits(rows) for rows in plan.draw(scale, salt)] == \
             expected
 
     @settings(max_examples=100, deadline=None)
@@ -386,12 +396,134 @@ class TestNoiseRows:
         plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
         got = plan.rows(scale, salt)
         assert iter(got) is got
-        assert [_row_bits(rows) for rows in got] == \
-            [_row_bits(rows) for rows in plan.draw(scale, salt)]
+        assert [_draw_bits(rows) for rows in got] == \
+            [_draw_bits(rows) for rows in plan.draw(scale, salt)]
 
     def test_unknown_modality(self):
         with pytest.raises(ValueError, match="unknown modality"):
             NoiseRows(SCENE_POOL, "uv")
+
+
+def reference_rows(scenes, modality, scale, salt):
+    """perturbed_rows as it was before its rows became arrays: the numpy
+    draw of the NoiseRows of then, grouped by row length, and each scene's
+    rows as a list of tuples of floats."""
+    rows = [_clean_rows(s, modality) for s in scenes]
+    if scale <= 0:
+        return rows
+    flat = [row for scene_rows in rows for row in scene_rows]
+    counts = np.array([len(scene_rows) for scene_rows in rows], dtype=int)
+    starts = np.cumsum(counts) - counts
+    scene_of = np.repeat(np.arange(len(rows)), counts)
+    box_of = (np.arange(len(flat)) - starts[scene_of]).astype(np.uint64)
+    widths = np.array(list(map(len, flat)), dtype=int)
+    base = _mix(np.array([s.scene_id & _U64 for s in scenes], dtype=np.uint64))
+    scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
+                     ^ np.uint64(_MODALITY_CODE[modality]))
+    drawn = [None] * len(flat)
+    for k in set(widths.tolist()):
+        at = np.flatnonzero(widths == k)
+        clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
+        noisy = _mixed_rows(clean, _mix(scene_key[scene_of[at]] ^ box_of[at]),
+                            scale)
+        for i, row in zip(at.tolist(), noisy.tolist()):
+            drawn[i] = tuple(row)
+    return [drawn[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+
+
+def reference_detect(params, scene, modality, salt):
+    """detect as it was before it returned Detections: a list of
+    ScoredBoxes of the rows of reference_rows."""
+    rows = reference_rows([scene], modality, params.confidence_noise, salt)[0]
+    if modality == "ir":
+        return [ScoredBox.trusted(box, p, ir_id)
+                for (ir_id, box, _), p in zip(scene.ir_gt, rows)]
+    dx, dy = params.offset_estimate
+    return [ScoredBox.trusted(o.box.translated(-dx, -dy), p, o.source_id)
+            for o, p in zip(scene.rgb_obs, rows)]
+
+
+def reference_rgb_proposals(params, scene, salt):
+    rows = reference_rows([scene], "rgb", params.confidence_noise, salt)[0]
+    return [ScoredBox.trusted(o.box, p, o.source_id)
+            for o, p in zip(scene.rgb_obs, rows)]
+
+
+def _box_bits(boxes):
+    return [(d.source_id, d.box, [p.hex() for p in d.class_probs],
+             d.score.hex(), d.class_id) for d in boxes]
+
+
+def _tie_scene():
+    """Rows whose maximum is a tie of -0.0 and 0.0, in both orders."""
+    box = OrientedBox(5.0, 5.0, 4.0, 4.0, 0.0)
+    return Scene(9, (64, 64), (0.0, 0.0),
+                 ((0, box, 1), (1, box, 0), (2, box, 2)),
+                 (ObservedBox(box, (-0.0, 0.0, 0.0), 0),
+                  ObservedBox(box, (0.0, -0.0, 0.0), 1),
+                  ObservedBox(box, (0.25, 0.5, 0.25), 2)))
+
+
+COLUMN_POOL = PLAN_POOL + [_tie_scene()]
+
+
+class TestDetections:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, len(COLUMN_POOL) - 1), max_size=8),
+           st.sampled_from(["ir", "rgb"]), SCALES, SALTS,
+           st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+           st.integers(1, 4))
+    def test_columns_equal_the_boxes_of_before(self, picks, modality, scale,
+                                               salt, offset, batch_size):
+        batch = [COLUMN_POOL[i] for i in picks]
+        params = SimDetectorParams(offset, scale)
+        proposals = []
+        for scene, draw in zip(batch,
+                               NoiseRows(batch, modality).rows(scale, salt)):
+            want = reference_detect(params, scene, modality, salt)
+            for got in (detect(params, scene, modality, salt),
+                        detect(params, scene, modality, salt, rows=draw)):
+                assert got == want and len(got) == len(want)
+                assert _box_bits(got) == _box_bits(want)
+                assert _box_bits(got[k] for k in range(-len(got), len(got))) \
+                    == _box_bits(want + want)
+            rows, scores = draw
+            assert all(score == max(row) for score, row
+                       in zip(scores.tolist(), rows.tolist()))
+            if modality == "rgb":
+                got = rgb_proposals(params, scene, salt, rows=draw)
+                assert _box_bits(got) == _box_bits(
+                    reference_rgb_proposals(params, scene, salt))
+                proposals.append(got)
+        # the batch masks of the pipeline's score filter are filter_batch's
+        # on the boxes the proposals build
+        for pools in batches(proposals, batch_size):
+            built = [c for pool in pools for c in pool]
+            survivors = {id(c) for c in filter_batch(built)[0]}
+            mask = keep_mask(np.concatenate([p.scores for p in pools]))[0]
+            assert mask.tolist() == [id(c) in survivors for c in built]
+            assert [list(pool) for pool in _kept_pools(pools)] == \
+                [[c for c in pool if id(c) in survivors]
+                 for pool in (built[a:a + len(p)] for a, p in zip(
+                     np.cumsum([0] + [len(p) for p in pools]).tolist(),
+                     pools))]
+
+    def test_tie_rows_score_zero(self):
+        scene = COLUMN_POOL[-1]
+        dets = rgb_proposals(SimDetectorParams(confidence_noise=0.0), scene)
+        assert dets.scores.tolist() == [0.0, 0.0, 0.5]
+        assert [d.score.hex() for d in dets] == \
+            [(-0.0).hex(), (0.0).hex(), (0.5).hex()]
+        assert dets.ids == (0, 1, 2)
+        assert dets.boxes == tuple(o.box for o in scene.rgb_obs)
+
+    def test_scene_rows_of_several_lengths_are_refused(self):
+        box = OrientedBox(5.0, 5.0, 4.0, 4.0, 0.0)
+        scene = Scene(1, (64, 64), (0.0, 0.0), (),
+                      (ObservedBox(box, (0.5, 0.5), 0),
+                       ObservedBox(box, (0.5, 0.25, 0.25), 1)))
+        with pytest.raises(ValueError, match="rows of"):
+            NoiseRows([scene], "rgb").draw(0.1)
 
 
 def make_pairs(rng, n):
