@@ -59,6 +59,13 @@ python -c 'import json, sys; a, b = ([json.loads(line) for line in open(p)] for 
 crosspair pipeline --input "$tmp/mixed.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
   -o "$tmp/mixed.report.jsonl"
 crosspair verify "$tmp/mixed.report.jsonl.manifest.json"
+# per-class thresholds over the classes of 3- and 5-class scenes in one
+# batch, and the scene without rgb_obs as an empty pool of its batch
+crosspair filter --input "$tmp/mixed.jsonl" --per-class --batch-size 3 \
+  -o "$tmp/mixed.kept.jsonl"
+crosspair verify "$tmp/mixed.kept.jsonl.manifest.json"
+crosspair match --input "$tmp/mixed.jsonl" --batch-size 3 -o "$tmp/mixed.pairs.jsonl"
+crosspair verify "$tmp/mixed.pairs.jsonl.manifest.json"
 crosspair filter --input "$tmp/crowded.jsonl" -o "$tmp/crowded.kept.jsonl"
 crosspair verify "$tmp/crowded.kept.jsonl.manifest.json"
 sed 's/$/\r/' "$tmp/crowded.jsonl" > "$tmp/crowded_crlf.jsonl"

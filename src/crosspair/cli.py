@@ -288,13 +288,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _kept(batch, per_class=False):
-    """(each scene's keep mask, threshold) of one score filter over the RGB
-    observations of a batch of SceneColumns."""
-    return filter_masks([s.scores for s in batch],
-                        [s.class_ids for s in batch] if per_class else None)
-
-
 def cmd_filter(args):
     out = _resolve_out(args.output)
     digest = hashlib.sha256()
@@ -304,15 +297,17 @@ def cmd_filter(args):
         nonlocal count
         for batch in batches(_scenes(args.input, digest, columns=True),
                              args.batch_size):
-            kept, thr = _kept(batch, args.per_class)
+            masks, thr = filter_masks(
+                [s.scores for s in batch],
+                [s.class_ids for s in batch] if args.per_class else None)
             count += len(batch)
             # a batch without candidates has no threshold: null, not NaN
             mu, sigma, tau = ((thr.mu, thr.sigma, thr.tau) if thr.is_valid
                               else (None, None, None))
-            for s, mask in zip(batch, kept):
+            for s, mask in zip(batch, masks):
                 yield {
                     "scene_id": s.scene_id,
-                    "kept_ids": sorted(compress(s.rgb.ids, mask.tolist())),
+                    "kept_ids": sorted(compress(s.rgb.ids, mask)),
                     "batch": {"mu": mu, "sigma": sigma, "tau": tau,
                               "n": thr.n},
                 }
@@ -333,8 +328,8 @@ def _matches(scenes, beta, gated, plf, batch_size):
         for batch in batches(scenes, batch_size):
             pools = [s.rgb for s in batch]
             if plf:
-                pools = [pool.select(mask) for pool, mask
-                         in zip(pools, _kept(batch)[0])]
+                masks = filter_masks([s.scores for s in batch])[0]
+                pools = [pool.select(mask) for pool, mask in zip(pools, masks)]
             for s, pool in zip(batch, pools):
                 yield (s, pool.ids), s.ir, pool
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -119,27 +119,34 @@ def batch_threshold(scores) -> BatchThreshold:
                           math.ldexp(mu - sigma, exp), len(scores))
 
 
-def keep_mask(scores, class_ids=None):
-    """The filter of filter_batch on columns: scores, a float64 array, and
-    class_ids, None or an integer array; with class_ids each class is
-    filtered by its own threshold. Returns (mask, threshold): mask[k] is
-    True if candidate k is kept."""
-    if not len(scores):
-        return np.zeros(0, dtype=bool), INVALID_THRESHOLD
-    threshold = batch_threshold(scores)
+def filter_masks(scores, class_ids=None):
+    """The score filter of a batch of pools: scores[i] is the float64 scores
+    of the candidates of pool i and, to filter each class by its own
+    threshold, class_ids[i] their integer class ids. Returns (masks,
+    threshold): masks[i][k], a bool, is True if candidate k of pool i is
+    kept, and threshold is the batch's over all classes, INVALID_THRESHOLD
+    if the batch has no candidate."""
+    flat = np.concatenate(scores)
+    threshold = batch_threshold(flat) if len(flat) else INVALID_THRESHOLD
     if class_ids is None:
-        return scores >= threshold.tau, threshold
-    mask = np.empty(len(scores), dtype=bool)
-    # not np.unique: in numpy 2.x its first call imports numpy.ma
-    for cid in set(class_ids.tolist()):
-        group = class_ids == cid
-        part = scores[group]
-        mask[group] = part >= batch_threshold(part).tau
-    return mask, threshold
+        mask = flat >= threshold.tau
+    else:
+        ids = np.concatenate(class_ids)
+        mask = np.empty(len(flat), dtype=bool)
+        # not np.unique: in numpy 2.x its first call imports numpy.ma
+        for cid in set(ids.tolist()):
+            group = ids == cid
+            part = flat[group]
+            mask[group] = part >= batch_threshold(part).tau
+    # slices of one list: splitting the array costs memory on its first call
+    keep = mask.tolist()
+    return [keep[end - len(s):end]
+            for s, end in zip(scores, accumulate(map(len, scores)))], threshold
 
 
 def filter_batch(candidates, per_class: bool = False):
-    """Drop candidates scoring below the batch threshold.
+    """Drop candidates scoring below the batch threshold: filter_masks of
+    one pool.
 
     Returns (kept, threshold); kept preserves input order and is never
     empty for a non-empty batch (max >= mu >= tau). With per_class the
@@ -147,18 +154,7 @@ def filter_batch(candidates, per_class: bool = False):
     returned threshold is the global one.
     """
     scores = np.array([c.score for c in candidates], dtype=np.float64)
-    class_ids = (np.array([c.class_id for c in candidates], dtype=np.intp)
+    class_ids = ([np.array([c.class_id for c in candidates], dtype=np.intp)]
                  if per_class else None)
-    mask, threshold = keep_mask(scores, class_ids)
-    return list(compress(candidates, mask.tolist())), threshold
-
-
-def filter_masks(scores, class_ids=None):
-    """filter_batch of the candidates of several pools as one batch, on
-    columns: scores[i] is the float64 scores of pool i and, to filter per
-    class, class_ids[i] its class ids. Returns (masks, threshold):
-    masks[i][k] is True if candidate k of pool i is kept."""
-    mask, threshold = keep_mask(
-        np.concatenate(scores),
-        None if class_ids is None else np.concatenate(class_ids))
-    return np.split(mask, np.cumsum([len(s) for s in scores])[:-1]), threshold
+    (mask,), threshold = filter_masks([scores], class_ids)
+    return list(compress(candidates, mask)), threshold

@@ -226,8 +226,8 @@ class BoxColumns:
         return b
 
     def select(self, mask) -> "BoxColumns":
-        """The columns of the boxes where mask, a boolean array, is True."""
-        return BoxColumns(list(compress(self.ids, mask.tolist())),
+        """The columns of the boxes where mask, a list of bools, is True."""
+        return BoxColumns(list(compress(self.ids, mask)),
                           self.rows[mask], self.theta[mask])
 
 

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-
-import numpy as np
+from itertools import islice
 
 from . import schedule as sched
 # init_bag, update_bag and filter_batch are perfbench/tracer.py patch points
 # of this module
 from .correction import LabelBag, LabelTable, init_bag, update_bag  # noqa: F401
-from .filtering import filter_batch, keep_mask  # noqa: F401
+from .filtering import filter_batch, filter_masks  # noqa: F401
 from .matching import match_scene, pair_tables
 from .schedule import EmaState, Phase, StageConfig, loss_terms_at, stage_state
 from .simulate import (NoiseRows, SimDetectorParams, detect,
@@ -105,15 +103,6 @@ def batches(items, size):
     return iter(lambda: list(islice(items, size)), [])
 
 
-def _kept_pools(pools):
-    """The Detections of each of pools that survive one score filter over
-    all of them, by filter_masks' rule but without its np.split, which
-    nothing else in the training loop runs."""
-    keep = keep_mask(np.concatenate([p.scores for p in pools]))[0].tolist()
-    return [pool.kept(keep[end - len(pool):end])
-            for pool, end in zip(pools, accumulate(map(len, pools)))]
-
-
 def _truth_at(scenes):
     """The flat position, row * k + class, of each IR box's true class in
     its scene's IR rows of k classes, for all scenes' boxes in order."""
@@ -187,7 +176,7 @@ def _assign_epoch(scenes, student, labels, tables, rgb_noise,
     the run's LabelTable.
 
     Each batch of _epoch_proposals is score-filtered as one batch
-    (_kept_pools) if use_plf. Proposals keep the boxes of scene.rgb_obs and
+    (filter_masks) if use_plf. Proposals keep the boxes of scene.rgb_obs and
     redraw only their scores, so each scene matches against
     tables[scene_id], its pair table. Without use_sdlm the pool matched is
     empty, so every label is a copy of its IR box; without use_dlc every
@@ -200,7 +189,8 @@ def _assign_epoch(scenes, student, labels, tables, rgb_noise,
     for batch, pools in _epoch_proposals(student, scenes, rgb_noise, epoch,
                                          batch_size):
         if pla.use_plf:
-            pools = _kept_pools(pools)
+            masks = filter_masks([pool.scores for pool in pools])[0]
+            pools = [pool.kept(keep) for pool, keep in zip(pools, masks)]
         for scene, pool in zip(batch, pools):
             sid = scene.scene_id
             result = match_scene(scene.ir_boxes, pool if pla.use_sdlm else [],

@@ -297,9 +297,9 @@ def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
     floats in [0, 1] that add up to 1 within rounding, as ScoredBox accepts.
 
     To draw the same scenes many times, build one NoiseRows and call its
-    draw for each (scale, salt).
+    rows for each (scale, salt).
     """
-    return NoiseRows(scenes, modality).draw(scale, salt)
+    return list(NoiseRows(scenes, modality).rows(scale, salt))
 
 
 class NoiseRows:
@@ -308,10 +308,10 @@ class NoiseRows:
     From its first draw on, it holds what no draw changes: the clean rows
     as one float64 array per class count, each box's scene and box index,
     each scene's place in those arrays, and each scene's base key.
-    draw(scale, salt) returns perturbed_rows(scenes, modality, scale, salt)
-    in new arrays on every call, each scene's rows and scores views of the
-    array of its class count and of that array's maxima, taken once per
-    draw; rows(scale, salt) yields them one scene at a time.
+    rows(scale, salt) yields the items of perturbed_rows(scenes, modality,
+    scale, salt) one scene at a time, in new arrays on every call, each
+    scene's rows and scores views of the array of its class count and of
+    that array's maxima, taken once per draw.
     """
     __slots__ = ("_scenes", "_modality", "_arrays")
 
@@ -322,12 +322,9 @@ class NoiseRows:
         self._modality = modality
         self._arrays = None
 
-    def draw(self, scale: float, salt: int = 0):
-        return list(self.rows(scale, salt))
-
     def rows(self, scale: float, salt: int = 0):
-        """An iterator over the (rows, scores) of draw(scale, salt). The
-        noise of all scenes is mixed in numpy at once, here."""
+        """An iterator over each scene's (rows, scores). The noise of all
+        scenes is mixed in numpy at once, here."""
         if self._arrays is None:
             self._arrays = self._columns()
         base, groups, places = self._arrays

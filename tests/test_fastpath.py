@@ -9,6 +9,7 @@ references.
 import json
 import math
 import os
+import random
 import tempfile
 from itertools import islice
 from unittest import mock
@@ -1020,6 +1021,39 @@ def test_pipeline_outputs_unchanged(tmp_path, flags, digests):
 @pytest.mark.parametrize("flags,digests", RECORDED_CROWDED)
 def test_crowded_pipeline_outputs_unchanged(tmp_path, flags, digests):
     assert _pipeline_digests(tmp_path, SIMULATE_CROWDED, flags) == digests
+
+
+def _shuffled_input(tmp_path):
+    """The SIMULATE scenes and a copy of them in another record order."""
+    scenes = tmp_path / "s.jsonl"
+    assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
+    lines = scenes.read_text().splitlines(keepends=True)
+    shuffled = lines[:]
+    random.Random(5).shuffle(shuffled)
+    assert shuffled != lines
+    (tmp_path / "shuffled.jsonl").write_text("".join(shuffled))
+    return scenes, tmp_path / "shuffled.jsonl"
+
+
+def test_pipeline_outputs_ignore_record_order(tmp_path):
+    _, shuffled = _shuffled_input(tmp_path)
+    out = tmp_path / "r.jsonl"
+    assert run(["pipeline", "--input", str(shuffled)] + SCHEDULE
+               + ["-o", str(out)]) == EXIT_OK
+    assert tuple(file_digest(str(out) + suffix)
+                 for suffix in ("", ".csv", ".bags.jsonl")) == RECORDED[0][1]
+
+
+def test_scene_at_a_time_match_ignores_record_order(tmp_path):
+    outputs = []
+    for scenes in _shuffled_input(tmp_path):
+        out = tmp_path / f"{scenes.stem}.pairs.jsonl"
+        assert run(["match", "--input", str(scenes), "--batch-size", "1",
+                    "-o", str(out)]) == EXIT_OK
+        outputs.append(out.read_text().splitlines())
+    original, shuffled = outputs
+    assert shuffled != original
+    assert sorted(shuffled) == sorted(original)
 
 
 def _mixed_input(tmp_path):

@@ -210,7 +210,7 @@ def test_threshold_bits_of_plain_mean_and_std(scores):
 
 
 def _reference_filter(candidates, per_class):
-    """filter_batch as it was before keep_mask, on Python lists."""
+    """The score filter of filter_batch, on Python lists."""
     if not candidates:
         return [], INVALID_THRESHOLD
     threshold = batch_threshold([c.score for c in candidates])
@@ -253,7 +253,7 @@ def test_filter_masks_equal_filter_batch(pools, per_class):
         [np.array([c.class_id for c in pool], dtype=np.intp)
          for pool in boxes] if per_class else None)
     kept = [(i, c.source_id) for i, (pool, mask) in enumerate(zip(boxes, masks))
-            for c, keep in zip(pool, mask.tolist()) if keep]
+            for c, keep in zip(pool, mask) if keep]
     flat = [(i, c) for i, pool in enumerate(boxes) for c in pool]
     for want_kept, want in (filter_batch([c for _, c in flat], per_class),
                             _reference_filter([c for _, c in flat],
@@ -262,3 +262,49 @@ def test_filter_masks_equal_filter_batch(pools, per_class):
         want_ids = {id(c) for c in want_kept}
         assert kept == [(i, c.source_id) for i, c in flat
                         if id(c) in want_ids]
+
+
+# signed zeros tie with each other; subnormals test the threshold's scaling
+SIGNED_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324,
+                                           2.2250738585e-313, 0.5, 1.0]),
+                          st.floats(0.0, 1.0), st.floats(0.0, 1e-300))
+
+
+@st.composite
+def class_pool(draw):
+    """The ScoredBoxes of one pool, all of 3 or all of 5 classes, as the
+    RGB observations of a scene simulated with that many classes."""
+    k = draw(st.sampled_from([3, 5]))
+    pool = []
+    for i, (score, cls) in enumerate(draw(st.lists(
+            st.tuples(SIGNED_SCORES, st.integers(0, k - 1)), max_size=6))):
+        probs = [math.copysign(0.0, score)] * k
+        probs[cls] = score
+        pool.append(ScoredBox(BOX, tuple(probs), i))
+    return pool
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(class_pool(), min_size=1, max_size=5), st.booleans())
+@example([[]], False)
+@example([[], []], True)
+@example([[ScoredBox(BOX, (-0.0, -0.0, -0.0), 0)], [],
+          [ScoredBox(BOX, (0.0, 5e-324, 0.0, 0.0, 0.0), 0)]], True)
+def test_filter_masks_equal_reference_pool_by_pool(pools, per_class):
+    flat = [c for pool in pools for c in pool]
+    want_kept, want = _reference_filter(flat, per_class)
+    want_ids = {id(c) for c in want_kept}
+    masks, threshold = filter_masks(
+        [np.array([c.score for c in pool], dtype=np.float64)
+         for pool in pools],
+        [np.array([c.class_id for c in pool], dtype=np.intp)
+         for pool in pools] if per_class else None)
+    assert [[type(flag) for flag in mask] for mask in masks] == \
+        [[bool] * len(pool) for pool in pools]
+    assert [[c for c, keep in zip(pool, mask) if keep]
+            for pool, mask in zip(pools, masks)] == \
+        [[c for c in pool if id(c) in want_ids] for pool in pools]
+    assert _threshold_bits(threshold) == _threshold_bits(want)
+    kept, threshold = filter_batch(flat, per_class)
+    assert [id(c) for c in kept] == [id(c) for c in want_kept]
+    assert _threshold_bits(threshold) == _threshold_bits(want)

@@ -8,11 +8,11 @@ import pytest
 import crosspair.matching
 import crosspair.pipeline
 from crosspair.correction import COPIED, MATCHED, LabelTable
-from crosspair.filtering import filter_batch
+from crosspair.filtering import filter_batch, filter_masks
 from crosspair.geometry import OrientedBox
 from crosspair.matching import match_scene, pair_tables
 from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
-                                _epoch_proposals, _kept_pools, _sup_loss,
+                                _epoch_proposals, _sup_loss,
                                 _truth_at, batches, run_pipeline)
 from crosspair.schedule import StageConfig, stage_state
 from crosspair.simulate import (Detections, NoiseRows, SceneConfig,
@@ -252,7 +252,7 @@ class TestKeyedNoiseWiring:
 
 class TestBatchFiltering:
     def test_only_assigning_epochs_filter(self, monkeypatch):
-        # one _kept_pools call per batch of each stage-2/3 epoch, none in
+        # one filter_masks call per batch of each stage-2/3 epoch, none in
         # burn-in or mutual epochs
         epochs, calls = [], []
 
@@ -260,12 +260,12 @@ class TestBatchFiltering:
             epochs.append(epoch)
             return stage_state(epoch, cfg)
 
-        def spy(pools):
-            calls.append((epochs[-1], len(pools)))
-            return _kept_pools(pools)
+        def spy(scores, class_ids=None):
+            calls.append((epochs[-1], len(scores)))
+            return filter_masks(scores, class_ids)
 
         monkeypatch.setattr(crosspair.pipeline, "stage_state", state)
-        monkeypatch.setattr(crosspair.pipeline, "_kept_pools", spy)
+        monkeypatch.setattr(crosspair.pipeline, "filter_masks", spy)
         scenes = generate_scenes(SceneConfig(count=5, boxes_per_scene=3,
                                              seed=2))
         run_pipeline(scenes, StageConfig(1, 1, 1, 1), PlaConfig(),
@@ -279,7 +279,7 @@ class TestBatchFiltering:
         with pytest.raises(ValueError, match="at least 1"):
             batches([1], 0)
 
-    def test_kept_pools_split_one_batch(self):
+    def test_filter_masks_split_one_batch(self):
         box = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
         scores = [[0.9, 0.2, 0.6], [], [0.3, 0.95], [0.5]]
         pools = []
@@ -288,7 +288,8 @@ class TestBatchFiltering:
             pools.append(Detections((box,) * len(pool),
                                     tuple(range(len(pool))), rows,
                                     rows.max(axis=1)))
-        kept = _kept_pools(pools)
+        masks = filter_masks([pool.scores for pool in pools])[0]
+        kept = [pool.kept(mask) for pool, mask in zip(pools, masks)]
         flat_kept, _ = filter_batch([c for pool in pools for c in pool])
         assert [c for pool in kept for c in pool] == flat_kept
         assert [pool.ids for pool in kept] == [(0, 2), (), (0, 1), (0,)]

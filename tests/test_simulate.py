@@ -12,8 +12,8 @@ from crosspair.correction import LabelPair
 from crosspair.filtering import ScoredBox
 from crosspair.cli import _record_fault
 from crosspair.geometry import FieldError, OrientedBox, corners_of
-from crosspair.filtering import filter_batch, keep_mask
-from crosspair.pipeline import _kept_pools, batches
+from crosspair.filtering import filter_batch, filter_masks
+from crosspair.pipeline import batches
 from crosspair.simulate import (_MODALITY_CODE, _U64, SPURIOUS,
                                 GenerationError, NoiseRows, ObservedBox,
                                 Scene, SceneConfig, SimDetectorParams,
@@ -363,7 +363,7 @@ class TestNoiseRows:
         batch = [PLAN_POOL[i] for i in picks]
         plan = NoiseRows(batch, modality)
         for scale, salt in draws:
-            got = plan.draw(scale, salt)
+            got = list(plan.rows(scale, salt))
             assert len(got) == len(batch)
             for scene, rows in zip(batch, got):
                 alone = perturbed_rows([scene], modality, scale, salt)[0]
@@ -378,26 +378,28 @@ class TestNoiseRows:
     def test_mutating_a_draw_leaves_the_next_unchanged(self, picks, modality,
                                                        scale, salt):
         plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
-        first = plan.draw(scale, salt)
+        first = list(plan.rows(scale, salt))
         expected = [_draw_bits(rows) for rows in first]
         for rows, scores in first:
             rows[...] = 0.5
             scores[...] = 0.5
         first.append(None)
         first[0] = None
-        assert [_draw_bits(rows) for rows in plan.draw(scale, salt)] == \
+        assert [_draw_bits(rows) for rows in plan.rows(scale, salt)] == \
             expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, len(PLAN_POOL) - 1), max_size=10),
            st.sampled_from(["ir", "rgb"]), SCALES, SALTS)
-    def test_rows_yield_the_lists_of_draw(self, picks, modality, scale,
-                                          salt):
-        plan = NoiseRows([PLAN_POOL[i] for i in picks], modality)
+    def test_rows_yield_the_items_of_perturbed_rows(self, picks, modality,
+                                                    scale, salt):
+        batch = [PLAN_POOL[i] for i in picks]
+        plan = NoiseRows(batch, modality)
         got = plan.rows(scale, salt)
         assert iter(got) is got
-        assert [_draw_bits(rows) for rows in got] == \
-            [_draw_bits(rows) for rows in plan.draw(scale, salt)]
+        assert [_draw_bits(rows) for rows in got] == [
+            _draw_bits(rows)
+            for rows in perturbed_rows(batch, modality, scale, salt)]
 
     def test_unknown_modality(self):
         with pytest.raises(ValueError, match="unknown modality"):
@@ -500,9 +502,11 @@ class TestDetections:
         for pools in batches(proposals, batch_size):
             built = [c for pool in pools for c in pool]
             survivors = {id(c) for c in filter_batch(built)[0]}
-            mask = keep_mask(np.concatenate([p.scores for p in pools]))[0]
-            assert mask.tolist() == [id(c) in survivors for c in built]
-            assert [list(pool) for pool in _kept_pools(pools)] == \
+            masks = filter_masks([p.scores for p in pools])[0]
+            assert [flag for mask in masks for flag in mask] == \
+                [id(c) in survivors for c in built]
+            assert [list(pool.kept(mask)) for pool, mask
+                    in zip(pools, masks)] == \
                 [[c for c in pool if id(c) in survivors]
                  for pool in (built[a:a + len(p)] for a, p in zip(
                      np.cumsum([0] + [len(p) for p in pools]).tolist(),
@@ -523,7 +527,7 @@ class TestDetections:
                       (ObservedBox(box, (0.5, 0.5), 0),
                        ObservedBox(box, (0.5, 0.25, 0.25), 1)))
         with pytest.raises(ValueError, match="rows of"):
-            NoiseRows([scene], "rgb").draw(0.1)
+            list(NoiseRows([scene], "rgb").rows(0.1))
 
 
 def make_pairs(rng, n):
