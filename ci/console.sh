@@ -71,6 +71,16 @@ crosspair verify "$tmp/crowded.kept.jsonl.manifest.json"
 sed 's/$/\r/' "$tmp/crowded.jsonl" > "$tmp/crowded_crlf.jsonl"
 crosspair match --input "$tmp/crowded_crlf.jsonl" -o "$tmp/crowded_crlf.pairs.jsonl"
 cmp "$tmp/crowded.pairs.jsonl" "$tmp/crowded_crlf.pairs.jsonl"
+# thetas outside [-pi/2, pi/2) and at its ends: each box's theta set in
+# turn to the float just below -pi/2, to pi/2 and to theta + 3pi
+python -c 'import json, math, sys; edges = (lambda t: math.nextafter(-math.pi / 2, -4), lambda t: math.pi / 2, lambda t: t + 3 * math.pi); recs = [json.loads(line) for line in open(sys.argv[1])]; boxes = [b for r in recs for b in r["ir_gt"] + r["rgb_obs"]]; [b.update(theta=edges[i % 3](b["theta"])) for i, b in enumerate(boxes)]; print("\n".join(map(json.dumps, recs)))' "$tmp/scenes.jsonl" > "$tmp/edge.jsonl"
+crosspair match --input "$tmp/edge.jsonl" -o "$tmp/edge.pairs.jsonl"
+crosspair verify "$tmp/edge.pairs.jsonl.manifest.json"
+crosspair filter --input "$tmp/edge.jsonl" -o "$tmp/edge.kept.jsonl"
+crosspair verify "$tmp/edge.kept.jsonl.manifest.json"
+crosspair pipeline --input "$tmp/edge.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
+  -o "$tmp/edge.report.jsonl"
+crosspair verify "$tmp/edge.report.jsonl.manifest.json"
 crosspair match --input "$tmp/scenes.jsonl" --batch-size 5 -o "$tmp/pairs5.jsonl"
 crosspair verify "$tmp/pairs5.jsonl.manifest.json"
 crosspair filter --input "$tmp/scenes.jsonl" -o "$tmp/kept.jsonl"

@@ -1,8 +1,8 @@
 """Exact geometry kernel for oriented (rotated) bounding boxes.
 
-Angles are radians, counterclockwise-positive, normalized to the closed
-range [-pi/2, pi/2] (see normalize_angle); the box width runs along its
-local x-axis. All functions are pure and thread-safe.
+Angles are radians, counterclockwise-positive, normalized once to [-pi/2,
+pi/2) (normalize_angle is idempotent); the box width runs along its local
+x-axis. All functions are pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -29,16 +29,17 @@ class FieldError(ValueError):
 
 
 def normalize_angle(theta):
-    """Map an angle, or each angle of a float64 array, to [-pi/2, pi/2];
+    """Map an angle, or each angle of a float64 array, to [-pi/2, pi/2);
     rectangles are pi-periodic. Each angle of an array gets the bits of the
     scalar call: np.remainder takes fmod and the divisor's sign as float %
     does.
 
-    The range is closed: where theta + pi/2 is a tiny negative number, its
-    remainder pi - |theta + pi/2| rounds to pi. So nextafter(-pi/2, -4)
-    maps to pi/2, and normalizing pi/2 again gives -pi/2.
+    The second % maps a remainder that rounds up to pi (theta + pi/2 a
+    tiny negative number) to 0, so to -pi/2, and keeps every other, in
+    [0, pi), bit for bit: a normalized angle normalizes to itself. A test
+    for pi/2 instead would cast bools to float (a resident 64 KB buffer).
     """
-    return (theta + math.pi / 2.0) % math.pi - math.pi / 2.0
+    return (theta + math.pi / 2.0) % math.pi % math.pi - math.pi / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,12 +219,8 @@ class BoxColumns:
 
     def box(self, k) -> OrientedBox:
         """The OrientedBox of box k, with the float fields of its row and
-        its theta: theta is not normalized again."""
-        b = object.__new__(OrientedBox)
-        for name, v in zip(("cx", "cy", "w", "h"), self.rows[k, :4].tolist()):
-            object.__setattr__(b, name, v)
-        object.__setattr__(b, "theta", float(self.theta[k]))
-        return b
+        its theta, which normalizes to itself."""
+        return OrientedBox(*self.rows[k, :4].tolist(), float(self.theta[k]))
 
     def select(self, mask) -> "BoxColumns":
         """The columns of the boxes where mask, a list of bools, is True."""

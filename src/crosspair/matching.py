@@ -15,14 +15,13 @@ could accept lies within (see _reach).
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (EDGE_EPS, OrientedBox, box_columns, concat_columns,
-                       iou, iou_rows, normalize_angle, point_in_obb)
+                       iou, iou_rows, point_in_obb)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,26 +169,15 @@ def _gate(chunk: _Chunk, ia: np.ndarray, ib: np.ndarray,
     reference box ia[k].
 
     Bit-identical to point_in_obb(center, search_region(box, beta)):
-    the region's w, h and normalized theta, the same scalar
-    math.cos/math.sin of that theta and the same elementwise operations,
-    over all pairs at once. The operations run in place, because the pair
-    arrays are the largest the table build holds.
-
-    The region normalizes the box's theta again, which nearly always gives
-    the same float; the box row holds its cosine and sine already, and only
-    the others are computed.
+    the region's w and h, the cosine and sine of the box row, which are
+    math.cos/math.sin of the theta the region keeps, and the same
+    elementwise operations, over all pairs at once. The operations run in
+    place, because the pair arrays are the largest the table build holds.
     """
     ir = chunk.ir.rows
     if not len(ia):
         return np.zeros(0, dtype=bool)
-    theta = chunk.ir.theta
-    region = normalize_angle(theta)
-    cos_sin = ir[:, 4:6].copy()
-    moved = (region != theta) | (np.signbit(region) != np.signbit(theta))
-    for k in np.flatnonzero(moved).tolist():
-        t = float(region[k])
-        cos_sin[k] = math.cos(t), math.sin(t)
-    c, s = cos_sin[ia, 0], cos_sin[ia, 1]
+    c, s = ir[ia, 4], ir[ia, 5]
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         dx = chunk.cands.rows[ib, 0]
         dx -= ir[ia, 0]

@@ -36,7 +36,8 @@ from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
                                 SimDetectorParams, detect, generate_scenes,
                                 least_squares_offset, pair_centers,
                                 pair_gradient, pair_loss, perturbed_rows,
-                                scene_columns, student_step)
+                                scene_columns, scene_to_record,
+                                scenes_from_records, student_step)
 
 
 def box_rows(boxes) -> np.ndarray:
@@ -121,6 +122,14 @@ def scenes(draw):
     return list(zip(ir_ids, ir)), candidates, pool
 
 
+# the ends of the angle range, where the remainder of the normalization
+# rounds, and the same a turn of pi either way (some sums coincide)
+EDGE_THETAS = sorted({t + k for t in (math.nextafter(-math.pi / 2, -4),
+                                      -math.pi / 2,
+                                      math.nextafter(math.pi / 2, 0))
+                      for k in (0.0, math.pi, -math.pi)})
+
+
 class TestMatcher:
     @settings(max_examples=300, deadline=None)
     @given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), st.booleans())
@@ -151,13 +160,13 @@ class TestMatcher:
                                                        for k in window]
         assert not any(inside[k] for k in inside.keys() - set(window))
 
-    def test_gate_takes_the_theta_of_the_region(self):
-        # the angle just below -pi/2 normalizes to pi/2, and the region
-        # normalizes that to -pi/2: the two sines differ in sign, which
-        # moves centres on the region's edge in or out
-        box = OrientedBox(0.0, 0.0, 10.0, 20.0,
-                          math.nextafter(-math.pi / 2, -math.inf))
-        assert search_region(box, 1.0).theta == -box.theta
+    @pytest.mark.parametrize("theta", EDGE_THETAS, ids=float.hex)
+    def test_gate_takes_the_theta_of_the_region(self, theta):
+        # each of these normalizes to -pi/2. Were one to normalize to pi/2
+        # and its region to -pi/2, the box row's sine would differ in sign
+        # from the region's, which moves centres on its edge in or out
+        box = OrientedBox(0.0, 0.0, 10.0, 20.0, theta)
+        assert search_region(box, 1.0).theta.hex() == box.theta.hex()
         edge = 5.0 + EDGE_EPS
         pool = [ScoredBox(OrientedBox(dx, dy, 1.0, 1.0, 0.0), (1.0,), j)
                 for j, (dx, dy) in enumerate(
@@ -203,6 +212,36 @@ class TestMatcher:
         b = OrientedBox(0, 0, 4, 4, 0)
         with pytest.raises(ValueError, match="duplicate"):
             pair_table([(0, b)], [ScoredBox(b, (1.0,), 3)] * 2)
+
+
+def _fields(b):
+    return [float(v).hex() for v in (b.cx, b.cy, b.w, b.h, b.theta)]
+
+
+class TestBoxColumns:
+    @pytest.mark.parametrize("theta", EDGE_THETAS + [0.3, -0.0, 7.0],
+                             ids=float.hex)
+    def test_box_is_the_box_of_its_fields(self, theta):
+        boxes = [OrientedBox(1.5, -2.0, 3.0, 4.0, theta),
+                 OrientedBox(7, 8, 1, 2, theta + 3 * math.pi)]
+        columns = box_columns([5, 9], boxes)
+        for k, b in enumerate(boxes):
+            assert _fields(columns.box(k)) == _fields(b)
+        records = [scene_to_record(s) for s in generate_scenes(
+            SceneConfig(count=2, boxes_per_scene=3, spurious_rate=0.5,
+                        seed=1))]
+        for rec in records:
+            for k, g in enumerate(rec["ir_gt"] + rec["rgb_obs"]):
+                g["theta"] = theta + k * math.pi
+        scenes = scenes_from_records(records)
+        assert scenes is not None
+        for rec, s in zip(records, scenes):
+            for items, cols in ((rec["ir_gt"], s.ir), (rec["rgb_obs"], s.rgb)):
+                assert len(cols) == len(items)
+                for k, g in enumerate(items):
+                    want = OrientedBox(*(float(g[f]) for f in
+                                         ("cx", "cy", "w", "h", "theta")))
+                    assert _fields(cols.box(k)) == _fields(want)
 
 
 def reference_gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:

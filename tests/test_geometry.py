@@ -80,17 +80,25 @@ angles = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(angles, min_size=1, max_size=16))
 def test_normalize_angle_of_array_equals_scalar(thetas):
-    got = normalize_angle(np.array(thetas, dtype=np.float64)).tolist()
+    normalized = normalize_angle(np.array(thetas, dtype=np.float64))
+    got = normalized.tolist()
     want = [normalize_angle(t) for t in thetas]
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert all(-math.pi / 2 <= v <= math.pi / 2 for v in want)
+    assert all(-math.pi / 2 <= v < math.pi / 2 for v in want)
+    # idempotent bit for bit, for scalars and arrays alike
+    assert [normalize_angle(v).hex() for v in want] == [v.hex() for v in want]
+    assert ([v.hex() for v in normalize_angle(normalized).tolist()]
+            == [v.hex() for v in got])
 
 
-def test_normalize_angle_range_is_closed():
-    # a sum just below 0 leaves a remainder that rounds to pi
+def test_normalize_angle_edge_maps_to_minus_half_pi():
+    # a sum just below 0 leaves a remainder that rounds to pi, so the
+    # shifted remainder is pi/2: it maps to -pi/2, as pi/2 itself does
     below = math.nextafter(-math.pi / 2, -4)
-    assert normalize_angle(below) == math.pi / 2
-    assert normalize_angle(math.pi / 2) == -math.pi / 2
+    for theta in (below, math.pi / 2):
+        assert normalize_angle(theta).hex() == (-math.pi / 2).hex()
+        assert (normalize_angle(np.array([theta])).tolist()[0].hex()
+                == (-math.pi / 2).hex())
 
 
 class TestRotationMatrix:
