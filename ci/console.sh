@@ -37,6 +37,18 @@ crosspair pipeline --input "$tmp/scenes.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
 crosspair verify "$tmp/improve.jsonl.manifest.json"
 crosspair match --input "$tmp/scenes.jsonl" -o "$tmp/pairs.jsonl"
 crosspair verify "$tmp/pairs.jsonl.manifest.json"
+# stdout closed by its reader: exit 141 (128 + SIGPIPE), not the data error
+# 2, with every output and the manifest written. The reader closes its end
+# of the pipe first, then lets match start through a fifo.
+mkfifo "$tmp/closed"
+{ read -r _ < "$tmp/closed"; rc=0
+  crosspair match --input "$tmp/scenes.jsonl" -o "$tmp/pairs_closed.jsonl" \
+    2> "$tmp/err" || rc=$?
+  echo "$rc" > "$tmp/rc"; } | { exec 0<&-; echo > "$tmp/closed"; }
+test "$(cat "$tmp/rc")" -eq 141 || { echo "closed stdout exited $(cat "$tmp/rc"), want 141: $(cat "$tmp/err")"; exit 1; }
+test ! -s "$tmp/err" || { echo "closed stdout wrote to stderr: $(cat "$tmp/err")"; exit 1; }
+crosspair verify "$tmp/pairs_closed.jsonl.manifest.json"
+cmp "$tmp/pairs.jsonl" "$tmp/pairs_closed.jsonl"
 sed 's/$/\r/' "$tmp/scenes.jsonl" > "$tmp/scenes_crlf.jsonl"
 tr '\n' '\r' < "$tmp/scenes.jsonl" > "$tmp/scenes_cr.jsonl"
 for ending in crlf cr; do

@@ -5,7 +5,8 @@ Every run writes a manifest next to its primary output, with the digest
 of the input file for runs that read one; `verify` checks that digest,
 reruns the manifest into a scratch directory and compares artifact digests.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+141 (128 + SIGPIPE) standard output closed by its reader.
 """
 from __future__ import annotations
 
@@ -43,12 +44,25 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_STDOUT_CLOSED = 141
 
 OUTPUT_DIR_ENV = "CROSSPAIR_OUTPUT_DIR"
 
 
 class UsageError(Exception):
     pass
+
+
+class StdoutClosed(Exception):
+    """The reader of standard output has closed it."""
+
+
+def _say(line):
+    """Print line to stdout, flushed; StdoutClosed if its reader has gone."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        raise StdoutClosed from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,7 +298,7 @@ def cmd_simulate(args):
     scenes = generate_scenes(cfg)
     write_records(out, [scene_to_record(s) for s in scenes])
     write_manifest(out, "simulate", _run_config(args), [out])
-    print(f"wrote {len(scenes)} scenes to {out}")
+    _say(f"wrote {len(scenes)} scenes to {out}")
     return EXIT_OK
 
 
@@ -315,7 +329,7 @@ def cmd_filter(args):
     write_records(out, records())
     write_manifest(out, "filter", _run_config(args), [out],
                    digest.hexdigest())
-    print(f"filtered {count} scenes to {out}")
+    _say(f"filtered {count} scenes to {out}")
     return EXIT_OK
 
 
@@ -367,7 +381,7 @@ def cmd_match(args):
     write_json(stats_path, stats)
     write_manifest(out, "match", _run_config(args), [out, stats_path],
                    digest.hexdigest())
-    print(json.dumps(stats))
+    _say(json.dumps(stats))
     return EXIT_OK
 
 
@@ -405,7 +419,7 @@ def cmd_pipeline(args):
                              for rec in bag_records(report.bags[sid])))
     write_manifest(out, "pipeline", _run_config(args),
                    [out, csv_path, bag_path], digest.hexdigest())
-    print(json.dumps(report.summary()))
+    _say(json.dumps(report.summary()))
     return EXIT_OK
 
 
@@ -470,7 +484,7 @@ def cmd_sweep_shift(args):
     write_csv(out, ["dx", "dy", "ir_map", "rgb_map",
                     "match_recall", "match_precision"], rows)
     write_manifest(out, "sweep-shift", _run_config(args), [out])
-    print(f"wrote {len(rows)} sweep rows to {out}")
+    _say(f"wrote {len(rows)} sweep rows to {out}")
     return EXIT_OK
 
 
@@ -508,7 +522,7 @@ def cmd_verify(args):
     input_digest = manifest.get("input_digest")
     if (input_digest is not None
             and file_digest(config["input"]) != input_digest):
-        print("verify: input changed")
+        _say("verify: input changed")
         return EXIT_DATA
     with tempfile.TemporaryDirectory() as tmp:
         argv = [sub]
@@ -529,8 +543,10 @@ def cmd_verify(args):
         out_name = os.path.basename(config["output"])
         argv.extend(["-o", os.path.join(tmp, out_name)])
         rc = run(argv)
+        if rc == EXIT_STDOUT_CLOSED:
+            raise StdoutClosed
         if rc != EXIT_OK:
-            print(f"verify: rerun failed with exit code {rc}")
+            _say(f"verify: rerun failed with exit code {rc}")
             return EXIT_DATA
         ok = True
         base = os.path.dirname(os.path.abspath(args.manifest))
@@ -542,10 +558,10 @@ def cmd_verify(args):
             good = rerun == digest and current == digest
             if not good:
                 ok = False
-            print(f"verify: {name}: {'ok' if good else 'MISMATCH'}")
+            _say(f"verify: {name}: {'ok' if good else 'MISMATCH'}")
     if not ok:
         return EXIT_DATA
-    print("verify: all digests match")
+    _say("verify: all digests match")
     return EXIT_OK
 
 
@@ -584,6 +600,12 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except StdoutClosed:
+        # the Python docs' SIGPIPE recipe: the flush at exit must not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except (RecordError, GenerationError, OSError, KeyError,
             ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -103,11 +103,12 @@ def batches(items, size):
     return iter(lambda: list(islice(items, size)), [])
 
 
-def _truth_at(scenes):
-    """The flat position, row * k + class, of each IR box's true class in
-    its scene's IR rows of k classes, for all scenes' boxes in order."""
-    return [b * s.class_count + cls % s.class_count
-            for s in scenes for b, (_, _, cls) in enumerate(s.ir_gt)]
+def _truth_at(scenes, ir_noise):
+    """The position in the values of a draw of ir_noise, the scenes' "ir"
+    NoiseRows, of each IR box's true class probability, for all scenes'
+    boxes in order."""
+    return ir_noise.flat_index(enumerate(cls for _, _, cls in s.ir_gt)
+                               for s in scenes)
 
 
 def _sup_loss(student, scenes, ir_noise, salt, truth_at) -> float:
@@ -118,20 +119,18 @@ def _sup_loss(student, scenes, ir_noise, salt, truth_at) -> float:
     probability rows of all scenes come from one draw of ir_noise, their
     "ir" NoiseRows, keyed by (scene_id, salt, "ir"): run_pipeline passes
     salt = epoch, and the RGB proposals of the same epoch draw other noise,
-    keyed by "rgb". Each box's true-class probability is read at its
-    position in truth_at, _truth_at(scenes), and the terms add left to
-    right.
+    keyed by "rgb". Each scene's detect call takes views of that draw; the
+    true-class probabilities are gathered from its values at truth_at,
+    _truth_at(scenes, ir_noise), and the terms add left to right.
     """
-    acc, n = 0.0, 0
-    rows = ir_noise.rows(student.confidence_noise, salt)
-    for scene, scene_rows in zip(scenes, rows):
-        probs = detect(student, scene, "ir", salt,
-                       rows=scene_rows).rows.ravel().tolist()
-        end = n + len(scene.ir_gt)
-        for k in truth_at[n:end]:
-            acc -= math.log(max(probs[k], 1e-12))
-        n = end
-    return acc / max(n, 1)
+    draw = ir_noise.rows(student.confidence_noise, salt)
+    for scene, scene_rows in zip(scenes, draw):
+        detect(student, scene, "ir", salt, rows=scene_rows)
+    acc = 0.0
+    # clip with a lower bound alone is np.maximum(values, 1e-12)
+    for p in draw.values[truth_at].clip(1e-12).tolist():
+        acc -= math.log(p)
+    return acc / max(len(truth_at), 1)
 
 
 def _rgb_detect_error(scenes) -> float:
@@ -223,9 +222,9 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
     schedule, whose counts perfbench/selftest.py pins; it filters nothing.
 
     The pair tables (for every flag set), built from the scenes'
-    SceneColumns, and the NoiseRows of both modalities change in no epoch,
-    so they are built before epoch 0, the tables first, so that a table's
-    ValueError comes before any noise work.
+    SceneColumns, the NoiseRows of both modalities and the IR truth index
+    change in no epoch, so they are built before epoch 0, the tables first,
+    so that a table's ValueError comes before any noise work.
     Each epoch then draws the IR rows of all scenes once if it computes the
     supervised loss and the RGB rows once if it makes proposals.
 
@@ -252,7 +251,7 @@ def run_pipeline(scenes, stage_cfg: StageConfig, pla: PlaConfig | None = None,
                               pla.beta, not pla.iou_match_only))
     labels = LabelTable(scenes)
     ir_noise, rgb_noise = NoiseRows(scenes, "ir"), NoiseRows(scenes, "rgb")
-    truth_at = _truth_at(scenes)
+    truth_at = _truth_at(scenes, ir_noise)
     stage1_rgb_err = _rgb_detect_error(scenes)
     records = []
 

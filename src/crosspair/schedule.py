@@ -101,7 +101,7 @@ class EmaState:
 
     def __post_init__(self):
         arr = np.asarray(self.teacher_params, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite teacher parameters")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"decay must be in [0,1), got {self.decay}")
@@ -112,7 +112,7 @@ def ema_update(ema: EmaState, student_params) -> EmaState:
     student = np.asarray(student_params, dtype=float)
     if student.shape != ema.teacher_params.shape:
         raise ValueError(f"shape mismatch: {student.shape} vs {ema.teacher_params.shape}")
-    if not np.all(np.isfinite(student)):
+    if not np.isfinite(student).all():
         raise ValueError("non-finite student parameters")
     new = ema.decay * ema.teacher_params + (1.0 - ema.decay) * student
     return EmaState(new, ema.decay)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -248,12 +248,15 @@ _U64 = (1 << 64) - 1
 
 
 def _mix(x):
-    """SplitMix64 of a uint64 array: add the golden gamma, then the
-    finalizer. Arithmetic wraps modulo 2**64."""
+    """SplitMix64 of a uint64 array, in a new array: add the golden gamma,
+    then the finalizer. Arithmetic wraps modulo 2**64."""
     x = x + _GAMMA
-    x = (x ^ (x >> 30)) * _MUL1
-    x = (x ^ (x >> 27)) * _MUL2
-    return x ^ (x >> 31)
+    x ^= x >> 30
+    x *= _MUL1
+    x ^= x >> 27
+    x *= _MUL2
+    x ^= x >> 31
+    return x
 
 
 def _uniform(h):
@@ -263,9 +266,11 @@ def _uniform(h):
     return ((h >> 12).astype(np.float64) + 0.5) * 2.0 ** -52
 
 
+@lru_cache(maxsize=64)
 def _one_hot(k, cls):
     """The one-hot row of class cls of k; IndexError when cls is not in
-    [-k, k), as indexing a table of the rows would raise."""
+    [-k, k), as indexing a table of the rows would raise. Cached, so that
+    the boxes of one class share their row."""
     row = [0.0] * k
     row[cls] = 1.0
     return tuple(row)
@@ -305,13 +310,10 @@ def perturbed_rows(scenes, modality: str, scale: float, salt: int = 0):
 class NoiseRows:
     """The keyed noise of fixed scenes in one modality, drawn many times.
 
-    From its first draw on, it holds what no draw changes: the clean rows
-    as one float64 array per class count, each box's scene and box index,
-    each scene's place in those arrays, and each scene's base key.
-    rows(scale, salt) yields the items of perturbed_rows(scenes, modality,
-    scale, salt) one scene at a time, in new arrays on every call, each
-    scene's rows and scores views of the array of its class count and of
-    that array's maxima, taken once per draw.
+    From its first draw or flat_index call on, it holds what no draw
+    changes: the clean rows as one float64 array per class count, each
+    box's scene and box index, each scene's place in those arrays, and each
+    scene's base key. Each rows call is one draw.
     """
     __slots__ = ("_scenes", "_modality", "_arrays")
 
@@ -322,25 +324,51 @@ class NoiseRows:
         self._modality = modality
         self._arrays = None
 
-    def rows(self, scale: float, salt: int = 0):
-        """An iterator over each scene's (rows, scores). The noise of all
+    def rows(self, scale: float, salt: int = 0) -> NoiseDraw:
+        """The items of perturbed_rows(scenes, modality, scale, salt), one
+        scene at a time, in new arrays on every call. The noise of all
         scenes is mixed in numpy at once, here."""
-        if self._arrays is None:
-            self._arrays = self._columns()
-        base, groups, places = self._arrays
+        base, groups, places, size = self._layout()
         scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
                          ^ np.uint64(_MODALITY_CODE[self._modality]))
+        values = np.empty(size)
         drawn = {None: (np.zeros((0, 0)), np.zeros(0))}
-        for k, (clean, scene_of, box_of) in groups.items():
-            rows = (clean.copy() if scale <= 0 else _mixed_rows(
-                clean, _mix(scene_key[scene_of] ^ box_of), scale))
-            drawn[k] = rows, rows.max(axis=1)
-        return ((drawn[k][0][a:b], drawn[k][1][a:b]) for k, a, b in places)
+        for k, (clean, scene_of, box_of, v) in groups.items():
+            rows = values[v:v + clean.size].reshape(clean.shape)
+            if scale <= 0:
+                rows[...] = clean
+            else:
+                _mixed_rows(clean, _mix(scene_key[scene_of] ^ box_of), scale,
+                            rows)
+            # the maxima of rows.max(axis=1), a column at a time
+            scores = rows[:, 0].copy()
+            for j in range(1, k):
+                np.maximum(scores, rows[:, j], out=scores)
+            drawn[k] = rows, scores
+        draw = NoiseDraw((drawn[k][0][a:b] for k, a, b in places),
+                         (drawn[k][1][a:b] for k, a, b in places))
+        draw.values = values
+        return draw
+
+    def flat_index(self, picks):
+        """The positions in a draw's values of the entries picks names, per
+        scene an iterable of (row, column), as an intp array. A column in
+        [-k, 0) of a row of k entries counts from the end, as in indexing."""
+        groups, places = self._layout()[1:3]
+        return np.fromiter((groups[k][3] + (a + row) * k + col % k
+                            for (k, a, _), entries in zip(places, picks)
+                            for row, col in entries), dtype=np.intp)
+
+    def _layout(self):
+        if self._arrays is None:
+            self._arrays = self._columns()
+        return self._arrays
 
     def _columns(self):
         """(base keys, per class count k the (clean rows, scene index, box
-        index) of the boxes of k classes, per scene its (k, start, stop) in
-        them, k None for a scene without boxes)."""
+        index) of the boxes of k classes and the position of their first row
+        in a draw's values, per scene its (k, start, stop) in them, k None for
+        a scene without boxes, and the size of values)."""
         groups, places = {}, []
         for i, scene in enumerate(self._scenes):
             rows = _clean_rows(scene, self._modality)
@@ -356,18 +384,28 @@ class NoiseRows:
             clean += rows
             scene_of += [i] * len(rows)
             box_of += range(len(rows))
-        groups = {k: (np.array(clean, dtype=np.float64),
-                      np.array(scene_of, dtype=np.intp),
-                      np.array(box_of, dtype=np.uint64))
-                  for k, (clean, scene_of, box_of) in groups.items()}
+        v = 0
+        for k, (clean, scene_of, box_of) in groups.items():
+            groups[k] = (np.array(clean, dtype=np.float64),
+                         np.array(scene_of, dtype=np.intp),
+                         np.array(box_of, dtype=np.uint64), v)
+            v += len(clean) * k
         base = _mix(np.array([s.scene_id & _U64 for s in self._scenes],
                              dtype=np.uint64))
-        return base, groups, places
+        return base, groups, places, v
 
 
-def _mixed_rows(clean, box_key, scale):
+class NoiseDraw(zip):
+    """One draw of a NoiseRows: the zip of each scene's rows and scores.
+    The rows are views of values, which holds the rows of all scenes in one
+    float64 array, those of each class count after those of the counts met
+    before it in scene order."""
+    __slots__ = ("values",)
+
+
+def _mixed_rows(clean, box_key, scale, out=None):
     """The rows of clean, each mixed with the flat Dirichlet draw and the
-    weight of its box's keyed uniforms and renormalized."""
+    weight of its box's keyed uniforms and renormalized, in out if given."""
     n, k = clean.shape
     u = _uniform(_mix(box_key[:, None] ^ np.arange(k, dtype=np.uint64)))
     # fmin: a NaN scale mixes in all noise, as min(1.0, nan) does
@@ -380,7 +418,7 @@ def _mixed_rows(clean, box_key, scale):
         total += mixed[:, j]
     # a row of zeros whose noise weight underflowed stays zeros
     total[total == 0.0] = 1.0
-    return mixed / total[:, None]
+    return np.divide(mixed, total[:, None], out=out)
 
 
 class Detections(Sequence):
@@ -533,8 +571,8 @@ def student_step(params: SimDetectorParams, pseudo_labels,
         return params
     gx, gy = pair_gradient(params, pseudo_labels)
     dx, dy = params.offset_estimate
-    return replace(params, offset_estimate=(dx - learning_rate * gx,
-                                            dy - learning_rate * gy))
+    return SimDetectorParams((dx - learning_rate * gx, dy - learning_rate * gy),
+                             params.confidence_noise)
 
 
 def least_squares_offset(pairs) -> tuple[float, float]:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from crosspair import cli, matching
-from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run)
+from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_STDOUT_CLOSED,
+                          EXIT_USAGE, run)
 from crosspair.records import (file_digest, read_records, write_csv,
                                write_json, write_records)
 
@@ -706,3 +707,57 @@ class TestAtomicWrites:
         with pytest.raises(ValueError):
             write(tmp_path / "out")
         assert os.listdir(tmp_path) == []
+
+
+class _ClosedStdout:
+    """A standard output whose reader has gone: every write raises
+    BrokenPipeError. Its file descriptor is fd, a file of the test's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["match", "pipeline", "verify"])
+def test_closed_stdout_is_not_a_data_error(scene_file, tmp_path, monkeypatch,
+                                           capsys, command):
+    out = tmp_path / "o.jsonl"
+    argv = [command, "--input", str(scene_file), "-o", str(out)]
+    if command == "pipeline":
+        argv += SHORT
+    manifest = str(out) + ".manifest.json"
+    if command == "verify":  # the rerun is the run that finds stdout closed
+        assert invoke(["match"] + argv[1:]) == EXIT_OK
+        argv = ["verify", manifest]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", _ClosedStdout(fd))
+            assert invoke(argv) == EXIT_STDOUT_CLOSED == 141
+        # stdout's descriptor now writes to devnull, so the flush at exit
+        # cannot raise again
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert invoke(["verify", manifest]) == EXIT_OK
+
+
+def test_broken_pipe_of_an_output_file_is_a_data_error(scene_file, tmp_path,
+                                                        monkeypatch, capsys):
+    def broken(path, records):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "write_records", broken)
+    out = tmp_path / "o.jsonl"
+    assert invoke(["match", "--input", str(scene_file), "-o",
+                   str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")

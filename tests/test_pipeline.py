@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crosspair.matching
 import crosspair.pipeline
@@ -16,8 +18,9 @@ from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
                                 _truth_at, batches, run_pipeline)
 from crosspair.schedule import StageConfig, stage_state
 from crosspair.simulate import (Detections, NoiseRows, SceneConfig,
-                                SimDetectorParams, generate_scenes,
-                                least_squares_offset, perturbed_rows)
+                                SimDetectorParams, detect, generate_scenes,
+                                least_squares_offset, perturbed_rows,
+                                rgb_proposals)
 
 SHORT = StageConfig(2, 2, 4, 4)
 
@@ -221,9 +224,9 @@ class TestKeyedNoiseWiring:
             for row, (_, _, cls) in zip(rows.tolist(), scene.ir_gt):
                 acc += -math.log(max(row[cls], 1e-12))
                 n += 1
-        assert _sup_loss(self.STUDENT, self.SCENES,
-                         NoiseRows(self.SCENES, "ir"), 4,
-                         _truth_at(self.SCENES)) == acc / n
+        noise = NoiseRows(self.SCENES, "ir")
+        assert _sup_loss(self.STUDENT, self.SCENES, noise, 4,
+                         _truth_at(self.SCENES, noise)) == acc / n
 
 
     def test_default_schedule_draws_each_epoch_once(self, monkeypatch):
@@ -249,6 +252,105 @@ class TestKeyedNoiseWiring:
         assert sorted(built) == ["ir", "rgb"]
         assert [s for m, s in drawn if m == "ir"] == list(range(45))
         assert [s for m, s in drawn if m == "rgb"] == list(range(20, 65))
+
+
+def _gather_pool():
+    """Scenes of 3 and of 5 classes, so that the IR rows of a batch may
+    fall in two NoiseRows groups, scenes without rgb_obs (5 IR classes
+    whatever their own count) and scenes without ir_gt."""
+    three = SceneConfig(count=3, boxes_per_scene=4, class_count=3,
+                        spurious_rate=0.5, dropout_rate=0.2, seed=11)
+    five = SceneConfig(count=3, boxes_per_scene=3, seed=12)
+    bare = SceneConfig(count=2, boxes_per_scene=2, class_count=3, seed=13)
+    lone = SceneConfig(count=2, boxes_per_scene=3, class_count=3,
+                       spurious_rate=0.5, seed=14)
+    scenes = (generate_scenes(three) + generate_scenes(five)
+              + [replace(s, rgb_obs=()) for s in generate_scenes(bare)]
+              + [replace(s, ir_gt=()) for s in generate_scenes(lone)])
+    return [replace(s, scene_id=i) for i, s in enumerate(scenes)]
+
+
+GATHER_POOL = _gather_pool()
+GATHER_BATCHES = st.lists(st.integers(0, len(GATHER_POOL) - 1), max_size=8)
+GATHER_NOISE = st.sampled_from([0.0, math.nan, 1e300, 0.1, 0.7])
+GATHER_SALTS = st.integers(-2 ** 64, 2 ** 64)
+
+
+class TestEpochGather:
+    def test_pool_covers_the_cases(self):
+        assert {s.class_count for s in GATHER_POOL if s.ir_gt} == {3, 5}
+        assert any(not s.rgb_obs and s.ir_gt for s in GATHER_POOL)
+        assert any(not s.ir_gt and s.rgb_obs for s in GATHER_POOL)
+
+    @settings(max_examples=150, deadline=None)
+    @given(GATHER_BATCHES, GATHER_NOISE, GATHER_SALTS)
+    def test_sup_loss_equals_the_per_scene_loop(self, picks, noise, salt):
+        scenes = [GATHER_POOL[i] for i in picks]
+        acc, n = 0.0, 0
+        for scene, (rows, _) in zip(scenes, perturbed_rows(scenes, "ir",
+                                                           noise, salt)):
+            for row, (_, _, cls) in zip(rows.tolist(), scene.ir_gt):
+                acc += -math.log(max(row[cls], 1e-12))
+                n += 1
+        ir_noise = NoiseRows(scenes, "ir")
+        got = _sup_loss(SimDetectorParams((0.0, 0.0), noise), scenes,
+                        ir_noise, salt, _truth_at(scenes, ir_noise))
+        assert got.hex() == (acc / max(n, 1)).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(GATHER_BATCHES, st.sampled_from(["ir", "rgb"]), GATHER_NOISE,
+           GATHER_SALTS)
+    def test_scores_are_the_row_maxima(self, picks, modality, noise, salt):
+        scenes = [GATHER_POOL[i] for i in picks]
+        for rows, scores in NoiseRows(scenes, modality).rows(noise, salt):
+            if len(rows):
+                assert scores.tobytes() == rows.max(axis=1).tobytes()
+            assert len(scores) == len(rows)
+
+    def test_pinned_calls_take_views_of_their_epochs_draw(self,
+                                                          monkeypatch):
+        # each detect and rgb_proposals call wraps views of the one draw of
+        # its modality in its epoch, so that no call copies rows per scene
+        draws, calls = {}, []
+
+        class Recording(NoiseRows):
+            def __init__(self, scenes, modality):
+                super().__init__(scenes, modality)
+                self.modality = modality
+
+            def rows(self, scale, salt=0):
+                draw = super().rows(scale, salt)
+                assert (self.modality, salt) not in draws
+                draws[self.modality, salt] = draw
+                return draw
+
+        def spy_detect(params, scene, modality, salt=0, *, rows=None):
+            calls.append((modality, salt, rows))
+            return detect(params, scene, modality, salt, rows=rows)
+
+        def spy_proposals(params, scene, salt=0, *, rows=None):
+            calls.append(("rgb", salt, rows))
+            return rgb_proposals(params, scene, salt, rows=rows)
+
+        monkeypatch.setattr(crosspair.pipeline, "NoiseRows", Recording)
+        monkeypatch.setattr(crosspair.pipeline, "detect", spy_detect)
+        monkeypatch.setattr(crosspair.pipeline, "rgb_proposals",
+                            spy_proposals)
+        scenes = GATHER_POOL[:8]
+        run_pipeline(scenes, StageConfig(1, 1, 1, 1), PlaConfig(),
+                     TrainConfig(steps_per_epoch=1, batch_size=3))
+        assert {(m, s) for m, s, _ in calls} == set(draws) == {
+            ("ir", 0), ("ir", 1), ("ir", 2),
+            ("rgb", 1), ("rgb", 2), ("rgb", 3)}
+        assert len(calls) == 6 * len(scenes)
+        shared = 0
+        for modality, salt, (rows, _) in calls:
+            if len(rows):
+                assert np.shares_memory(rows, draws[modality, salt].values)
+                shared += 1
+        # every IR call, and the RGB calls of scenes with rgb_obs
+        assert shared >= 3 * len(scenes)
+
 
 class TestBatchFiltering:
     def test_only_assigning_epochs_filter(self, monkeypatch):
