@@ -55,6 +55,12 @@ for ending in crlf cr; do
   crosspair match --input "$tmp/scenes_$ending.jsonl" -o "$tmp/pairs_$ending.jsonl"
   cmp "$tmp/pairs.jsonl" "$tmp/pairs_$ending.jsonl"
 done
+# a 21-digit integer in every record sends every line to json.loads, not
+# orjson: the same pairs
+python -c 'import json, sys; [print(json.dumps({**json.loads(line), "tag": 123456789012345678901})) for line in open(sys.argv[1])]' "$tmp/scenes.jsonl" > "$tmp/tagged.jsonl"
+crosspair match --input "$tmp/tagged.jsonl" -o "$tmp/pairs_tagged.jsonl"
+cmp "$tmp/pairs.jsonl" "$tmp/pairs_tagged.jsonl"
+crosspair verify "$tmp/pairs_tagged.jsonl.manifest.json"
 # crowded scenes: load chunks close at the box budget, not at 64 records
 crosspair simulate --scenes 40 --boxes 32 --spurious 1.0 --canvas 1024 1024 \
   --seed 2 -o "$tmp/crowded.jsonl"
@@ -124,6 +130,10 @@ printf '\377\n' >> "$tmp/badbyte.jsonl"
 rc=0; crosspair match --input "$tmp/badbyte.jsonl" -o "$tmp/badbyte.out.jsonl" 2> "$tmp/err" || rc=$?
 test "$rc" -eq 2 || { echo "bad byte exited $rc, want 2"; exit 1; }
 grep -q ':2:' "$tmp/err" || { echo "bad byte error names no line: $(cat "$tmp/err")"; exit 1; }
+{ head -n 1 "$tmp/scenes.jsonl"; sed -n 2p "$tmp/scenes.jsonl" | python -c 'import json, sys; r = json.load(sys.stdin); r["ir_gt"][0]["cx"] = float("nan"); print(json.dumps(r))'; } > "$tmp/nan.jsonl"
+rc=0; crosspair match --input "$tmp/nan.jsonl" -o "$tmp/nan.out.jsonl" 2> "$tmp/err" || rc=$?
+test "$rc" -eq 2 || { echo "NaN cx exited $rc, want 2"; exit 1; }
+grep -qF ":2: field 'ir_gt[0].cx'" "$tmp/err" || { echo "NaN cx error names no line and field: $(cat "$tmp/err")"; exit 1; }
 head -n 1 "$tmp/scenes.jsonl" > "$tmp/deep.jsonl"
 python -c 'print("[" * 100000 + "]" * 100000)' >> "$tmp/deep.jsonl"
 rc=0; crosspair match --input "$tmp/deep.jsonl" -o "$tmp/deep.out.jsonl" 2> "$tmp/err" || rc=$?

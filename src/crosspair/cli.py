@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from itertools import compress
 from pathlib import Path
 
@@ -542,9 +544,8 @@ def cmd_verify(args):
                 argv.extend([flag, str(val)])
         out_name = os.path.basename(config["output"])
         argv.extend(["-o", os.path.join(tmp, out_name)])
-        rc = run(argv)
-        if rc == EXIT_STDOUT_CLOSED:
-            raise StdoutClosed
+        with redirect_stdout(io.StringIO()):  # only verify's lines are shown
+            rc = run(argv)
         if rc != EXIT_OK:
             _say(f"verify: rerun failed with exit code {rc}")
             return EXIT_DATA

@@ -3,7 +3,8 @@
 Every writer here writes a temporary file beside its target and then moves
 it into place with os.replace, so a failed or interrupted run leaves the
 previous file (or none), never a truncated one. The JSON writers raise
-ValueError for a NaN or an infinity, which JSON cannot hold.
+ValueError for a NaN or an infinity, which JSON cannot hold. Record lines
+are decoded by orjson only where it gives json.loads's value (iter_records).
 """
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import hashlib
 import json
 import os
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
+
+import orjson
 
 
 class RecordError(ValueError):
@@ -61,20 +64,42 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+# _loads's view of a line: each digit as "0", "." as itself, others as " "
+_DIGITS = b" " * 46 + b". " + b"0" * 10 + b" " * 198
+_LONG = b" " + b"0" * 19  # the end of an integer of 19 or more digits
+_BLANK = object()
+
+
+def _loads(raw):
+    """json.loads's value of a line's stripped UTF-8 text, or _BLANK."""
+    if raw.count(b"[") + raw.count(b"{") < 500:
+        digits = raw.translate(_DIGITS)
+        # rfind, not in: searched from its end, most of the line is skipped
+        if digits.rfind(_LONG) < 0 and not digits.startswith(_LONG[1:]):
+            with suppress(orjson.JSONDecodeError):
+                return orjson.loads(raw)
+    line = raw.decode("utf-8").strip()
+    return json.loads(line) if line else _BLANK
+
+
 def iter_records(path, digest=None):
     """(line number, record) of each non-blank line of a record file, in
     order, read one line at a time.
 
     Lines end at LF, CR or CRLF, as open(path) ends them, and each is
     decoded as UTF-8, the encoding of JSON text. A line that is not UTF-8,
-    not JSON or nested too deep for the decoder raises a RecordError naming
+    not JSON or nested too deep for json.loads raises a RecordError naming
     it only when the reading reaches it. digest: a hashlib object that
     every byte of the file is added to as it is read, so that once the
     records are exhausted it holds the hash of the bytes they were parsed
     from.
 
     The file is read in pieces that end at LF, through a READ_BUFFER byte
-    buffer; only a piece that holds a CR is split further.
+    buffer; only a piece that holds a CR is split further. orjson decodes
+    a line's bytes; json.loads decodes its stripped text where orjson fails
+    or could give another value: an integer of 19 or more digits, which
+    orjson makes a float beyond 64 bits, and 500 or more "[" and "{", which
+    orjson nests past json.loads's RecursionError (near 1000 deep).
     """
     line_no = 0
     with open(path, "rb", buffering=READ_BUFFER) as fh:
@@ -87,14 +112,12 @@ def iter_records(path, digest=None):
             for raw in lines:
                 line_no += 1
                 try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
+                    record = _loads(raw)
                 except (UnicodeDecodeError, json.JSONDecodeError,
                         RecursionError) as exc:
                     raise RecordError(path, line_no, str(exc)) from exc
-                yield line_no, record
+                if record is not _BLANK:
+                    yield line_no, record
 
 
 def read_records(path):
@@ -167,7 +190,8 @@ def _too_deep(text) -> bool:
 def read_manifest(path) -> dict:
     """The JSON value of a manifest file. Text that is not JSON raises a
     RecordError naming the line where decoding failed, and text nested too
-    deep to decode one naming the first line that it is too deep up to."""
+    deep to decode one naming the first line that it is too deep up to.
+    It is decoded by json, not orjson: only json's errors give the line."""
     with open(path) as fh:
         lines = fh.readlines()
     try:

@@ -586,6 +586,21 @@ class TestVerify:
         manifest_file.write_text(json.dumps(manifest))
         assert invoke(["verify", str(manifest_file)]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenes", "3"],
+        ["match", "--input", "scenes.jsonl"],
+    ])
+    def test_verify_prints_only_its_own_lines(self, scene_file, tmp_path,
+                                              capsys, argv):
+        argv = [str(scene_file) if a == "scenes.jsonl" else a for a in argv]
+        out = tmp_path / "out.jsonl"
+        assert invoke(argv + ["-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert invoke(["verify", f"{out}.manifest.json"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verify: all digests match"
+        assert all(line.startswith("verify: ") for line in lines)
+
     @staticmethod
     def _filter_manifest(scene_file, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -711,12 +726,15 @@ class TestAtomicWrites:
 
 class _ClosedStdout:
     """A standard output whose reader has gone: every write raises
-    BrokenPipeError. Its file descriptor is fd, a file of the test's."""
+    BrokenPipeError, and its text is kept in tried. Its file descriptor is
+    fd, a file of the test's."""
 
     def __init__(self, fd):
         self.fd = fd
+        self.tried = []
 
     def write(self, text):
+        self.tried.append(text)
         raise BrokenPipeError(32, "Broken pipe")
 
     def flush(self):
@@ -734,14 +752,19 @@ def test_closed_stdout_is_not_a_data_error(scene_file, tmp_path, monkeypatch,
     if command == "pipeline":
         argv += SHORT
     manifest = str(out) + ".manifest.json"
-    if command == "verify":  # the rerun is the run that finds stdout closed
+    if command == "verify":
         assert invoke(["match"] + argv[1:]) == EXIT_OK
         argv = ["verify", manifest]
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    stdout = _ClosedStdout(fd)
     try:
         with monkeypatch.context() as m:
-            m.setattr(sys, "stdout", _ClosedStdout(fd))
+            m.setattr(sys, "stdout", stdout)
             assert invoke(argv) == EXIT_STDOUT_CLOSED == 141
+        if command == "verify":
+            # the rerun's stats line is not verify's: the first line to
+            # find stdout closed is verify's own, after a digest compared
+            assert stdout.tried == ["verify: o.jsonl: ok"]
         # stdout's descriptor now writes to devnull, so the flush at exit
         # cannot raise again
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
