@@ -37,6 +37,14 @@ crosspair pipeline --input "$tmp/scenes.jsonl" --k1 1 --k2 1 --k3 2 --k4 2 \
 crosspair verify "$tmp/improve.jsonl.manifest.json"
 crosspair match --input "$tmp/scenes.jsonl" -o "$tmp/pairs.jsonl"
 crosspair verify "$tmp/pairs.jsonl.manifest.json"
+# an artifact deleted after the run: verify exits 2 and names it. A run of
+# its own, since later steps cmp pairs.jsonl
+crosspair match --input "$tmp/scenes.jsonl" -o "$tmp/gone.jsonl"
+rm "$tmp/gone.jsonl.stats.json"
+rc=0
+crosspair verify "$tmp/gone.jsonl.manifest.json" > "$tmp/verify_out" || rc=$?
+test "$rc" -eq 2 || { echo "verify of a deleted artifact exited $rc, want 2"; exit 1; }
+grep -qx "verify: gone.jsonl.stats.json: MISMATCH" "$tmp/verify_out" || { echo "verify did not name the deleted artifact: $(cat "$tmp/verify_out")"; exit 1; }
 # stdout closed by its reader: exit 141 (128 + SIGPIPE), not the data error
 # 2, with every output and the manifest written. The reader closes its end
 # of the pipe first, then lets match start through a fifo.

@@ -2,9 +2,8 @@
 
 from .correction import LabelBag, LabelPair, init_bag, update_bag
 from .filtering import BatchThreshold, ScoredBox, batch_threshold, filter_batch, score_of
-from .geometry import (OrientedBox, corners_of, intersect_area, iou, point_in_obb,
-                       raster_iou_oracle, rotation_matrix)
-from .matching import MatchResult, candidates_for, match_scene, search_region
+from .geometry import OrientedBox, corners_of, intersect_area, iou, point_in_obb
+from .matching import MatchResult, match_scene, search_region
 from .metrics import PRCurve, average_precision, correspondence_score, mean_ap
 from .pipeline import PipelineReport, PlaConfig, TrainConfig, run_pipeline
 from .schedule import (EmaState, Phase, StageConfig, StageState, ema_update,

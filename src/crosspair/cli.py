@@ -513,6 +513,15 @@ def _manifest_fault(m):
     return None
 
 
+def _digest_or_none(path):
+    """The file_digest of path, or None if there is no file there: verify
+    reads a missing artifact, of the rerun or of the run, as a mismatch."""
+    try:
+        return file_digest(path)
+    except FileNotFoundError:
+        return None
+
+
 def cmd_verify(args):
     manifest = read_manifest(args.manifest)
     fault = _manifest_fault(manifest)
@@ -552,11 +561,8 @@ def cmd_verify(args):
         ok = True
         base = os.path.dirname(os.path.abspath(args.manifest))
         for name, digest in manifest["artifact_digests"].items():
-            rerun = file_digest(os.path.join(tmp, name))
-            current_path = os.path.join(base, name)
-            current = (file_digest(current_path)
-                       if os.path.exists(current_path) else None)
-            good = rerun == digest and current == digest
+            good = (_digest_or_none(os.path.join(tmp, name)) == digest
+                    == _digest_or_none(os.path.join(base, name)))
             if not good:
                 ok = False
             _say(f"verify: {name}: {'ok' if good else 'MISMATCH'}")

@@ -87,14 +87,6 @@ def shoelace(vertices) -> float:
     return 0.5 * acc
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """Counterclockwise rotation matrix [[cos, -sin], [sin, cos]]."""
-    if not math.isfinite(theta):
-        raise ValueError(f"non-finite angle: {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def corners_of(b: OrientedBox) -> tuple[tuple[float, float], ...]:
     """The four corners, counterclockwise: center + R(theta) @ (+-w/2, +-h/2)."""
     c, s = math.cos(b.theta), math.sin(b.theta)
@@ -354,36 +346,3 @@ def iou_rows(a: np.ndarray, b: np.ndarray):
         values = inter / union
     scalar = ((n >= 3) & close) | (union == 0.0)
     return values, scalar
-
-
-def raster_iou_oracle(a: OrientedBox, b: OrientedBox, resolution: int = 512) -> float:
-    """IoU estimated by point sampling over the pair's bounding rectangle.
-
-    Independent of the clipping path: membership is tested per grid point.
-    """
-    if resolution < 64:
-        raise ValueError(f"resolution must be >= 64, got {resolution}")
-    pts = corners_of(a) + corners_of(b)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 - x0 <= 0 or y1 - y0 <= 0:
-        return 0.0
-    gx = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
-    gy = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
-    X, Y = np.meshgrid(gx, gy)
-
-    def mask(box):
-        c, s = math.cos(box.theta), math.sin(box.theta)
-        dx, dy = X - box.cx, Y - box.cy
-        u = c * dx + s * dy
-        v = -s * dx + c * dy
-        return (np.abs(u) <= box.w / 2.0) & (np.abs(v) <= box.h / 2.0)
-
-    in_a = mask(a)
-    in_b = mask(b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union

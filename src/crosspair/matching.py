@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (EDGE_EPS, OrientedBox, box_columns, concat_columns,
-                       iou, iou_rows, point_in_obb)
+                       iou, iou_rows)
+# point_in_obb is a perfbench/tracer.py patch point of this module
+from .geometry import point_in_obb  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,17 +43,6 @@ def search_region(ir: OrientedBox, beta: float) -> OrientedBox:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     return OrientedBox(ir.cx, ir.cy, beta * ir.w, beta * ir.h, ir.theta)
-
-
-def candidates_for(ir: OrientedBox, rgb_pool, paired, beta: float):
-    """Unclaimed candidates whose centers lie in the search region (boundary
-    inclusive); input order preserved. The scalar form of pair_tables' gate,
-    kept as its reference."""
-    region = search_region(ir, beta)
-    return [
-        c for c in rgb_pool
-        if c.source_id not in paired and point_in_obb(c.center, region)
-    ]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from crosspair.correction import MATCHED, init_bag, update_bag
 from crosspair.filtering import ScoredBox, filter_batch
-from crosspair.geometry import OrientedBox, iou, raster_iou_oracle
+from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import match_scene
 from crosspair.metrics import correspondence_score, pooled_correspondence
 from crosspair.pipeline import PlaConfig, TrainConfig, run_pipeline
@@ -18,6 +18,7 @@ from crosspair.schedule import (EmaState, Phase, StageConfig, ema_update,
 from crosspair.simulate import (SceneConfig, SimDetectorParams, generate_scenes,
                                 rgb_proposals)
 from crosspair.cli import run as cli_run
+from reference import raster_iou_oracle
 
 BOX = OrientedBox(0, 0, 10, 10, 0)
 

@@ -555,11 +555,51 @@ class TestVerify:
         monkeypatch.chdir(other)
         assert invoke(["verify", str(run_dir / "out.jsonl.manifest.json")]) == EXIT_OK
 
-    def test_verify_detects_tamper(self, scene_file):
+    def test_verify_detects_tamper(self, scene_file, capsys):
         with open(scene_file, "a") as fh:
             fh.write("\n")
+        capsys.readouterr()
         rc = invoke(["verify", str(scene_file) + ".manifest.json"])
         assert rc == EXIT_DATA
+        assert capsys.readouterr().out.splitlines() == [
+            "verify: scenes.jsonl: MISMATCH"]
+
+    @pytest.mark.parametrize("argv,damage,want", [
+        (["match"], "edit out.jsonl",
+         ["out.jsonl: MISMATCH", "out.jsonl.stats.json: ok"]),
+        (["pipeline", "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2"],
+         "delete out.jsonl.bags.jsonl",
+         ["out.jsonl: ok", "out.jsonl.bags.jsonl: MISMATCH",
+          "out.jsonl.csv: ok"]),
+        # only the rerun lacks it: the run's directory holds a file of the
+        # manifest's digest
+        (["match"], "name extra.jsonl",
+         ["out.jsonl: ok", "out.jsonl.stats.json: ok",
+          "extra.jsonl: MISMATCH"]),
+    ], ids=["edited primary", "deleted bags", "extra artifact"])
+    def test_verify_names_each_mismatch(self, scene_file, tmp_path, capsys,
+                                        argv, damage, want):
+        out = tmp_path / "out.jsonl"
+        assert invoke(argv + ["--input", str(scene_file),
+                              "-o", str(out)]) == EXIT_OK
+        manifest_file = tmp_path / "out.jsonl.manifest.json"
+        action, name = damage.split()
+        if action == "edit":
+            with open(tmp_path / name, "a") as fh:
+                fh.write("\n")
+        elif action == "delete":
+            os.remove(tmp_path / name)
+        else:
+            (tmp_path / name).write_text("extra\n")
+            manifest = json.loads(manifest_file.read_text())
+            manifest["artifact_digests"][name] = file_digest(tmp_path / name)
+            manifest_file.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert invoke(["verify", str(manifest_file)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"verify: {line}"
+                                             for line in want]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("argv", [
         ["filter"],

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +5,10 @@ from hypothesis import strategies as st
 
 from crosspair.correction import (COPIED, MATCHED, LabelBag, LabelTable,
                                   bag_records, init_bag, update_bag)
-from crosspair.filtering import ScoredBox
 from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import MatchResult, match_scene
 from crosspair.simulate import SPURIOUS, ObservedBox, Scene, pair_centers
-
-
-def sb(box, source_id):
-    return ScoredBox(box, (1.0,), source_id)
+from reference import reference_scores, reference_stats, replay, sb
 
 
 def make_ir(n):
@@ -259,57 +253,11 @@ def table_histories(draw):
     return scenes, history
 
 
-def reference_stats(bags, scenes, epoch):
-    """(matched, copied, updated, rgb error) of bags, as run_pipeline
-    computed them on LabelBags."""
-    truth = {s.scene_id: {i: (b.cx + s.true_offset[0], b.cy + s.true_offset[1])
-                          for i, b, _ in s.ir_gt} for s in scenes}
-    matched = copied = updated = 0
-    acc = 0.0
-    for sid, bag in bags.items():
-        for ir_id, p in bag.pairs.items():
-            if p.origin == MATCHED:
-                matched += 1
-                updated += p.last_update_epoch == epoch
-            else:
-                copied += 1
-            tx, ty = truth[sid][ir_id]
-            acc += math.hypot(p.rgb_box.cx - tx, p.rgb_box.cy - ty)
-    n = matched + copied
-    return matched, copied, updated, acc / n if n else 0.0
-
-
-def reference_scores(bags, scenes):
-    """(matched pair precision, pair accuracy) of bags, as run_pipeline
-    computed them on LabelBags."""
-    correct = matched = accurate = total = 0
-    for scene in scenes:
-        live = {corr: rgb for rgb, corr in scene.corr_map.items()}
-        boxes = {o.source_id: o.box for o in scene.rgb_obs}
-        for ir_id, p in bags[scene.scene_id].pairs.items():
-            total += 1
-            partner = boxes[live[ir_id]] if ir_id in live else None
-            if p.origin == MATCHED:
-                matched += 1
-                ok = partner is not None and p.rgb_box == partner
-                correct += ok
-                accurate += ok
-            else:
-                accurate += partner is None
-    return (correct / matched if matched else None,
-            accurate / total if total else 0.0)
-
-
-def replay(table, bags, scene, matches, epoch, use_dlc, improve_only):
-    """Write matches into table and into bags, by init_bag/update_bag."""
-    sid = scene.scene_id
-    table.assign(sid, matches, epoch, fresh=not use_dlc,
+def write_both(table, bags, scene, matches, epoch, use_dlc, improve_only):
+    """Write matches into table, and into bags by replay."""
+    table.assign(scene.scene_id, matches, epoch, fresh=not use_dlc,
                  improve_only=improve_only)
-    bag = bags.get(sid) if use_dlc else None
-    bags[sid] = (init_bag(sid, scene.ir_boxes, matches, scene.rgb_obs, epoch)
-                 if bag is None else
-                 update_bag(bag, matches, scene.rgb_obs, epoch,
-                            improve_only=improve_only))
+    replay(bags, scene, matches, epoch, use_dlc, improve_only)
 
 
 def assert_table_equals_bags(table, bags, scenes, epoch):
@@ -334,8 +282,8 @@ def test_label_table_equals_bag_replay(history, improve_only, use_dlc):
     bags = {}
     for epoch, results in epochs:
         for scene in scenes:
-            replay(table, bags, scene, results[scene.scene_id], epoch,
-                   use_dlc, improve_only)
+            write_both(table, bags, scene, results[scene.scene_id], epoch,
+                       use_dlc, improve_only)
         assert_table_equals_bags(table, bags, scenes, epoch)
 
 
@@ -354,8 +302,8 @@ def test_label_table_equals_bag_replay_of_repeated_results(history, data,
     for _ in range(data.draw(st.integers(1, 10))):
         for scene in scenes:
             results = kept[data.draw(st.integers(0, len(kept) - 1))]
-            replay(table, bags, scene, results[scene.scene_id], epoch,
-                   use_dlc, data.draw(st.booleans()))
+            write_both(table, bags, scene, results[scene.scene_id], epoch,
+                       use_dlc, data.draw(st.booleans()))
         assert_table_equals_bags(table, bags, scenes, epoch)
         epoch += data.draw(st.integers(1, 3))
 

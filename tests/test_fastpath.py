@@ -3,8 +3,8 @@
 The batched rotated IoU, the pair tables with their vectorized gate, the
 keyed detector noise, the IR detector's one-hot table, the pair-center
 column sums and the trusted ScoredBox constructor must give the same
-results bit for bit as the scalar loops and numpy forms kept here as
-references.
+results bit for bit as the scalar loops and numpy forms of reference.py
+and the references kept here.
 """
 import json
 import math
@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosspair import cli
@@ -27,8 +27,7 @@ from crosspair import matching
 from crosspair.geometry import (EDGE_EPS, FieldError, OrientedBox,
                                 box_columns, corners_of, intersect_polygon,
                                 iou, iou_rows, point_in_obb)
-from crosspair.matching import (MatchResult, PairTable, _Chunk, _gate,
-                                _reach, _window, candidates_for, match_scene,
+from crosspair.matching import (_Chunk, _gate, _reach, _window, match_scene,
                                 pair_table, pair_tables, search_region)
 from crosspair.metrics import ordered_sum
 from crosspair.records import file_digest
@@ -38,57 +37,8 @@ from crosspair.simulate import (ObservedBox, Scene, SceneConfig,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 scene_columns, scene_to_record,
                                 scenes_from_records, student_step)
-
-
-def box_rows(boxes) -> np.ndarray:
-    """The field_rows of boxes, OrientedBoxes."""
-    return box_columns(range(len(boxes)), boxes).rows
-
-
-def iou_batch(a_boxes, b_boxes) -> list[float]:
-    """[iou(a, b) for a, b in zip(a_boxes, b_boxes)], bit for bit, computed
-    in one vectorized pass; rows iou_rows cannot settle go to iou. The
-    object form of the IoU that pair_tables takes of box columns."""
-    if len(a_boxes) != len(b_boxes):
-        raise ValueError(
-            f"box lists differ in length: {len(a_boxes)} and {len(b_boxes)}")
-    values, scalar = iou_rows(box_rows(a_boxes), box_rows(b_boxes))
-    out = values.tolist()
-    for k in np.flatnonzero(scalar).tolist():
-        out[k] = iou(a_boxes[k], b_boxes[k])
-    return out
-
-
-def reference_match(ir_boxes, rgb_pool, beta=1.0, use_search_region=True):
-    """The greedy matcher as it was before the pair table, verbatim."""
-    ir_ids = [i for i, _ in ir_boxes]
-    rgb_ids = [c.source_id for c in rgb_pool]
-    if len(set(ir_ids)) != len(ir_ids):
-        raise ValueError("duplicate reference ids")
-    if len(set(rgb_ids)) != len(rgb_ids):
-        raise ValueError("duplicate candidate ids")
-
-    paired: set[int] = set()
-    pairs = []
-    unmatched_ir = []
-    for ir_id, ir_box in sorted(ir_boxes, key=lambda t: t[0]):
-        if use_search_region:
-            cands = candidates_for(ir_box, rgb_pool, paired, beta)
-        else:
-            cands = [c for c in rgb_pool if c.source_id not in paired]
-        best_id, best_iou = None, 0.0
-        for c in cands:
-            v = iou(ir_box, c.box)
-            if v > best_iou or (v == best_iou and v > 0.0
-                                and best_id is not None and c.source_id < best_id):
-                best_id, best_iou = c.source_id, v
-        if best_id is None:
-            unmatched_ir.append(ir_id)
-        else:
-            paired.add(best_id)
-            pairs.append((ir_id, best_id, best_iou))
-    unmatched_rgb = [i for i in rgb_ids if i not in paired]
-    return MatchResult(tuple(pairs), tuple(unmatched_ir), tuple(unmatched_rgb))
+from reference import (box_rows, iou_batch, reference_detect, reference_match,
+                       reference_pair_table, reference_row)
 
 
 # Boxes on a coarse grid put centers exactly on region boundaries and give
@@ -242,49 +192,6 @@ class TestBoxColumns:
                     want = OrientedBox(*(float(g[f]) for f in
                                          ("cx", "cy", "w", "h", "theta")))
                     assert _fields(cols.box(k)) == _fields(want)
-
-
-def reference_gate_mask(ir_boxes, rgb_pool, beta: float) -> np.ndarray:
-    """matching._gate_mask as it was before pair_tables, verbatim."""
-    regions = [search_region(b, beta) for _, b in ir_boxes]
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    c = column([math.cos(r.theta) for r in regions])
-    s = column([math.sin(r.theta) for r in regions])
-    dx = np.array([o.box.cx for o in rgb_pool], dtype=float) - column(
-        [r.cx for r in regions])
-    dy = np.array([o.box.cy for o in rgb_pool], dtype=float) - column(
-        [r.cy for r in regions])
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    return ((np.abs(u) <= column([r.w / 2.0 + EDGE_EPS for r in regions]))
-            & (np.abs(v) <= column([r.h / 2.0 + EDGE_EPS for r in regions])))
-
-
-def reference_pair_table(ir_boxes, rgb_pool, beta: float = 1.0,
-                         use_search_region: bool = True) -> PairTable:
-    """matching.pair_table as it was before pair_tables, verbatim but for
-    rgb_ids, now a tuple in pool order rather than a frozenset."""
-    rgb_ids = [c.source_id for c in rgb_pool]
-    if len(set(rgb_ids)) != len(rgb_ids):
-        raise ValueError("duplicate candidate ids")
-    if use_search_region:
-        mask = reference_gate_mask(ir_boxes, rgb_pool, beta)
-        gated = [np.flatnonzero(row).tolist() for row in mask]
-    else:
-        gated = [range(len(rgb_pool))] * len(ir_boxes)
-    ranked = {}
-    for (ir_id, ir_box), cols in zip(ir_boxes, gated):
-        hits = []
-        for j in cols:
-            v = iou(ir_box, rgb_pool[j].box)
-            if v > 0.0:
-                hits.append((rgb_ids[j], v))
-        hits.sort(key=lambda t: (-t[1], t[0]))
-        ranked[ir_id] = tuple(hits)
-    return PairTable(ranked, tuple(rgb_ids), beta, use_search_region)
 
 
 def object_columns(scene):
@@ -709,38 +616,6 @@ class TestIntFields:
         assert tables[1:] == tables[:1] * 3
 
 
-U64 = (1 << 64) - 1
-
-
-def reference_mix(x):
-    """SplitMix64 on a Python int."""
-    x = (x + 0x9E3779B97F4A7C15) & U64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & U64
-    return x ^ (x >> 31)
-
-
-def reference_row(scene_id, salt, modality, box, probs, scale):
-    """One row of perturbed_rows, with Python ints and floats, box by box."""
-    if scale <= 0:
-        return probs
-    code = {"ir": 1, "rgb": 2}[modality]
-    key = reference_mix(reference_mix(reference_mix(reference_mix(
-        scene_id & U64) ^ (salt & U64)) ^ code) ^ box)
-    u = [((reference_mix(key ^ j) >> 12) + 0.5) * 2.0 ** -52
-         for j in range(len(probs))]
-    m = min(1.0, scale * u[0])
-    edges = [0.0] + sorted(u[1:]) + [1.0]
-    mixed = [(1.0 - m) * p + m * (b - a)
-             for p, a, b in zip(probs, edges, edges[1:])]
-    total = mixed[0]
-    for v in mixed[1:]:
-        total += v
-    if total == 0.0:
-        total = 1.0
-    return tuple([v / total for v in mixed])
-
-
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -787,19 +662,6 @@ class TestKeyedNoise:
                        for o, r in zip(s.rgb_obs, rows))
 
 
-def reference_detect_ir(params, scene, salt=0):
-    """detect(..., "ir") as it was before the one-hot table, with the keyed
-    noise of reference_row in place of the numpy draws it made then."""
-    out = []
-    n_classes = len(scene.rgb_obs[0].class_probs) if scene.rgb_obs else 5
-    for b, (ir_id, box, cls) in enumerate(scene.ir_gt):
-        probs = tuple(float(p) for p in np.eye(n_classes)[cls])
-        probs = reference_row(scene.scene_id, salt, "ir", b, probs,
-                              params.confidence_noise)
-        out.append(ScoredBox(box, probs, ir_id))
-    return out
-
-
 class TestDetectIr:
     # one-hot tables of two sizes
     @pytest.mark.parametrize("classes", [5, 9])
@@ -811,7 +673,7 @@ class TestDetectIr:
         for scene in generate_scenes(cfg):
             for salt in (0, 7):
                 got = detect(params, scene, "ir", salt)
-                want = reference_detect_ir(params, scene, salt)
+                want = reference_detect(params, scene, "ir", salt)
                 assert [(d.source_id, d.box, _bits(d.class_probs))
                         for d in got] == [(d.source_id, d.box,
                                            _bits(d.class_probs))
@@ -1062,37 +924,56 @@ def test_crowded_pipeline_outputs_unchanged(tmp_path, flags, digests):
     assert _pipeline_digests(tmp_path, SIMULATE_CROWDED, flags) == digests
 
 
-def _shuffled_input(tmp_path):
-    """The SIMULATE scenes and a copy of them in another record order."""
-    scenes = tmp_path / "s.jsonl"
+@pytest.fixture(scope="module")
+def recorded_lines(tmp_path_factory):
+    """The lines of the SIMULATE scenes, and the lines match --batch-size 1
+    writes of them."""
+    tmp = tmp_path_factory.mktemp("recorded")
+    scenes, out = tmp / "s.jsonl", tmp / "pairs.jsonl"
     assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
-    lines = scenes.read_text().splitlines(keepends=True)
-    shuffled = lines[:]
-    random.Random(5).shuffle(shuffled)
-    assert shuffled != lines
-    (tmp_path / "shuffled.jsonl").write_text("".join(shuffled))
-    return scenes, tmp_path / "shuffled.jsonl"
+    assert run(["match", "--input", str(scenes), "--batch-size", "1",
+                "-o", str(out)]) == EXIT_OK
+    return (scenes.read_text().splitlines(keepends=True),
+            out.read_text().splitlines())
 
 
-def test_pipeline_outputs_ignore_record_order(tmp_path):
-    _, shuffled = _shuffled_input(tmp_path)
-    out = tmp_path / "r.jsonl"
-    assert run(["pipeline", "--input", str(shuffled)] + SCHEDULE
-               + ["-o", str(out)]) == EXIT_OK
-    assert tuple(file_digest(str(out) + suffix)
-                 for suffix in ("", ".csv", ".bags.jsonl")) == RECORDED[0][1]
+SIMULATED_SCENES = int(SIMULATE[SIMULATE.index("--scenes") + 1])
+# the record order of the fixed shuffle these properties replace
+FIXED_SHUFFLE = list(range(SIMULATED_SCENES))
+random.Random(5).shuffle(FIXED_SHUFFLE)
 
 
-def test_scene_at_a_time_match_ignores_record_order(tmp_path):
-    outputs = []
-    for scenes in _shuffled_input(tmp_path):
-        out = tmp_path / f"{scenes.stem}.pairs.jsonl"
-        assert run(["match", "--input", str(scenes), "--batch-size", "1",
-                    "-o", str(out)]) == EXIT_OK
-        outputs.append(out.read_text().splitlines())
-    original, shuffled = outputs
-    assert shuffled != original
-    assert sorted(shuffled) == sorted(original)
+def _reordered(lines, order, tmp):
+    path = os.path.join(tmp, "shuffled.jsonl")
+    with open(path, "w") as fh:
+        fh.writelines(lines[k] for k in order)
+    return path
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(SIMULATED_SCENES)))
+@example(order=FIXED_SHUFFLE)
+def test_pipeline_outputs_ignore_record_order(recorded_lines, order):
+    lines, _ = recorded_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r.jsonl")
+        assert run(["pipeline", "--input", _reordered(lines, order, tmp)]
+                   + SCHEDULE + ["-o", out]) == EXIT_OK
+        assert tuple(file_digest(out + suffix) for suffix in (
+            "", ".csv", ".bags.jsonl")) == RECORDED[0][1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(SIMULATED_SCENES)))
+@example(order=FIXED_SHUFFLE)
+def test_scene_at_a_time_match_ignores_record_order(recorded_lines, order):
+    lines, original = recorded_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "pairs.jsonl")
+        assert run(["match", "--input", _reordered(lines, order, tmp),
+                    "--batch-size", "1", "-o", out]) == EXIT_OK
+        with open(out) as fh:
+            assert sorted(fh.read().splitlines()) == sorted(original)
 
 
 def _mixed_input(tmp_path):

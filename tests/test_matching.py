@@ -6,16 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosspair.filtering import ScoredBox
 from crosspair.geometry import (OrientedBox, box_columns, corners_of, iou,
                                 point_in_obb)
-from crosspair.matching import (MatchResult, PairTable, candidates_for,
-                                match_ids, match_scene, pair_table,
-                                pair_tables, search_region)
-
-
-def sb(box, source_id):
-    return ScoredBox(box, (1.0,), source_id)
+from crosspair.matching import (PairTable, match_ids, match_scene,
+                                pair_table, pair_tables, search_region)
+from reference import candidates_for, reference_match, sb
 
 
 class TestSearchRegion:
@@ -137,7 +132,7 @@ class TestMatchScene:
                                     search_region(ir_box, 2.0))
 
     def test_greedy_replay_oracle(self):
-        # independent replay: exhaustive argmax per reference, same order
+        # the exhaustive argmax per reference box, in ascending id order
         rng = np.random.default_rng(2)
         for _ in range(50):
             n, m = rng.integers(1, 7), rng.integers(0, 7)
@@ -147,27 +142,8 @@ class TestMatchScene:
             pool = [sb(OrientedBox(rng.uniform(0, 60), rng.uniform(0, 60),
                                    rng.uniform(6, 25), rng.uniform(6, 25),
                                    rng.uniform(-1.5, 1.5)), j) for j in range(m)]
-            res = match_scene(ir, pool, beta=1.5)
-
-            claimed = set()
-            want = []
-            for ir_id, ir_box in sorted(ir, key=lambda t: t[0]):
-                region = search_region(ir_box, 1.5)
-                best = None
-                for c in pool:
-                    if c.source_id in claimed:
-                        continue
-                    if not point_in_obb(c.center, region):
-                        continue
-                    v = iou(ir_box, c.box)
-                    if v <= 0:
-                        continue
-                    if best is None or v > best[1] or (v == best[1] and c.source_id < best[0]):
-                        best = (c.source_id, v)
-                if best is not None:
-                    claimed.add(best[0])
-                    want.append((ir_id, best[0]))
-            assert [(p[0], p[1]) for p in res.pairs] == want
+            assert match_scene(ir, pool, beta=1.5) == reference_match(
+                ir, pool, beta=1.5)
 
     def test_zero_offset_recovery(self):
         rng = np.random.default_rng(3)
@@ -223,33 +199,6 @@ def match_cases(draw):
             draw(st.booleans()))
 
 
-def greedy_oracle(ir, pool, beta, gated):
-    """The greedy matching by brute force: each reference box, by ascending
-    id, takes the unclaimed candidate of highest positive iou, the lowest
-    id on ties, among those whose center lies in its search region (all of
-    them without the gate)."""
-    claimed = set()
-    pairs, unmatched_ir = [], []
-    for ir_id, box in sorted(ir, key=lambda t: t[0]):
-        region = search_region(box, beta)
-        best = None
-        for c in pool:
-            if c.source_id in claimed or (
-                    gated and not point_in_obb(c.center, region)):
-                continue
-            v = iou(box, c.box)
-            if v > 0.0 and (best is None
-                            or (-v, c.source_id) < (-best[1], best[0])):
-                best = (c.source_id, v)
-        if best is None:
-            unmatched_ir.append(ir_id)
-        else:
-            claimed.add(best[0])
-            pairs.append((ir_id, *best))
-    unmatched_rgb = [c.source_id for c in pool if c.source_id not in claimed]
-    return MatchResult(tuple(pairs), tuple(unmatched_ir), tuple(unmatched_rgb))
-
-
 class TestMatchProperties:
     @settings(max_examples=200, deadline=None)
     @given(match_cases())
@@ -282,7 +231,7 @@ class TestMatchProperties:
     @given(match_cases())
     def test_equals_greedy_oracle(self, case):
         ir, _, pool, beta, gated = case
-        assert match_scene(ir, pool, beta, gated) == greedy_oracle(
+        assert match_scene(ir, pool, beta, gated) == reference_match(
             ir, pool, beta, gated)
 
 

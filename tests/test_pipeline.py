@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import crosspair.matching
@@ -17,10 +17,11 @@ from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
                                 _epoch_proposals, _sup_loss,
                                 _truth_at, batches, run_pipeline)
 from crosspair.schedule import StageConfig, stage_state
-from crosspair.simulate import (Detections, NoiseRows, SceneConfig,
-                                SimDetectorParams, detect, generate_scenes,
-                                least_squares_offset, perturbed_rows,
-                                rgb_proposals)
+from crosspair.simulate import (Detections, GenerationError, NoiseRows,
+                                SceneConfig, SimDetectorParams, detect,
+                                generate_scenes, least_squares_offset,
+                                perturbed_rows, rgb_proposals)
+from reference import reference_loop, reference_scores
 
 SHORT = StageConfig(2, 2, 4, 4)
 
@@ -466,3 +467,60 @@ class TestRepeatedMatches:
         assert sum(changes) == len(ran) == calls
         # the first result of each scene initialises its bag
         assert len(updated) == matches - len(scenes) == updates
+
+
+loop_scene_configs = st.builds(
+    SceneConfig, count=st.integers(1, 8), boxes_per_scene=st.integers(0, 5),
+    canvas=st.sampled_from([(640, 640), (320, 320), (200, 200)]),
+    shift_max=st.sampled_from([4.0, 15.0]),
+    jitter=st.sampled_from([0.0, 2.0]),
+    dropout_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    spurious_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    class_count=st.sampled_from([1, 3, 5]),
+    confidence_noise=st.sampled_from([0.1, 0.9]), seed=st.integers(0, 2 ** 16))
+pla_configs = st.builds(
+    PlaConfig, beta=st.sampled_from([0.5, 1.0, 2.5]), use_plf=st.booleans(),
+    use_sdlm=st.booleans(), use_dlc=st.booleans(),
+    dlc_improve_only=st.booleans(), iou_match_only=st.booleans())
+
+
+class TestObjectLoop:
+    """run_pipeline's labels are those of reference_loop, the assignment
+    epochs rebuilt box by box from rgb_proposals, batch_threshold,
+    match_scene without a table and init_bag/update_bag."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=loop_scene_configs, pla=pla_configs,
+           batch_size=st.integers(1, 4), skip_stage1=st.booleans(),
+           skip_stage3=st.booleans(),
+           ks=st.lists(st.integers(1, 2), min_size=4, max_size=4))
+    # a crowded input where improve_only keeps an older label; random draws
+    # meet one in about one in a hundred
+    @example(cfg=SceneConfig(count=4, boxes_per_scene=4, canvas=(200, 200),
+                             jitter=2.0, spurious_rate=1.0, class_count=3,
+                             confidence_noise=0.9, seed=461),
+             pla=PlaConfig(beta=2.5, dlc_improve_only=True), batch_size=1,
+             skip_stage1=False, skip_stage3=False, ks=[2, 2, 2, 2])
+    def test_equals_run_pipeline(self, cfg, pla, batch_size, skip_stage1,
+                                 skip_stage3, ks):
+        try:
+            scenes = generate_scenes(cfg)
+        except GenerationError:  # the canvas cannot hold the boxes
+            reject()
+        stage_cfg = StageConfig(*ks)
+        train = TrainConfig(batch_size=batch_size, skip_stage1=skip_stage1,
+                            skip_stage3=skip_stage3)
+        report = run_pipeline(scenes, stage_cfg, pla, train)
+        bags, stats, student = reference_loop(scenes, stage_cfg, pla, train)
+        assert report.bags == bags
+        assert [list(b.pairs.items()) for b in report.bags.values()] == \
+            [list(b.pairs.items()) for b in bags.values()]
+        counts = {r.epoch: (r.matched_count, r.copied_count, r.updated_count,
+                            r.mean_center_error_rgb)
+                  for r in report.epochs if r.phase in ("stage2", "stage3")}
+        assert counts == stats
+        assert all(r.matched_count == r.copied_count == r.updated_count == 0
+                   for r in report.epochs if r.phase in ("burn_in", "mutual"))
+        assert report.final_student_offset == student.offset_estimate
+        assert (report.matched_pair_precision, report.pair_accuracy) == \
+            reference_scores(bags, scenes)

@@ -8,7 +8,6 @@ with the same RecordError text.
 """
 import json
 import math
-import sys
 import tempfile
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -17,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosspair.records import RecordError, iter_records
+from reference import recursion_limit
 
 
 def _reference(data, path):
@@ -47,17 +47,12 @@ def _read(path):
 
 
 def _assert_decodes_as_json_loads(data):
-    # json.loads's depth limit is the recursion limit, which Hypothesis
-    # raises while a test runs; the rule is written for the default, 1000
-    limit = sys.getrecursionlimit()
+    # the decode rule is written for the default recursion limit, 1000
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "r.jsonl"
         path.write_bytes(data)
-        sys.setrecursionlimit(1000)
-        try:
+        with recursion_limit(1000):
             got, want = _read(path), _reference(data, path)
-        finally:
-            sys.setrecursionlimit(limit)
     # repr tells an int from a float from a bool, a float's bits (NaN
     # aside, which only json.loads gives) and a dict's key order
     assert repr(got) == repr(want)

@@ -14,14 +14,14 @@ from crosspair.cli import _record_fault
 from crosspair.geometry import FieldError, OrientedBox, corners_of
 from crosspair.filtering import filter_batch, filter_masks
 from crosspair.pipeline import batches
-from crosspair.simulate import (_MODALITY_CODE, _U64, SPURIOUS,
-                                GenerationError, NoiseRows, ObservedBox,
-                                Scene, SceneConfig, SimDetectorParams,
-                                _clean_rows, _mix, _mixed_rows, _uniform,
-                                detect, generate_scenes, least_squares_offset,
+from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
+                                ObservedBox, Scene, SceneConfig,
+                                SimDetectorParams, _uniform, detect,
+                                generate_scenes, least_squares_offset,
                                 pair_gradient, pair_loss, perturbed_rows,
                                 rgb_proposals, scene_from_record,
                                 scene_to_record, shifted_scenes, student_step)
+from reference import reference_detect
 
 
 class TestGeneration:
@@ -406,51 +406,6 @@ class TestNoiseRows:
             NoiseRows(SCENE_POOL, "uv")
 
 
-def reference_rows(scenes, modality, scale, salt):
-    """perturbed_rows as it was before its rows became arrays: the numpy
-    draw of the NoiseRows of then, grouped by row length, and each scene's
-    rows as a list of tuples of floats."""
-    rows = [_clean_rows(s, modality) for s in scenes]
-    if scale <= 0:
-        return rows
-    flat = [row for scene_rows in rows for row in scene_rows]
-    counts = np.array([len(scene_rows) for scene_rows in rows], dtype=int)
-    starts = np.cumsum(counts) - counts
-    scene_of = np.repeat(np.arange(len(rows)), counts)
-    box_of = (np.arange(len(flat)) - starts[scene_of]).astype(np.uint64)
-    widths = np.array(list(map(len, flat)), dtype=int)
-    base = _mix(np.array([s.scene_id & _U64 for s in scenes], dtype=np.uint64))
-    scene_key = _mix(_mix(base ^ np.uint64(salt & _U64))
-                     ^ np.uint64(_MODALITY_CODE[modality]))
-    drawn = [None] * len(flat)
-    for k in set(widths.tolist()):
-        at = np.flatnonzero(widths == k)
-        clean = np.array([flat[i] for i in at.tolist()], dtype=np.float64)
-        noisy = _mixed_rows(clean, _mix(scene_key[scene_of[at]] ^ box_of[at]),
-                            scale)
-        for i, row in zip(at.tolist(), noisy.tolist()):
-            drawn[i] = tuple(row)
-    return [drawn[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
-
-
-def reference_detect(params, scene, modality, salt):
-    """detect as it was before it returned Detections: a list of
-    ScoredBoxes of the rows of reference_rows."""
-    rows = reference_rows([scene], modality, params.confidence_noise, salt)[0]
-    if modality == "ir":
-        return [ScoredBox.trusted(box, p, ir_id)
-                for (ir_id, box, _), p in zip(scene.ir_gt, rows)]
-    dx, dy = params.offset_estimate
-    return [ScoredBox.trusted(o.box.translated(-dx, -dy), p, o.source_id)
-            for o, p in zip(scene.rgb_obs, rows)]
-
-
-def reference_rgb_proposals(params, scene, salt):
-    rows = reference_rows([scene], "rgb", params.confidence_noise, salt)[0]
-    return [ScoredBox.trusted(o.box, p, o.source_id)
-            for o, p in zip(scene.rgb_obs, rows)]
-
-
 def _box_bits(boxes):
     return [(d.source_id, d.box, [p.hex() for p in d.class_probs],
              d.score.hex(), d.class_id) for d in boxes]
@@ -494,8 +449,9 @@ class TestDetections:
                        in zip(scores.tolist(), rows.tolist()))
             if modality == "rgb":
                 got = rgb_proposals(params, scene, salt, rows=draw)
-                assert _box_bits(got) == _box_bits(
-                    reference_rgb_proposals(params, scene, salt))
+                assert _box_bits(got) == _box_bits(reference_detect(
+                    SimDetectorParams(confidence_noise=scale), scene, "rgb",
+                    salt))
                 proposals.append(got)
         # the batch masks of the pipeline's score filter are filter_batch's
         # on the boxes the proposals build
