@@ -45,6 +45,15 @@ rc=0
 crosspair verify "$tmp/gone.jsonl.manifest.json" > "$tmp/verify_out" || rc=$?
 test "$rc" -eq 2 || { echo "verify of a deleted artifact exited $rc, want 2"; exit 1; }
 grep -qx "verify: gone.jsonl.stats.json: MISMATCH" "$tmp/verify_out" || { echo "verify did not name the deleted artifact: $(cat "$tmp/verify_out")"; exit 1; }
+# an input moved away after the run: verify exits 2 with one line of its
+# own, before any rerun
+cp "$tmp/scenes.jsonl" "$tmp/moved.jsonl"
+crosspair match --input "$tmp/moved.jsonl" -o "$tmp/moved.pairs.jsonl"
+mv "$tmp/moved.jsonl" "$tmp/moved.away.jsonl"
+rc=0
+crosspair verify "$tmp/moved.pairs.jsonl.manifest.json" > "$tmp/verify_out" 2>&1 || rc=$?
+test "$rc" -eq 2 || { echo "verify of a moved input exited $rc, want 2"; exit 1; }
+test "$(cat "$tmp/verify_out")" = "verify: input missing" || { echo "verify of a moved input printed: $(cat "$tmp/verify_out")"; exit 1; }
 # stdout closed by its reader: exit 141 (128 + SIGPIPE), not the data error
 # 2, with every output and the manifest written. The reader closes its end
 # of the pipe first, then lets match start through a fifo.

@@ -24,19 +24,21 @@ from itertools import compress
 from pathlib import Path
 
 from .correction import bag_records
-# filter_batch, match_scene and read_records are not called here:
-# perfbench/tracer.py patches these names in this module and fails when
-# they are not bound
-from .filtering import filter_batch, filter_masks
+from .filtering import filter_masks
 from .geometry import FieldError
-from .matching import match_ids, match_scene, pair_tables
+from .matching import match_ids, pair_tables
 from .metrics import (correspondence_score, map_at, ordered_sum,
                       pooled_correspondence)
 from .pipeline import (NumericError, PlaConfig, TrainConfig, batches,
                        run_pipeline)
 from .records import (RecordError, file_digest, iter_records, read_manifest,
-                      read_records, write_csv, write_json, write_manifest,
-                      write_records)
+                      write_csv, write_json, write_manifest, write_records)
+# filter_batch, match_scene and read_records are not called here:
+# perfbench/tracer.py patches these names in this module and fails when
+# they are not bound
+from .filtering import filter_batch  # noqa: F401
+from .matching import match_scene  # noqa: F401
+from .records import read_records  # noqa: F401
 from .schedule import StageConfig
 from .simulate import (GenerationError, SceneConfig, SimDetectorParams, detect,
                        generate_scenes, scene_columns, scene_from_record,
@@ -515,7 +517,8 @@ def _manifest_fault(m):
 
 def _digest_or_none(path):
     """The file_digest of path, or None if there is no file there: verify
-    reads a missing artifact, of the rerun or of the run, as a mismatch."""
+    reads a missing artifact, of the rerun or of the run, as a mismatch,
+    and a missing input as its own fault."""
     try:
         return file_digest(path)
     except FileNotFoundError:
@@ -531,10 +534,11 @@ def cmd_verify(args):
     config = dict(manifest["config"])
     # manifests written before input digests were recorded have none
     input_digest = manifest.get("input_digest")
-    if (input_digest is not None
-            and file_digest(config["input"]) != input_digest):
-        _say("verify: input changed")
-        return EXIT_DATA
+    if input_digest is not None:
+        got = _digest_or_none(config["input"])
+        if got != input_digest:
+            _say(f"verify: input {'missing' if got is None else 'changed'}")
+            return EXIT_DATA
     with tempfile.TemporaryDirectory() as tmp:
         argv = [sub]
         for key, val in config.items():

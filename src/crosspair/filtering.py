@@ -65,21 +65,6 @@ class ScoredBox:
         # lowest index wins ties
         object.__setattr__(self, "class_id", probs.index(score))
 
-    @classmethod
-    def trusted(cls, box, class_probs: tuple[float, ...], source_id):
-        """The box __init__ builds of valid probabilities, without checking
-        them again: class_probs must be a tuple of floats in [0, 1] that
-        add up to at most 1 + PROB_SUM_TOL."""
-        self = object.__new__(cls)
-        # the fields in __init__'s order; frozen only guards __setattr__
-        d = self.__dict__
-        d["box"] = box
-        d["class_probs"] = class_probs
-        d["source_id"] = source_id
-        d["score"] = score = max(class_probs)
-        d["class_id"] = class_probs.index(score)
-        return self
-
     @property
     def center(self) -> tuple[float, float]:
         return self.box.center

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -266,11 +266,9 @@ def _uniform(h):
     return ((h >> 12).astype(np.float64) + 0.5) * 2.0 ** -52
 
 
-@lru_cache(maxsize=64)
 def _one_hot(k, cls):
     """The one-hot row of class cls of k; IndexError when cls is not in
-    [-k, k), as indexing a table of the rows would raise. Cached, so that
-    the boxes of one class share their row."""
+    [-k, k), as indexing a table of the rows would raise."""
     row = [0.0] * k
     row[cls] = 1.0
     return tuple(row)
@@ -425,8 +423,9 @@ class Detections(Sequence):
     """The detections of one scene in one modality, as columns: boxes and
     ids, tuples, and the (rows, scores) of perturbed_rows. A read-only
     sequence of ScoredBoxes, which indexing and iteration build: the
-    ScoredBox of box k is ScoredBox.trusted(boxes[k], the tuple of rows[k],
-    ids[k]). Equal to a Detections or a list with the same ScoredBoxes.
+    ScoredBox of box k is ScoredBox(boxes[k], rows[k] as a list, ids[k]),
+    which checks the row. Equal to a Detections or a list with the same
+    ScoredBoxes.
     """
     __slots__ = ("boxes", "ids", "rows", "scores")
 
@@ -439,12 +438,10 @@ class Detections(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return ScoredBox.trusted(self.boxes[k], tuple(self.rows[k].tolist()),
-                                 self.ids[k])
+        return ScoredBox(self.boxes[k], self.rows[k].tolist(), self.ids[k])
 
     def __iter__(self):
-        return map(ScoredBox.trusted, self.boxes,
-                   map(tuple, self.rows.tolist()), self.ids)
+        return map(ScoredBox, self.boxes, self.rows.tolist(), self.ids)
 
     def __eq__(self, other):
         if isinstance(other, (Detections, list)):
@@ -517,9 +514,7 @@ class PairCenters:
 
 
 def pair_centers(pairs) -> PairCenters:
-    """The center columns of a sequence of LabelPairs; PairCenters as given."""
-    if isinstance(pairs, PairCenters):
-        return pairs
+    """The center columns of a sequence of LabelPairs."""
     cols = np.array([(p.ir_box.cx, p.ir_box.cy, p.rgb_box.cx, p.rgb_box.cy)
                      for p in pairs], dtype=float).reshape(-1, 4)
     return PairCenters(*np.ascontiguousarray(cols.T))
@@ -532,14 +527,13 @@ def _total(values) -> float:
     return float(np.cumsum(values)[-1]) + 0.0
 
 
-def pair_loss(params: SimDetectorParams, pairs) -> float:
-    """Mean squared center error of the decoupled RGB head over label pairs
-    (LabelPairs or their PairCenters).
+def pair_loss(params: SimDetectorParams, c: PairCenters) -> float:
+    """Mean squared center error of the decoupled RGB head over the
+    PairCenters of label pairs.
 
     The head predicts each object's RGB position as its reference center
     plus the current offset belief.
     """
-    c = pair_centers(pairs)
     if not len(c):
         return 0.0
     dx, dy = params.offset_estimate
@@ -549,9 +543,9 @@ def pair_loss(params: SimDetectorParams, pairs) -> float:
         return _total(ex * ex + ey * ey) / len(c)
 
 
-def pair_gradient(params: SimDetectorParams, pairs) -> tuple[float, float]:
+def pair_gradient(params: SimDetectorParams,
+                  c: PairCenters) -> tuple[float, float]:
     """Exact gradient of pair_loss: 2 * mean(prediction - target) per axis."""
-    c = pair_centers(pairs)
     if not len(c):
         return (0.0, 0.0)
     dx, dy = params.offset_estimate
@@ -562,7 +556,7 @@ def pair_gradient(params: SimDetectorParams, pairs) -> tuple[float, float]:
     return (2.0 * gx / n, 2.0 * gy / n)
 
 
-def student_step(params: SimDetectorParams, pseudo_labels,
+def student_step(params: SimDetectorParams, pseudo_labels: PairCenters,
                  learning_rate: float) -> SimDetectorParams:
     """One exact gradient-descent step on pair_loss; no-op on empty input."""
     if learning_rate <= 0:
@@ -575,9 +569,8 @@ def student_step(params: SimDetectorParams, pseudo_labels,
                              params.confidence_noise)
 
 
-def least_squares_offset(pairs) -> tuple[float, float]:
+def least_squares_offset(c: PairCenters) -> tuple[float, float]:
     """Analytic minimizer of pair_loss: mean(rgb center - reference center)."""
-    c = pair_centers(pairs)
     if not len(c):
         return (0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -249,7 +249,7 @@ def reference_detect(params, scene, modality, salt=0):
         dx, dy = params.offset_estimate
         items = [(o.source_id, o.box.translated(-dx, -dy), o.class_probs)
                  for o in scene.rgb_obs]
-    return [ScoredBox.trusted(box, reference_row(
+    return [ScoredBox(box, reference_row(
                 scene.scene_id, salt, modality, b, row,
                 params.confidence_noise), source_id)
             for b, (source_id, box, row) in enumerate(items)]

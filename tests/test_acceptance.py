@@ -4,10 +4,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import linear_sum_assignment
 
-from crosspair.correction import MATCHED, init_bag, update_bag
+from crosspair.correction import init_bag, update_bag
 from crosspair.filtering import ScoredBox, filter_batch
 from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import match_scene

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from crosspair import cli, matching
-from crosspair.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_STDOUT_CLOSED,
-                          EXIT_USAGE, run)
+from crosspair.cli import (EXIT_DATA, EXIT_OK, EXIT_STDOUT_CLOSED, EXIT_USAGE,
+                          run)
 from crosspair.records import (file_digest, read_records, write_csv,
                                write_json, write_records)
 
@@ -625,6 +625,28 @@ class TestVerify:
         del manifest["input_digest"]
         manifest_file.write_text(json.dumps(manifest))
         assert invoke(["verify", str(manifest_file)]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["filter"],
+        ["match"],
+        ["pipeline", "--k1", "1", "--k2", "1", "--k3", "2", "--k4", "2"],
+    ])
+    def test_verify_names_a_missing_input(self, scene_file, tmp_path, capsys,
+                                          monkeypatch, argv):
+        out = tmp_path / "out.jsonl"
+        assert invoke(argv + ["--input", str(scene_file),
+                              "-o", str(out)]) == EXIT_OK
+        os.rename(scene_file, tmp_path / "moved.jsonl")
+        capsys.readouterr()
+
+        def no_rerun(argv):
+            raise AssertionError(f"rerun of {argv}")
+
+        monkeypatch.setattr(cli, "run", no_rerun)
+        assert invoke(["verify", f"{out}.manifest.json"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["verify: input missing"]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--scenes", "3"],

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosspair.correction import (COPIED, MATCHED, LabelBag, LabelTable,
-                                  bag_records, init_bag, update_bag)
+                                  bag_records, init_bag, keeps_label,
+                                  update_bag)
 from crosspair.geometry import OrientedBox, iou
 from crosspair.matching import MatchResult, match_scene
 from crosspair.simulate import SPURIOUS, ObservedBox, Scene, pair_centers
@@ -342,3 +343,31 @@ def test_label_table_keeps_an_equal_box_under_another_id():
     with pytest.raises(ValueError, match="epoch must increase"):
         table.assign(0, MatchResult((), (0,), ()), 2)
     assert table.bags()[0].pairs[0].last_update_epoch == 1
+
+
+def test_improve_only_keeps_a_label_against_an_equal_iou():
+    # a rematch to another box at an IoU bit-equal to the label's own does
+    # not beat it: keeps_label, update_bag and LabelTable.assign alike
+    ir = OrientedBox(0.0, 0.0, 10.0, 10.0, 0.0)
+    old = OrientedBox(2.0, 0.0, 10.0, 10.0, 0.0)
+    new = OrientedBox(-2.0, 0.0, 10.0, 10.0, 0.0)
+    v = iou(ir, new)
+    assert v.hex() == iou(ir, old).hex()
+    assert keeps_label(ir, old, new, v, improve_only=True)
+    assert not keeps_label(ir, old, new, v, improve_only=False)
+    first = MatchResult(((0, 1, iou(ir, old)),), (), (2,))
+    rematch = MatchResult(((0, 2, v),), (), (1,))
+    pool = [sb(old, 1), sb(new, 2)]
+    bag = init_bag(0, [(0, ir)], first, pool)
+    for improve_only, want in ((True, old), (False, new)):
+        got = update_bag(bag, rematch, pool, 1, improve_only=improve_only)
+        assert got.pairs[0].rgb_box == want
+    scene = Scene(0, (64, 64), (0.0, 0.0), ((0, ir, 0),),
+                  (ObservedBox(old, (1.0,), 1, 0),
+                   ObservedBox(new, (1.0,), 2, SPURIOUS)))
+    table = LabelTable([scene])
+    table.assign(0, first, 1)
+    table.assign(0, rematch, 2, improve_only=True)
+    assert table.bags()[0].pairs[0].rgb_box == old
+    table.assign(0, rematch, 3)
+    assert table.bags()[0].pairs[0].rgb_box == new

@@ -1,10 +1,9 @@
 """Property tests of the fast paths against the code they replaced.
 
 The batched rotated IoU, the pair tables with their vectorized gate, the
-keyed detector noise, the IR detector's one-hot table, the pair-center
-column sums and the trusted ScoredBox constructor must give the same
-results bit for bit as the scalar loops and numpy forms of reference.py
-and the references kept here.
+keyed detector noise, the IR detector's one-hot table and the pair-center
+column sums must give the same results bit for bit as the scalar loops
+and numpy forms of reference.py and the references kept here.
 """
 import json
 import math
@@ -703,8 +702,9 @@ class TestOrderedSums:
         ir = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
         pairs = [LabelPair(ir, OrientedBox(t, t, 4.0, 4.0, 0.0), 0, "matched", 0)
                  for t in self.TERMS]
-        assert least_squares_offset(pairs) == (0.0, 0.0)
-        assert pair_gradient(SimDetectorParams(), pairs) == (0.0, 0.0)
+        centers = pair_centers(pairs)
+        assert least_squares_offset(centers) == (0.0, 0.0)
+        assert pair_gradient(SimDetectorParams(), centers) == (0.0, 0.0)
 
 
 def reference_pair_loss(params, pairs):
@@ -764,22 +764,24 @@ class TestPairColumns:
         params = SimDetectorParams((float(offset[0]), float(offset[1])))
         centers = pair_centers(pairs)
         assert len(centers) == len(pairs)
-        for given_pairs in (pairs, centers):
-            assert _bits([pair_loss(params, given_pairs)]) == _bits(
-                [reference_pair_loss(params, pairs)])
-            assert _bits(pair_gradient(params, given_pairs)) == _bits(
-                reference_pair_gradient(params, pairs))
-            assert _bits(least_squares_offset(given_pairs)) == _bits(
-                reference_least_squares_offset(pairs))
+        assert _bits([pair_loss(params, centers)]) == _bits(
+            [reference_pair_loss(params, pairs)])
+        gx, gy = reference_pair_gradient(params, pairs)
+        assert _bits(pair_gradient(params, centers)) == _bits((gx, gy))
+        assert _bits(least_squares_offset(centers)) == _bits(
+            reference_least_squares_offset(pairs))
         stepped = student_step(params, centers, 0.25)
-        assert stepped == student_step(params, pairs, 0.25)
+        dx, dy = params.offset_estimate
+        assert _bits(stepped.offset_estimate) == _bits(
+            (dx - 0.25 * gx, dy - 0.25 * gy))
 
     def test_all_negative_zero_terms_sum_to_positive_zero(self):
         ir = OrientedBox(0.0, 0.0, 4.0, 4.0, 0.0)
         pairs = [LabelPair(ir, OrientedBox(-0.0, -0.0, 4.0, 4.0, 0.0), 0,
                            "matched", 0)] * 3
         # each term is -0.0 - 0.0 = -0.0; ordered_sum starts from 0.0
-        assert _bits(least_squares_offset(pairs)) == [(0.0).hex()] * 2
+        assert _bits(least_squares_offset(pair_centers(pairs))) == [
+            (0.0).hex()] * 2
         assert _bits(reference_least_squares_offset(pairs)) == [
             (0.0).hex()] * 2
 
@@ -796,20 +798,6 @@ class TestPairColumns:
         assert pair_loss(SimDetectorParams(), pair_centers([])) == 0.0
         params = SimDetectorParams((1.0, 2.0))
         assert student_step(params, pair_centers([]), 0.1) is params
-
-
-class TestTrustedScoredBox:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, 0.125]),
-                    min_size=1, max_size=8).filter(
-                        lambda ps: ordered_sum(ps) <= 1.0))
-    def test_equals_validated_box(self, probs):
-        box = OrientedBox(1.0, 2.0, 3.0, 4.0, 0.5)
-        want = ScoredBox(box, tuple(probs), 7)
-        got = ScoredBox.trusted(box, tuple(probs), 7)
-        assert got == want
-        assert (got.score.hex(), got.class_id) == (want.score.hex(),
-                                                   want.class_id)
 
 
 # Digests of `simulate` + `pipeline` outputs (report, csv, bags) recorded
@@ -1041,7 +1029,6 @@ def test_pipeline_builds_no_scored_box(tmp_path, monkeypatch, mixed, flags,
     else:
         scenes = tmp_path / "s.jsonl"
         assert run(SIMULATE + ["-o", str(scenes)]) == EXIT_OK
-    monkeypatch.setattr(ScoredBox, "trusted", _refuse)
     monkeypatch.setattr(ScoredBox, "__init__", _refuse)
     out = tmp_path / "r.jsonl"
     assert run(["pipeline", "--input", str(scenes)] + SCHEDULE + flags
@@ -1052,13 +1039,13 @@ def test_pipeline_builds_no_scored_box(tmp_path, monkeypatch, mixed, flags,
 
 def test_sweep_shift_still_builds_scored_boxes(tmp_path, monkeypatch):
     built = []
-    trusted = ScoredBox.trusted.__func__
+    init = ScoredBox.__init__
 
-    def counted(cls, *args):
+    def counted(self, *args):
         built.append(args)
-        return trusted(cls, *args)
+        init(self, *args)
 
-    monkeypatch.setattr(ScoredBox, "trusted", classmethod(counted))
+    monkeypatch.setattr(ScoredBox, "__init__", counted)
     argv, digests = RECORDED_FILTERED[-1]
     assert argv[0] == "sweep-shift"
     out = tmp_path / "sweep.csv"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosspair.filtering import (INVALID_THRESHOLD, PROB_SUM_TOL,
-                                 BatchThreshold, ScoredBox, batch_threshold,
-                                 filter_batch, filter_masks, score_of)
+from crosspair.filtering import (INVALID_THRESHOLD, PROB_SUM_TOL, ScoredBox,
+                                 batch_threshold, filter_batch, filter_masks,
+                                 score_of)
 from crosspair.geometry import OrientedBox
 
 BOX = OrientedBox(0, 0, 10, 10, 0)

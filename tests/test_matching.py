@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosspair.geometry import (OrientedBox, box_columns, corners_of, iou,
-                                point_in_obb)
+from crosspair.geometry import (EDGE_EPS, OrientedBox, box_columns,
+                                corners_of, iou, point_in_obb)
 from crosspair.matching import (PairTable, match_ids, match_scene,
                                 pair_table, pair_tables, search_region)
 from reference import candidates_for, reference_match, sb
@@ -21,6 +20,25 @@ class TestSearchRegion:
     def test_uniform_scaling(self):
         r = search_region(OrientedBox(0, 0, 2, 2, 0), 2.0)
         assert set(corners_of(r)) == {(2, 2), (-2, 2), (-2, -2), (2, -2)}
+
+    def test_center_at_the_reach_is_inside(self):
+        # the region of a 2 x 2 box at beta 1 reaches w / 2 + EDGE_EPS from
+        # its center along each axis: a center exactly there is inside, in
+        # point_in_obb and in the gate of pair_tables alike
+        ir = OrientedBox(0.0, 0.0, 2.0, 2.0, 0.0)
+        reach = 2.0 / 2.0 + EDGE_EPS
+        beyond = math.nextafter(reach, 2.0)
+        cands = [OrientedBox(reach, 0.0, 2.0, 2.0, 0.0),
+                 OrientedBox(0.0, reach, 2.0, 2.0, 0.0),
+                 OrientedBox(beyond, 0.0, 2.0, 2.0, 0.0),
+                 OrientedBox(0.0, beyond, 2.0, 2.0, 0.0)]
+        region = search_region(ir, 1.0)
+        assert [point_in_obb(b.center, region) for b in cands] == [
+            True, True, False, False]
+        [(_, table)] = pair_tables(
+            [(None, box_columns([0], [ir]),
+              box_columns([1, 2, 3, 4], cands))], 1.0, True)
+        assert sorted(rgb_id for rgb_id, _ in table.ranked[0]) == [1, 2]
 
     def test_copies_center_and_angle(self):
         b = OrientedBox(3, 7, 4, 2, 0.6)

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 
 import crosspair.matching
 import crosspair.pipeline
-from crosspair.correction import COPIED, MATCHED, LabelTable
+from crosspair.correction import COPIED, LabelTable
 from crosspair.filtering import filter_batch, filter_masks
 from crosspair.geometry import OrientedBox
 from crosspair.matching import match_scene, pair_tables
-from crosspair.pipeline import (NumericError, PlaConfig, TrainConfig,
-                                _epoch_proposals, _sup_loss,
-                                _truth_at, batches, run_pipeline)
+from crosspair.pipeline import (PlaConfig, TrainConfig, _epoch_proposals,
+                                _sup_loss, _truth_at, batches, run_pipeline)
 from crosspair.schedule import StageConfig, stage_state
 from crosspair.simulate import (Detections, GenerationError, NoiseRows,
                                 SceneConfig, SimDetectorParams, detect,
-                                generate_scenes, least_squares_offset,
-                                perturbed_rows, rgb_proposals)
+                                generate_scenes, perturbed_rows,
+                                rgb_proposals)
 from reference import reference_loop, reference_scores
 
 SHORT = StageConfig(2, 2, 4, 4)

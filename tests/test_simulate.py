@@ -14,13 +14,14 @@ from crosspair.cli import _record_fault
 from crosspair.geometry import FieldError, OrientedBox, corners_of
 from crosspair.filtering import filter_batch, filter_masks
 from crosspair.pipeline import batches
-from crosspair.simulate import (SPURIOUS, GenerationError, NoiseRows,
-                                ObservedBox, Scene, SceneConfig,
+from crosspair.simulate import (SPURIOUS, Detections, GenerationError,
+                                NoiseRows, ObservedBox, Scene, SceneConfig,
                                 SimDetectorParams, _uniform, detect,
                                 generate_scenes, least_squares_offset,
-                                pair_gradient, pair_loss, perturbed_rows,
-                                rgb_proposals, scene_from_record,
-                                scene_to_record, shifted_scenes, student_step)
+                                pair_centers, pair_gradient, pair_loss,
+                                perturbed_rows, rgb_proposals,
+                                scene_from_record, scene_to_record,
+                                shifted_scenes, student_step)
 from reference import reference_detect
 
 
@@ -485,6 +486,19 @@ class TestDetections:
         with pytest.raises(ValueError, match="rows of"):
             list(NoiseRows([scene], "rgb").rows(0.1))
 
+    def test_items_check_their_rows(self):
+        # rows a caller passes in reach the ScoredBox checks as any input
+        box = OrientedBox(5.0, 5.0, 4.0, 4.0, 0.0)
+        scene = Scene(1, (64, 64), (0.0, 0.0), (),
+                      (ObservedBox(box, (0.5, 0.5), 0),))
+        rows = (np.array([[-0.5, 0.5]]), np.array([0.5]))
+        for dets in (Detections((box,), (0,), *rows),
+                     rgb_proposals(SimDetectorParams(), scene, rows=rows)):
+            with pytest.raises(FieldError, match="out of"):
+                list(dets)
+            with pytest.raises(FieldError, match="out of"):
+                dets[0]
+
 
 def make_pairs(rng, n):
     pairs = []
@@ -492,7 +506,7 @@ def make_pairs(rng, n):
         ir = OrientedBox(rng.uniform(0, 100), rng.uniform(0, 100), 10, 8, 0.2)
         rgb = ir.translated(rng.uniform(-10, 10), rng.uniform(-10, 10))
         pairs.append(LabelPair(ir, rgb, i, "matched", 0))
-    return pairs
+    return pair_centers(pairs)
 
 
 class TestStudentStep:
@@ -508,13 +522,14 @@ class TestStudentStep:
         ir = OrientedBox(0, 0, 10, 10, 0)
         rgb = ir.translated(-4, 0)  # prediction - target = +4 at offset 0
         pair = LabelPair(ir, rgb, 0, "matched", 0)
-        stepped = student_step(SimDetectorParams((0.0, 0.0), 0.0), [pair], 0.25)
+        stepped = student_step(SimDetectorParams((0.0, 0.0), 0.0),
+                               pair_centers([pair]), 0.25)
         assert stepped.offset_estimate[0] == pytest.approx(-2.0)
         assert stepped.offset_estimate[1] == pytest.approx(0.0)
 
     def test_empty_pairs_noop(self):
         params = SimDetectorParams((1.0, 1.0), 0.0)
-        assert student_step(params, [], 0.1) == params
+        assert student_step(params, pair_centers([]), 0.1) == params
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -548,4 +563,4 @@ class TestStudentStep:
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
-            student_step(SimDetectorParams(), [], 0.0)
+            student_step(SimDetectorParams(), pair_centers([]), 0.0)
